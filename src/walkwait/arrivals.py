@@ -1,33 +1,39 @@
 """Bus arrival-time distributions.
 
-Each model exposes the density p(t), the survival function R(t) = Pr{bus not
-yet arrived by t}, the appearance rate lambda(t) = p(t)/R(t) together with
-its slope, the mean arrival time, and seeded sampling for the simulator.
-Time is measured in minutes throughout.
+Each model exposes the density p(t), the CDF F(t), the survival function
+R(t) = 1 - F(t) = Pr{bus not yet arrived by t}, the partial mean
+M1(t) = integral of tau p(tau) over [0, t], the appearance rate
+lambda(t) = p(t)/R(t) together with its slope, the mean arrival time, and
+seeded sampling for the simulator.  Every expected travel time in the
+package is linear in F and M1.  Time is measured in minutes throughout.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import integrate_piecewise
+
 # step for the finite-difference fallback on the density slope
 FD_STEP = 1e-5
-# survival below this is treated as "bus has certainly arrived"
-SURVIVAL_FLOOR = 1e-12
+# absolute tolerance of the quadrature fallback for the partial mean
+QUAD_TOL = 1e-12
 
 
 class UndefinedRateError(ValueError):
     """Appearance rate requested where the survival function is zero."""
 
 
-def _check_time(t: float) -> float:
+def _check_time(t: float, name: str = "time") -> float:
+    """t as a float; NaN and negative values are rejected, inf is allowed."""
     t = float(t)
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not t >= 0.0:
+        raise ValueError(f"{name} must be nonnegative, got {t}")
     return t
 
 
@@ -54,6 +60,23 @@ class ArrivalModel(ABC):
     @abstractmethod
     def sample(self, rng: np.random.Generator, size=None):
         """Draw arrival times; deterministic given the generator state."""
+
+    def partial_mean(self, t: float) -> float:
+        """M1(t) = integral of tau p(tau) over [0, t].
+
+        Default is adaptive quadrature split at the breakpoints; models with
+        a closed form override it.
+        """
+        t = _check_time(t)
+        if t >= self.support_end:
+            return self.mean()
+        return integrate_piecewise(
+            lambda tau: tau * self.density(tau),
+            0.0,
+            min(t, self.quad_bound()),
+            self.breakpoints(),
+            QUAD_TOL,
+        )
 
     def breakpoints(self) -> tuple[float, ...]:
         """Times where the density or its slope is discontinuous."""
@@ -104,8 +127,8 @@ class Uniform(ArrivalModel):
     headway: float
 
     def __post_init__(self):
-        if not self.headway > 0.0:
-            raise ValueError("headway must be positive")
+        if not 0.0 < self.headway < math.inf:
+            raise ValueError("headway must be positive and finite")
 
     @property
     def support_end(self) -> float:
@@ -135,6 +158,10 @@ class Uniform(ArrivalModel):
             raise UndefinedRateError(f"survival is zero at t={t}")
         return 1.0 / (self.headway - t) ** 2
 
+    def partial_mean(self, t):
+        w = min(_check_time(t), self.headway)
+        return w * w / (2.0 * self.headway)
+
     def mean(self):
         return self.headway / 2.0
 
@@ -152,8 +179,8 @@ class Exponential(ArrivalModel):
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise ValueError("rate must be positive")
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
 
     @property
     def support_end(self) -> float:
@@ -182,6 +209,15 @@ class Exponential(ArrivalModel):
     def appearance_rate_slope(self, t):
         _check_time(t)
         return 0.0
+
+    def partial_mean(self, t):
+        t = _check_time(t)
+        if math.isinf(t):
+            return self.mean()
+        # (1 - e^-x (1 + x)) / rate with x = rate * t; expm1 keeps the
+        # leading 1 from cancelling when x is tiny
+        x = self.rate * t
+        return (-math.expm1(-x) - x * math.exp(-x)) / self.rate
 
     def mean(self):
         return 1.0 / self.rate
@@ -212,10 +248,10 @@ class LateBusMixture(ArrivalModel):
     def __post_init__(self):
         if not 0.0 <= self.still_coming_prob <= 1.0:
             raise ValueError("still_coming_prob must lie in [0, 1]")
-        if not self.late_window > 0.0:
-            raise ValueError("late_window must be positive")
-        if not self.next_headway_offset > self.late_window:
-            raise ValueError("next_headway_offset must exceed late_window")
+        if not 0.0 < self.late_window < math.inf:
+            raise ValueError("late_window must be positive and finite")
+        if not self.late_window < self.next_headway_offset < math.inf:
+            raise ValueError("next_headway_offset must be finite and exceed late_window")
 
     @property
     def support_end(self) -> float:
@@ -251,6 +287,13 @@ class LateBusMixture(ArrivalModel):
             return w + (1.0 - w) * (t - H) / L
         return 1.0
 
+    def partial_mean(self, t):
+        t = _check_time(t)
+        w, L, H = self.still_coming_prob, self.late_window, self.next_headway_offset
+        u = min(t, L) / L  # progress through the triangular head
+        late = min(max(t - H, 0.0), L)  # time spent in the uniform tail
+        return w * L * u * u * (1.0 - 2.0 * u / 3.0) + (1.0 - w) * late * (H + 0.5 * late) / L
+
     def mean(self):
         w, L, H = self.still_coming_prob, self.late_window, self.next_headway_offset
         return w * L / 3.0 + (1.0 - w) * (H + L / 2.0)
@@ -282,6 +325,8 @@ class PiecewiseLinearDensity(ArrivalModel):
             raise ValueError("need at least two knots")
         ts = [t for t, _ in knots]
         ys = [y for _, y in knots]
+        if not all(math.isfinite(v) for v in ts + ys):
+            raise ValueError("knot times and densities must be finite")
         if ts[0] < 0.0:
             raise ValueError("knot times must be nonnegative")
         if any(b < a for a, b in zip(ts, ts[1:])):
@@ -294,27 +339,30 @@ class PiecewiseLinearDensity(ArrivalModel):
         )
         if total <= 0.0:
             raise ValueError("knot densities integrate to zero; cannot normalize")
-        self._ts = np.array(ts)
-        self._ys = np.array(ys) / total
+        self._ts = ts
+        self._ys = [y / total for y in ys]
         # pieces with positive width: (t0, t1, y0, y1, cumulative mass at t0)
         pieces = []
         cum = 0.0
-        for i in range(len(ts) - 1):
-            t0, t1 = self._ts[i], self._ts[i + 1]
+        for t0, t1, y0, y1 in zip(ts, ts[1:], self._ys, self._ys[1:]):
             if t1 > t0:
-                y0, y1 = self._ys[i], self._ys[i + 1]
                 pieces.append((t0, t1, y0, y1, cum))
                 cum += 0.5 * (y0 + y1) * (t1 - t0)
         self._pieces = pieces
+        self._starts = [piece[0] for piece in pieces]
+        # the same table as one array per column, and the CDF at every piece
+        # edge, for vectorized sampling
+        self._columns = [np.array(column) for column in zip(*pieces)]
+        self._edges = np.append(self._columns[4], 1.0)
 
     @property
     def support_end(self) -> float:
-        return float(self._ts[-1])
+        return self._ts[-1]
 
     def _piece_at(self, t):
-        for t0, t1, y0, y1, cum in self._pieces:
-            if t0 <= t < t1:
-                return t0, t1, y0, y1, cum
+        i = bisect.bisect_right(self._starts, t) - 1
+        if i >= 0 and t < self._pieces[i][1]:
+            return self._pieces[i]
         return None
 
     def density(self, t):
@@ -347,27 +395,20 @@ class PiecewiseLinearDensity(ArrivalModel):
         return cum + y0 * x + 0.5 * slope * x * x
 
     def mean(self):
-        total = 0.0
-        for t0, t1, y0, y1, _ in self._pieces:
-            h = t1 - t0
-            slope = (y1 - y0) / h
-            a = y0 - slope * t0  # density = a + slope * t on the piece
-            total += a / 2.0 * (t1**2 - t0**2) + slope / 3.0 * (t1**3 - t0**3)
-        return total
+        # each piece's moment in local coordinates, t0 * mass + integral of
+        # x p(t0 + x), so narrow pieces far from zero lose no precision
+        return sum(
+            t0 * 0.5 * (y0 + y1) * (t1 - t0) + (t1 - t0) ** 2 * (y0 + 2.0 * y1) / 6.0
+            for t0, t1, y0, y1, _ in self._pieces
+        )
 
     def sample(self, rng, size=None):
-        masses = np.array(
-            [0.5 * (y0 + y1) * (t1 - t0) for t0, t1, y0, y1, _ in self._pieces]
-        )
-        edges = np.concatenate([[0.0], np.cumsum(masses)])
-        edges[-1] = 1.0
         u = np.atleast_1d(rng.random(size))
-        idx = np.minimum(np.searchsorted(edges, u, side="right") - 1, len(masses) - 1)
-        t0 = np.array([p[0] for p in self._pieces])[idx]
-        t1 = np.array([p[1] for p in self._pieces])[idx]
-        y0 = np.array([p[2] for p in self._pieces])[idx]
-        y1 = np.array([p[3] for p in self._pieces])[idx]
-        m = u - edges[idx]
+        idx = np.minimum(
+            np.searchsorted(self._edges, u, side="right") - 1, len(self._pieces) - 1
+        )
+        t0, t1, y0, y1, cum = (column[idx] for column in self._columns)
+        m = u - cum
         slope = (y1 - y0) / (t1 - t0)
         # solve y0*x + slope/2 * x^2 = m for x in [0, t1 - t0]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -383,28 +424,36 @@ class PiecewiseLinearDensity(ArrivalModel):
         return out
 
     def breakpoints(self):
-        return tuple(sorted(set(float(t) for t in self._ts)))
+        return tuple(sorted(set(self._ts)))
 
     def __repr__(self):
-        knots = list(zip(self._ts.tolist(), self._ys.tolist()))
-        return f"PiecewiseLinearDensity({knots})"
+        return f"PiecewiseLinearDensity({list(zip(self._ts, self._ys))})"
 
 
 def model_from_config(config: dict) -> ArrivalModel:
-    """Build a model from a dict with a `kind` discriminator."""
+    """Build a model from a dict with a `kind` discriminator.
+
+    Parameters must be JSON numbers: booleans and strings are rejected here,
+    non-finite values by the model constructors.
+    """
     if not isinstance(config, dict):
         raise ValueError("model config must be an object")
+
+    def number(value, field):
+        if type(value) not in (int, float):  # a JSON number, not a boolean
+            raise ValueError(f"{field} must be a number, got {value!r}")
+        return value
+
     kind = config.get("kind")
     if kind == "uniform":
-        return Uniform(headway=config["headway"])
+        return Uniform(headway=number(config["headway"], "headway"))
     if kind == "exponential":
-        return Exponential(rate=config["rate"])
+        return Exponential(rate=number(config["rate"], "rate"))
     if kind == "late_bus_mixture":
-        return LateBusMixture(
-            still_coming_prob=config["still_coming_prob"],
-            late_window=config["late_window"],
-            next_headway_offset=config["next_headway_offset"],
-        )
+        fields = ("still_coming_prob", "late_window", "next_headway_offset")
+        return LateBusMixture(**{f: number(config[f], f) for f in fields})
     if kind == "piecewise":
-        return PiecewiseLinearDensity(config["knots"])
+        return PiecewiseLinearDensity(
+            [[number(v, "knots") for v in knot] for knot in config["knots"]]
+        )
     raise ValueError(f"unknown model kind: {kind!r}")

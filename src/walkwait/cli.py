@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .arrivals import ArrivalModel, model_from_config
@@ -22,7 +23,6 @@ from .intermediate import (
 from .mcsim import (
     WaitForever,
     WaitThenWalk,
-    WalkAndWait,
     WalkNow,
     analytic_expectation,
     estimate,
@@ -75,8 +75,8 @@ def load_config(path: str) -> tuple[Scenario, ArrivalModel, float]:
         if field not in raw:
             raise ConfigError(field, "missing required field")
         value = raw[field]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(field, "must be a number")
+        if type(value) not in (int, float) or not math.isfinite(value):  # no booleans
+            raise ConfigError(field, "must be a finite number")
         if minimum is not None and not value > minimum:
             raise ConfigError(field, f"must be > {minimum}")
         return float(value)
@@ -98,10 +98,10 @@ def load_config(path: str) -> tuple[Scenario, ArrivalModel, float]:
         raise ConfigError("model", f"missing or bad parameter: {exc}") from exc
     except ValueError as exc:
         raise ConfigError("model", str(exc)) from exc
-    p_catch = raw.get("p_catch", 0.0)
-    if not isinstance(p_catch, (int, float)) or not 0.0 <= p_catch <= 1.0:
+    p_catch = number("p_catch") if "p_catch" in raw else 0.0
+    if not 0.0 <= p_catch <= 1.0:
         raise ConfigError("p_catch", "must be a number in [0, 1]")
-    return scenario, model, float(p_catch)
+    return scenario, model, p_catch
 
 
 def _analyze_payload(scenario: Scenario, model: ArrivalModel) -> dict:
@@ -213,21 +213,23 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def parse_strategy(text: str):
+# strategy names and the plan each builds from its comma-separated numbers
+STRATEGIES = {
+    "wait_forever": WaitForever,
+    "walk_now": WalkNow,
+    "wait_then_walk": WaitThenWalk,
+    "walk_and_wait": WalkAndWaitPlan,
+}
+
+
+def parse_strategy(text: str) -> WalkAndWaitPlan:
     name, _, params = text.partition(":")
+    if name not in STRATEGIES:
+        raise ConfigError("strategy", f"unknown strategy {text!r}")
     try:
-        if name == "wait_forever":
-            return WaitForever()
-        if name == "walk_now":
-            return WalkNow()
-        if name == "wait_then_walk":
-            return WaitThenWalk(t_wait=float(params))
-        if name == "walk_and_wait":
-            d1, tw, pc = (float(v) for v in params.split(","))
-            return WalkAndWait(plan=WalkAndWaitPlan(d1=d1, t_wait=tw, p_catch=pc))
-    except ValueError as exc:
+        return STRATEGIES[name](*(float(v) for v in params.split(",") if params))
+    except (TypeError, ValueError) as exc:  # wrong count or bad value
         raise ConfigError("strategy", f"bad parameters in {text!r}: {exc}") from exc
-    raise ConfigError("strategy", f"unknown strategy {text!r}")
 
 
 def cmd_simulate(args) -> int:

@@ -3,6 +3,9 @@
 The traveller waits up to ``t_wait`` minutes for a bus, boarding if it comes,
 and otherwise walks the whole way.  ``t_wait = math.inf`` means wait forever;
 ``t_wait = 0`` means walk immediately.
+
+Every expectation here and in :mod:`walkwait.intermediate` is one expression
+in the model's CDF F, its survival R = 1 - F and its partial mean M1.
 """
 
 from __future__ import annotations
@@ -10,10 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arrivals import ArrivalModel, Exponential, Uniform
-from .quadrature import integrate_piecewise
-
-QUAD_TOL = 1e-12
+from .arrivals import ArrivalModel, _check_time
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,12 @@ class Scenario:
     v_b: float
 
     def __post_init__(self):
-        if not self.d > 0.0:
-            raise ValueError("distance must be positive")
-        if not self.v_w > 0.0:
-            raise ValueError("walking speed must be positive")
-        if not self.v_b > self.v_w:
-            raise ValueError("bus speed must exceed walking speed")
+        if not 0.0 < self.d < math.inf:
+            raise ValueError("distance must be positive and finite")
+        if not 0.0 < self.v_w < math.inf:
+            raise ValueError("walking speed must be positive and finite")
+        if not self.v_w < self.v_b < math.inf:
+            raise ValueError("bus speed must be finite and exceed walking speed")
 
     @property
     def walk_time(self) -> float:
@@ -64,29 +64,26 @@ def t_delta(scenario: Scenario) -> float:
     return scenario.t_delta
 
 
-def _check_wait(t_wait: float) -> float:
-    t_wait = float(t_wait)
-    if t_wait < 0.0:
-        raise ValueError("wait time must be nonnegative")
-    return t_wait
+def _walk_and_wait_tt(scenario, model, t1, t_wait, p_catch, m1) -> float:
+    """Expected time of walking until the head start over the bus has shrunk
+    by t1 minutes (catching a passing bus with probability p_catch), then
+    waiting up to t_wait.  With T = t1 + t_wait:
 
+        bus F(T) + M1(T) + R(T) (walk + t_wait)
+            + (1 - p_catch) (t_delta F(t1) - M1(t1)).
 
-def _uniform_closed(scenario: Scenario, headway: float, t_wait: float) -> float:
-    w = min(t_wait, headway)
-    frac = w / headway
-    return (
-        frac * scenario.bus_time
-        + w * w / (2.0 * headway)
-        + (1.0 - frac) * (scenario.walk_time + w)
-    )
-
-
-def _exponential_closed(scenario: Scenario, rate: float, t_wait: float) -> float:
-    # E = bus + 1/rate + exp(-rate*W) * (t_delta - 1/rate)
-    if math.isinf(t_wait):
-        return scenario.bus_time + 1.0 / rate
-    decay = math.exp(-rate * t_wait)
-    return scenario.bus_time + 1.0 / rate + decay * (scenario.t_delta - 1.0 / rate)
+    Waiting at the origin is t1 = 0, where the last term vanishes.
+    """
+    end = t1 + t_wait
+    if math.isfinite(end):
+        e = (
+            scenario.bus_time * model.cdf(end)
+            + m1(end)
+            + model.survival(end) * (scenario.walk_time + t_wait)
+        )
+    else:
+        e = expected_tt_wait_forever(scenario, model)
+    return e + (1.0 - p_catch) * (scenario.t_delta * model.cdf(t1) - m1(t1))
 
 
 def expected_tt(
@@ -95,38 +92,35 @@ def expected_tt(
     t_wait: float,
     method: str = "auto",
 ) -> float:
-    """Expected travel time (minutes) when waiting up to t_wait, then walking.
+    """Expected travel time (minutes) when waiting up to t_wait, then walking:
+    E(W) = bus F(W) + M1(W) + R(W) (walk + W).
 
-    method: "auto" uses closed forms for uniform and exponential models and
-    quadrature otherwise; "closed" and "quadrature" force one route.
+    method: "auto" takes M1 from the model's partial_mean; "closed" does the
+    same but raises when the model has no closed form of its own;
+    "quadrature" forces the base-class adaptive quadrature.
     """
-    t_wait = _check_wait(t_wait)
+    t_wait = _check_time(t_wait, "wait time")
     if method not in ("auto", "closed", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    if method != "quadrature":
-        if isinstance(model, Uniform):
-            return _uniform_closed(scenario, model.headway, t_wait)
-        if isinstance(model, Exponential):
-            return _exponential_closed(scenario, model.rate, t_wait)
-        if method == "closed":
-            raise ValueError(f"no closed form for {type(model).__name__}")
-    if math.isinf(t_wait):
-        return expected_tt_wait_forever(scenario, model)
-    bus = scenario.bus_time
-    upper = min(t_wait, model.quad_bound())
-    boarded = integrate_piecewise(
-        lambda tau: (bus + tau) * model.density(tau),
-        0.0,
-        upper,
-        model.breakpoints(),
-        QUAD_TOL,
-    )
-    return boarded + model.survival(t_wait) * (scenario.walk_time + t_wait)
+    m1 = model.partial_mean
+    if method == "quadrature":
+        m1 = lambda t: ArrivalModel.partial_mean(model, t)
+    elif method == "closed" and type(model).partial_mean is ArrivalModel.partial_mean:
+        raise ValueError(f"no closed form for {type(model).__name__}")
+    return _walk_and_wait_tt(scenario, model, 0.0, t_wait, 0.0, m1)
 
 
 def expected_tt_wait_forever(scenario: Scenario, model: ArrivalModel) -> float:
     """Expected travel time when committed to waiting for the bus."""
     return scenario.bus_time + model.mean()
+
+
+def _wait_gradient(model: ArrivalModel, t: float, td: float) -> GradientPair:
+    """d/dW and d2/dW2 of a wait that ends at time t, with break-even wait td."""
+    p = model.density(t)
+    first = model.survival(t) - td * p
+    second = -p - td * model.density_slope(t)
+    return GradientPair(first=first, second=second, one_sided=model.is_kink(t))
 
 
 def expected_tt_gradient(
@@ -137,10 +131,4 @@ def expected_tt_gradient(
     At a density kink the second component uses the right-hand density slope
     and the result is flagged one_sided.
     """
-    t_wait = _check_wait(t_wait)
-    td = scenario.t_delta
-    p = model.density(t_wait)
-    first = model.survival(t_wait) - td * p
-    one_sided = model.is_kink(t_wait)
-    second = -p - td * model.density_slope(t_wait)
-    return GradientPair(first=first, second=second, one_sided=one_sided)
+    return _wait_gradient(model, _check_time(t_wait, "wait time"), scenario.t_delta)

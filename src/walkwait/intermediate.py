@@ -6,6 +6,9 @@ by t1 = d1 * q minutes; a bus passing in that window is caught with
 probability p_catch.  Caught-bus travel times are clocked by the bus's
 arrival at the *starting* point, since the arrival density refers to a fixed
 point on the route.
+
+Every strategy is a plan: walking now is (0, 0, 0), waiting up to W minutes
+at the origin is (0, W, 0) and waiting forever is (0, inf, 0).
 """
 
 from __future__ import annotations
@@ -13,15 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arrivals import ArrivalModel
-from .expectation import (
-    QUAD_TOL,
-    GradientPair,
-    Scenario,
-    expected_tt,
-    expected_tt_wait_forever,
-)
-from .quadrature import integrate_piecewise
+from .arrivals import ArrivalModel, _check_time
+from .expectation import GradientPair, Scenario, _wait_gradient, _walk_and_wait_tt
 
 
 @dataclass(frozen=True)
@@ -34,10 +30,9 @@ class WalkAndWaitPlan:
     p_catch: float
 
     def __post_init__(self):
-        if self.d1 < 0.0:
-            raise ValueError("d1 must be nonnegative")
-        if self.t_wait < 0.0:
-            raise ValueError("t_wait must be nonnegative")
+        if not 0.0 <= self.d1 < math.inf:
+            raise ValueError("d1 must be nonnegative and finite")
+        _check_time(self.t_wait, "t_wait")  # inf waits forever
         if not 0.0 <= self.p_catch <= 1.0:
             raise ValueError("p_catch must lie in [0, 1]")
 
@@ -66,36 +61,16 @@ def prob_miss(
 def expected_tt_plan(
     scenario: Scenario, model: ArrivalModel, plan: WalkAndWaitPlan
 ) -> float:
-    """Expected travel time of a walk-and-wait plan (minutes)."""
+    """Expected travel time of a walk-and-wait plan (minutes).
+
+    A caught bus is clocked by its arrival at the starting point, so the
+    caught, missed and boarded legs sum to one expression in F and M1 at t1
+    and t1 + t_wait; with d1 = 0 it is expected_tt.
+    """
     _check_plan(scenario, plan)
-    if plan.d1 == 0.0:
-        # no walking leg: identical to waiting t_wait at the origin
-        return expected_tt(scenario, model, plan.t_wait)
-    t1 = plan.t1(scenario)
-    bus = scenario.bus_time
-    walk = scenario.walk_time
-    rest_walk = (scenario.d - plan.d1) / scenario.v_w
-    rest_bus = (scenario.d - plan.d1) / scenario.v_b
-    breaks = model.breakpoints()
-
-    # bus passes en route and is caught: total time is its arrival at the
-    # starting point plus the full bus ride
-    caught = plan.p_catch * integrate_piecewise(
-        lambda tau: (bus + tau) * model.density(tau), 0.0, min(t1, model.quad_bound()),
-        breaks, QUAD_TOL,
+    return _walk_and_wait_tt(
+        scenario, model, plan.t1(scenario), plan.t_wait, plan.p_catch, model.partial_mean
     )
-    missed = (1.0 - plan.p_catch) * model.cdf(t1) * walk
-
-    # no bus en route: wait-then-walk from the stop, offset by t1
-    upper = min(t1 + plan.t_wait, model.quad_bound())
-    boarded = integrate_piecewise(
-        lambda tau: (rest_bus + (tau - t1)) * model.density(tau), t1, upper,
-        breaks, QUAD_TOL,
-    )
-    at_stop = plan.d1 / scenario.v_w * model.survival(t1) + boarded
-    if math.isfinite(plan.t_wait):
-        at_stop += model.survival(t1 + plan.t_wait) * (rest_walk + plan.t_wait)
-    return caught + missed + at_stop
 
 
 def plan_gradient_tw(
@@ -103,16 +78,11 @@ def plan_gradient_tw(
 ) -> GradientPair:
     """Derivatives of the plan's expected time in t_wait.
 
-    Same structure as the origin-stop gradient, shifted by t1 and with the
-    reduced break-even wait t_delta1.
+    The origin-stop gradient, shifted by t1 and with the reduced break-even
+    wait t_delta1.
     """
     _check_plan(scenario, plan)
-    t = plan.t1(scenario) + plan.t_wait
-    td1 = plan.t_delta1(scenario)
-    p = model.density(t)
-    first = model.survival(t) - td1 * p
-    second = -p - td1 * model.density_slope(t)
-    return GradientPair(first=first, second=second, one_sided=model.is_kink(t))
+    return _wait_gradient(model, plan.t1(scenario) + plan.t_wait, plan.t_delta1(scenario))
 
 
 def plan_gradient_d1(
@@ -130,6 +100,15 @@ def plan_gradient_d1(
     )
 
 
+def _vigilant_saving(scenario: Scenario, model: ArrivalModel, p_catch: float) -> float:
+    """Minutes a vigilant walk saves on walking: p_catch times the integral of
+    (t_delta - tau) p(tau) over [0, t_delta], i.e. t_delta F - M1 there."""
+    if not 0.0 <= p_catch <= 1.0:
+        raise ValueError("p_catch must lie in [0, 1]")
+    td = scenario.t_delta
+    return p_catch * (td * model.cdf(td) - model.partial_mean(td))
+
+
 def expected_tt_walk_vigilant(
     scenario: Scenario, model: ArrivalModel, p_catch: float
 ) -> float:
@@ -137,17 +116,7 @@ def expected_tt_walk_vigilant(
 
     This is the best walk-and-wait plan: d1 = d, no terminal waiting.
     """
-    if not 0.0 <= p_catch <= 1.0:
-        raise ValueError("p_catch must lie in [0, 1]")
-    td = scenario.t_delta
-    saving = integrate_piecewise(
-        lambda tau: (td - tau) * model.density(tau),
-        0.0,
-        min(td, model.quad_bound()),
-        model.breakpoints(),
-        QUAD_TOL,
-    )
-    return scenario.walk_time - p_catch * saving
+    return scenario.walk_time - _vigilant_saving(scenario, model, p_catch)
 
 
 def walk_vs_wait_advantage(
@@ -155,26 +124,10 @@ def walk_vs_wait_advantage(
 ) -> float:
     """Expected minutes saved by vigilant walking over waiting at the origin.
 
-    Positive favours walking.  Computed from the regrouped difference
-    formula; equals expected_tt_wait_forever - expected_tt_walk_vigilant.
+    Positive favours walking; equals expected_tt_wait_forever -
+    expected_tt_walk_vigilant.
     """
-    if not 0.0 <= p_catch <= 1.0:
-        raise ValueError("p_catch must lie in [0, 1]")
-    td = scenario.t_delta
-    early_mean = integrate_piecewise(
-        lambda tau: tau * model.density(tau),
-        0.0,
-        min(td, model.quad_bound()),
-        model.breakpoints(),
-        QUAD_TOL,
-    )
-    late_mean = model.mean() - early_mean
-    return (
-        p_catch * td * model.cdf(td)
-        + (1.0 - p_catch) * early_mean
-        + late_mean
-        - td
-    )
+    return model.mean() - scenario.t_delta + _vigilant_saving(scenario, model, p_catch)
 
 
 def uniform_pc_threshold(headway_ratio: float) -> float | None:

@@ -10,38 +10,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .arrivals import ArrivalModel
-from .expectation import Scenario, expected_tt, expected_tt_wait_forever
+from .expectation import Scenario
 from .intermediate import WalkAndWaitPlan, expected_tt_plan
 
 CHUNK = 1 << 16
 
-
-@dataclass(frozen=True)
-class WaitForever:
-    pass
+# every strategy is a walk-and-wait plan; the names below build the simple ones
+Strategy = WalkAndWaitPlan
 
 
-@dataclass(frozen=True)
-class WalkNow:
-    pass
+def WaitForever() -> WalkAndWaitPlan:
+    return WalkAndWaitPlan(d1=0.0, t_wait=math.inf, p_catch=0.0)
 
 
-@dataclass(frozen=True)
-class WaitThenWalk:
-    t_wait: float
+def WalkNow() -> WalkAndWaitPlan:
+    return WalkAndWaitPlan(d1=0.0, t_wait=0.0, p_catch=0.0)
 
 
-@dataclass(frozen=True)
-class WalkAndWait:
-    plan: WalkAndWaitPlan
+def WaitThenWalk(t_wait: float) -> WalkAndWaitPlan:
+    return WalkAndWaitPlan(d1=0.0, t_wait=t_wait, p_catch=0.0)
 
 
-Strategy = Union[WaitForever, WalkNow, WaitThenWalk, WalkAndWait]
+def WalkAndWait(plan: WalkAndWaitPlan) -> WalkAndWaitPlan:
+    return plan
 
 
 @dataclass(frozen=True)
@@ -60,28 +55,9 @@ def simulate_once(
     """One journey's travel time in minutes.
 
     Draw order is fixed: the bus arrival first, then (only when a bus passes
-    during the walking leg of a WalkAndWait plan) one uniform for the catch.
+    during the walking leg of the plan) one uniform for the catch.
     """
-    tau = float(model.sample(rng))
-    if isinstance(strategy, WalkNow):
-        return scenario.walk_time
-    if isinstance(strategy, WaitForever):
-        return tau + scenario.bus_time
-    if isinstance(strategy, WaitThenWalk):
-        if tau <= strategy.t_wait:
-            return tau + scenario.bus_time
-        return strategy.t_wait + scenario.walk_time
-    if isinstance(strategy, WalkAndWait):
-        plan = strategy.plan
-        t1 = plan.t1(scenario)
-        if tau < t1:
-            if rng.random() < plan.p_catch:
-                return tau + scenario.bus_time
-            return scenario.walk_time
-        if tau <= t1 + plan.t_wait:
-            return tau + scenario.bus_time
-        return scenario.walk_time + plan.t_wait
-    raise TypeError(f"unknown strategy {strategy!r}")
+    return float(_travel_times(scenario, model, strategy, rng, 1)[0])
 
 
 def _travel_times(
@@ -91,32 +67,21 @@ def _travel_times(
     rng: np.random.Generator,
     size: int,
 ) -> np.ndarray:
+    # the bus is boarded at the stop iff it arrives strictly before the wait
+    # ends, so a zero wait never boards
     tau = np.asarray(model.sample(rng, size), dtype=float)
-    if isinstance(strategy, WalkNow):
-        return np.full(size, scenario.walk_time)
-    if isinstance(strategy, WaitForever):
-        return tau + scenario.bus_time
-    if isinstance(strategy, WaitThenWalk):
-        return np.where(
-            tau <= strategy.t_wait,
-            tau + scenario.bus_time,
-            strategy.t_wait + scenario.walk_time,
-        )
-    if isinstance(strategy, WalkAndWait):
-        plan = strategy.plan
-        t1 = plan.t1(scenario)
-        out = np.where(
-            tau <= t1 + plan.t_wait,
-            tau + scenario.bus_time,
-            scenario.walk_time + plan.t_wait,
-        )
-        passing = tau < t1
-        if passing.any():
-            caught = rng.random(int(passing.sum())) < plan.p_catch
-            walked = np.flatnonzero(passing)[~caught]
-            out[walked] = scenario.walk_time
-        return out
-    raise TypeError(f"unknown strategy {strategy!r}")
+    t1 = strategy.t1(scenario)
+    out = np.where(
+        tau < t1 + strategy.t_wait,
+        tau + scenario.bus_time,
+        scenario.walk_time + strategy.t_wait,
+    )
+    passing = tau < t1
+    if passing.any():
+        caught = rng.random(int(passing.sum())) < strategy.p_catch
+        walked = np.flatnonzero(passing)[~caught]
+        out[walked] = scenario.walk_time
+    return out
 
 
 def estimate(
@@ -154,13 +119,5 @@ def estimate(
 def analytic_expectation(
     scenario: Scenario, model: ArrivalModel, strategy: Strategy
 ) -> float:
-    """The closed/quadrature expectation matching a simulated strategy."""
-    if isinstance(strategy, WalkNow):
-        return scenario.walk_time
-    if isinstance(strategy, WaitForever):
-        return expected_tt_wait_forever(scenario, model)
-    if isinstance(strategy, WaitThenWalk):
-        return expected_tt(scenario, model, strategy.t_wait)
-    if isinstance(strategy, WalkAndWait):
-        return expected_tt_plan(scenario, model, strategy.plan)
-    raise TypeError(f"unknown strategy {strategy!r}")
+    """The analytic expectation matching a simulated strategy."""
+    return expected_tt_plan(scenario, model, strategy)

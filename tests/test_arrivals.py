@@ -1,11 +1,13 @@
 """Arrival-model contracts: densities, survival, appearance rates, sampling."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from walkwait import (
+    ArrivalModel,
     Exponential,
     LateBusMixture,
     PiecewiseLinearDensity,
@@ -248,3 +250,101 @@ class TestConstructionErrors:
     def test_bad_mixture_weight(self):
         with pytest.raises(ValueError):
             LateBusMixture(still_coming_prob=1.5, late_window=4.0, next_headway_offset=25.0)
+
+
+class TestPartialMean:
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_matches_quadrature_fallback(self, model):
+        for t in (0.0, 1.0, 3.9, 4.0, 10.0, 24.0, 30.0, 57.5, 200.0):
+            fallback = ArrivalModel.partial_mean(model, t)
+            assert model.partial_mean(t) == pytest.approx(fallback, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_runs_from_zero_to_the_mean(self, model):
+        assert model.partial_mean(0.0) == 0.0
+        assert model.partial_mean(math.inf) == pytest.approx(model.mean(), rel=1e-15)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_nan_time_rejected(self, model):
+        for method in (model.density, model.cdf, model.survival, model.partial_mean):
+            with pytest.raises(ValueError):
+                method(math.nan)
+
+
+class TestPiecewiseMeanExact:
+    def test_narrow_spikes_match_exact_rational_mean(self):
+        # a narrow spike far from zero: the global-coordinate moment formula
+        # cancels catastrophically in floating point, so the reference
+        # evaluates it in exact rationals
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(200):
+            centre = float(rng.uniform(100.0, 5000.0))
+            width = float(rng.uniform(1e-4, 1e-2))
+            peak = float(rng.uniform(10.0, 500.0))
+            knots = [
+                (0.0, 1e-3),
+                (centre, 1e-3),
+                (centre + width, peak),
+                (centre + 2.0 * width, 1e-3),
+                (1.5 * centre, 1e-3),
+            ]
+            exact = [(Fraction(t), Fraction(y)) for t, y in knots]
+            mass = moment = Fraction(0)
+            for (t0, y0), (t1, y1) in zip(exact, exact[1:]):
+                slope = (y1 - y0) / (t1 - t0)
+                a = y0 - slope * t0  # density = a + slope * t on the piece
+                mass += (y0 + y1) / 2 * (t1 - t0)
+                moment += a / 2 * (t1**2 - t0**2) + slope / 3 * (t1**3 - t0**3)
+            reference = moment / mass
+            got = Fraction(PiecewiseLinearDensity(knots).mean())
+            worst = max(worst, float(abs(got - reference) / reference))
+        assert worst < 1e-14
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Uniform(math.inf),
+            lambda: Uniform(math.nan),
+            lambda: Exponential(math.inf),
+            lambda: Exponential(math.nan),
+            lambda: LateBusMixture(0.5, 4.0, math.inf),
+            lambda: LateBusMixture(math.nan, 4.0, 25.0),
+            lambda: PiecewiseLinearDensity([[0, 1], [math.nan, 1], [5, 1]]),
+            lambda: PiecewiseLinearDensity([[0, 1], [5, math.inf]]),
+            lambda: PiecewiseLinearDensity([[0, 1], [math.inf, 1]]),
+        ],
+    )
+    def test_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+
+class TestPiecewiseLookup:
+    def test_bisection_matches_linear_scan(self):
+        # pieces are found by bisection; a linear scan over the normalized
+        # knots, with the same arithmetic, is the reference
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            ts = np.sort(rng.choice(np.arange(0.0, 40.0, 2.0), 8)).tolist()  # repeats jump
+            ys = rng.uniform(0.0, 1.0, 8).tolist()
+            if len(set(ts)) < 2:
+                continue
+            model = PiecewiseLinearDensity(list(zip(ts, ys)))
+            total = sum(
+                0.5 * (y0 + y1) * (t1 - t0)
+                for t0, t1, y0, y1 in zip(ts, ts[1:], ys, ys[1:])
+            )
+            knots = [(t, y / total) for t, y in zip(ts, ys)]
+
+            def reference(t):
+                for (t0, y0), (t1, y1) in zip(knots, knots[1:]):
+                    if t0 <= t < t1:
+                        return y0 + (y1 - y0) * (t - t0) / (t1 - t0), (y1 - y0) / (t1 - t0)
+                return 0.0, 0.0
+
+            probes = ts + [t + 1.0 for t in ts] + rng.uniform(0.0, 45.0, 50).tolist()
+            for t in probes:
+                assert (model.density(t), model.density_slope(t)) == reference(t)

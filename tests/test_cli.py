@@ -1,6 +1,7 @@
 """Command-line interface: configs, reports, CSV sweeps, exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -221,3 +222,59 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["analytic"] == pytest.approx(23.6)
         assert abs(payload["z"]) < 3.5
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("distance_km", math.inf),
+            ("distance_km", True),
+            ("walk_speed_kmh", math.nan),
+            ("bus_speed_kmh", math.inf),
+            ("p_catch", True),
+            ("p_catch", math.nan),
+        ],
+    )
+    def test_top_level_field_rejected(self, config, capsys, field, value):
+        path = config({"kind": "uniform", "headway": 30}, **{field: value})
+        assert main(["analyze", path]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model, field",
+        [
+            ({"kind": "uniform", "headway": True}, "headway"),
+            ({"kind": "uniform", "headway": math.inf}, "headway"),
+            ({"kind": "exponential", "rate": math.inf}, "rate"),
+            (
+                {
+                    "kind": "late_bus_mixture",
+                    "still_coming_prob": 0.5,
+                    "late_window": 4,
+                    "next_headway_offset": math.inf,
+                },
+                "next_headway_offset",
+            ),
+            ({"kind": "piecewise", "knots": [[0, 1], [math.nan, 1], [5, 1]]}, "knot"),
+            ({"kind": "piecewise", "knots": [[0, 1], [5, True]]}, "knot"),
+        ],
+    )
+    def test_model_parameter_rejected(self, config, capsys, model, field):
+        assert main(["analyze", config(model)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "strategy",
+        ["wait_then_walk:nan", "wait_then_walk", "walk_now:banana", "walk_now:5",
+         "walk_and_wait:1,2", "walk_and_wait:1,2,0.5,4"],
+    )
+    def test_malformed_strategy_rejected(self, config, capsys, strategy):
+        code = main(
+            [
+                "simulate", config({"kind": "uniform", "headway": 30}),
+                "--strategy", strategy, "--n", "100", "--seed", "0",
+            ]
+        )
+        assert code == 2
+        assert "strategy" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 
 from walkwait import (
     Exponential,
+    LateBusMixture,
     Scenario,
     Uniform,
     expected_tt,
@@ -178,3 +179,39 @@ class TestGradient:
                     model.appearance_rate(t) - 1.0 / scenario.t_delta
                 ) * model.survival(t)
                 assert residual < 1e-10
+
+
+class TestInputValidation:
+    def test_nan_wait_rejected(self):
+        with pytest.raises(ValueError):
+            expected_tt(S0, Uniform(30.0), math.nan)
+        with pytest.raises(ValueError):
+            expected_tt_gradient(S0, Uniform(30.0), math.nan)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(math.inf, 0.1, 0.5), (math.nan, 0.1, 0.5), (3.0, math.nan, 0.5), (3.0, 0.1, math.inf)],
+    )
+    def test_non_finite_scenario_rejected(self, args):
+        with pytest.raises(ValueError):
+            Scenario(*args)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError):
+            expected_tt(S0, Uniform(30.0), 1.0, method="simpson")
+
+
+class TestRoutes:
+    def test_late_bus_closed_agrees_with_quadrature(self):
+        model = LateBusMixture(0.25, 4.0, 56.0)
+        for w in (0.0, 2.0, 4.0, 30.0, 57.0, 70.0):
+            closed = expected_tt(S0, model, w, method="closed")
+            quad = expected_tt(S0, model, w, method="quadrature")
+            assert quad == pytest.approx(closed, abs=1e-10)
+
+    def test_exponential_tiny_rate_is_walking_after_the_wait(self):
+        # 1/rate is 1e300 here; a form that adds and subtracts it loses the
+        # whole walk
+        model = Exponential(rate=1e-300)
+        for w in (1.0, 12.0, 1000.0):
+            assert expected_tt(S0, model, w) == S0.walk_time + w

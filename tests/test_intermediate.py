@@ -262,3 +262,41 @@ class TestPCThreshold:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             uniform_pc_threshold(0.0)
+
+
+class TestPlanValidation:
+    def test_nan_wait_rejected(self):
+        with pytest.raises(ValueError, match="t_wait"):
+            WalkAndWaitPlan(d1=1.0, t_wait=math.nan, p_catch=0.5)
+
+    @pytest.mark.parametrize("d1", [math.nan, math.inf, -1.0])
+    def test_bad_distance_rejected(self, d1):
+        with pytest.raises(ValueError, match="d1"):
+            WalkAndWaitPlan(d1=d1, t_wait=1.0, p_catch=0.5)
+
+    def test_nan_catch_probability_rejected(self):
+        with pytest.raises(ValueError, match="p_catch"):
+            WalkAndWaitPlan(d1=1.0, t_wait=1.0, p_catch=math.nan)
+
+    def test_unbounded_wait_at_origin_is_wait_forever(self):
+        plan = WalkAndWaitPlan(d1=0.0, t_wait=math.inf, p_catch=0.0)
+        for model in (Uniform(30.0), Exponential(1.0 / 17.0)):
+            assert expected_tt_plan(S0, model, plan) == expected_tt_wait_forever(S0, model)
+
+    def test_unbounded_wait_after_walking(self):
+        # wait forever, plus (1 - p_catch) * (t_delta F(t1) - M1(t1)) for the
+        # buses that pass uncaught on the way: 21 + 0.5 * (24 * 0.4 - 2.4)
+        plan = WalkAndWaitPlan(d1=d1_for_t1(S0, 12.0), t_wait=math.inf, p_catch=0.5)
+        assert expected_tt_plan(S0, Uniform(30.0), plan) == pytest.approx(24.6, abs=1e-12)
+
+    def test_no_walking_is_expected_tt_exactly(self):
+        rng = np.random.default_rng(40)
+        for _ in range(20):
+            scenario = random_scenario(rng)
+            model = random_model(rng)
+            w = float(rng.uniform(0.0, 40.0))
+            plan = WalkAndWaitPlan(d1=0.0, t_wait=w, p_catch=float(rng.uniform()))
+            assert expected_tt_plan(scenario, model, plan) == expected_tt(scenario, model, w)
+            assert plan_gradient_tw(scenario, model, plan) == expected_tt_gradient(
+                scenario, model, w
+            )

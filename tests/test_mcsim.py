@@ -1,5 +1,7 @@
 """Monte Carlo simulator: trajectory semantics, determinism, oracle checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,33 @@ class TestAnalyticExpectation:
                 assert result.mean == pytest.approx(analytic, abs=1e-9)
             else:
                 assert abs(result.mean - analytic) < 4.0 * result.stderr
+
+
+class TestStrategiesArePlans:
+    def test_constructors_build_plans(self):
+        assert WalkNow() == WalkAndWaitPlan(d1=0.0, t_wait=0.0, p_catch=0.0)
+        assert WaitThenWalk(t_wait=7.0) == WalkAndWaitPlan(d1=0.0, t_wait=7.0, p_catch=0.0)
+        assert WaitForever() == WalkAndWaitPlan(d1=0.0, t_wait=math.inf, p_catch=0.0)
+        plan = WalkAndWaitPlan(d1=1.0, t_wait=2.0, p_catch=0.3)
+        assert WalkAndWait(plan=plan) is plan
+
+    def test_nan_wait_rejected(self):
+        # a NaN wait would otherwise simulate to a NaN mean
+        with pytest.raises(ValueError):
+            WaitThenWalk(math.nan)
+
+    def test_walk_now_exact_for_every_model(self):
+        rng = np.random.default_rng(50)
+        for _ in range(8):
+            model = random_model(rng)
+            result = estimate(S0, model, WalkNow(), 70_000, 3)
+            assert result.mean == 30.0
+            assert result.stderr == 0.0
+            assert analytic_expectation(S0, model, WalkNow()) == 30.0
+
+    def test_walk_then_wait_forever(self):
+        plan = WalkAndWaitPlan(d1=1.5, t_wait=math.inf, p_catch=0.5)  # t1 = 12
+        analytic = analytic_expectation(S0, Uniform(30.0), plan)
+        assert analytic == pytest.approx(24.6, abs=1e-12)
+        result = estimate(S0, Uniform(30.0), plan, 200_000, 17)
+        assert abs(result.mean - analytic) < 4.0 * result.stderr

@@ -105,6 +105,13 @@ class TestOptimalPolicy:
         best = min(expected_tt(S0, LATE_BUS, w) for w in grid)
         assert policy.expected_tt == pytest.approx(best, abs=1e-6)
 
+    def test_exponential_tiny_rate_walks(self):
+        # the mean wait is 1e300 minutes: walking now (30 min) must win, at
+        # its exact walking time
+        policy = optimal_policy(Scenario(3.0, 0.1, 0.5), Exponential(rate=1e-300))
+        assert policy.strategy == "walk_now"
+        assert policy.expected_tt == 30.0
+
     def test_marginal_tie_prefers_walking(self):
         policy = optimal_policy(S0, Uniform(48.0))
         assert policy.strategy == "walk_now"
