@@ -168,6 +168,9 @@ def cmd_sweep(args) -> int:
     scenario, model, p_catch = load_config(args.config)
     if args.steps < 2:
         raise ConfigError("steps", "must be at least 2")
+    for field, value in (("from", args.start), ("to", args.stop)):
+        if not math.isfinite(value):
+            raise ConfigError(field, "must be a finite number")
     if not args.stop > args.start:
         raise ConfigError("to", "must exceed --from")
     span = args.stop - args.start
@@ -304,9 +307,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

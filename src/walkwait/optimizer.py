@@ -1,23 +1,25 @@
 """Stationary waiting times and the globally optimal simple strategy.
 
-Stationary points of the expected travel time occur where the appearance
-rate crosses 1/t_delta; a crossing on a falling rate is a minimum, on a
-rising rate a maximum.
+E'(W) = R(W) - t_delta p(W) has the sign of 1/t_delta - lambda(W), where
+lambda = p/R is the appearance rate.  A root where E' goes from negative to
+positive is a minimum, one where it goes from positive to negative a maximum.
+A minimum can also sit at a density jump, where E' changes sign without
+vanishing.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import ArrivalModel, Exponential
+from .arrivals import ArrivalModel
 from .expectation import Scenario, expected_tt, expected_tt_wait_forever
 
 SCAN_POINTS = 4096
 BISECT_WIDTH = 1e-10
-RESIDUAL_TOL = 1e-9
 FLAT_TOL = 1e-12
 TIE_TOL = 1e-12
 
@@ -38,10 +40,6 @@ class PolicyChoice:
 
 def default_horizon(model: ArrivalModel) -> float:
     """Search horizon covering all mass relevant at the working tolerances."""
-    if math.isfinite(model.support_end):
-        return model.support_end
-    if isinstance(model, Exponential):
-        return model.mean() + 10.0 / model.rate
     return model.quad_bound()
 
 
@@ -50,71 +48,62 @@ def find_stationary_points(
     model: ArrivalModel,
     horizon: float | None = None,
 ) -> list[StationaryPoint]:
-    """Locate sign changes of lambda(t) - 1/t_delta and classify each one.
+    """Locate the sign changes of E'(W) and classify each by its direction.
 
-    Scans a fixed grid and bisects every bracketed crossing; crossings caused
-    by a density jump (where the rate itself never equals 1/t_delta) are
-    discarded.  A rate that is flat at exactly 1/t_delta yields a single
+    Scans a fixed grid plus every breakpoint b and the float just below it,
+    so no bracket spans a breakpoint, and bisects each crossing on a smooth
+    piece.  The one-ulp bracket below b is a density jump: a change from
+    negative to positive there is a minimum at exactly b, the other way is
+    dropped.  A rate that is flat at exactly 1/t_delta yields a single
     "flat" marker at t = 0.
     """
     if horizon is None:
         horizon = default_horizon(model)
-    if not horizon > 0.0:
-        raise ValueError("horizon must be positive")
-    td = scenario.t_delta
-    target = 1.0 / td
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    target = 1.0 / scenario.t_delta
     end = min(horizon, model.support_end)
 
-    def g(t: float) -> float:
-        return model.appearance_rate(t) - target
+    def g(t: float) -> float:  # the sign of E'(t)
+        return target - model.appearance_rate(t)
 
-    ts = np.linspace(0.0, end, SCAN_POINTS + 2)[1:-1]
-    gs = []
-    grid = []
-    for t in ts:
-        if model.survival(t) <= 1e-15:
-            break
-        grid.append(t)
-        gs.append(g(t))
+    inner = [b for b in model.breakpoints() if 0.0 < b < end]
+    ts = np.linspace(0.0, end, SCAN_POINTS + 2)[1:-1].tolist()
+    # a time listed twice makes an empty bracket, skipped as it has no sign change
+    ts = sorted(ts + inner + [math.nextafter(b, 0.0) for b in inner])
+    # R never increases, so the scan ends at the first time where R <= 1e-15
+    grid = ts[: bisect.bisect_left(ts, True, key=lambda t: model.survival(t) <= 1e-15)]
     if not grid:
         return []
-    if max(abs(v) for v in gs) < FLAT_TOL:
+    gs = [g(t) for t in grid]
+    if max(map(abs, gs)) < FLAT_TOL:
         return [StationaryPoint(0.0, "flat", expected_tt(scenario, model, 0.0))]
 
     points: list[StationaryPoint] = []
-    for (a, ga), (b, gb) in zip(zip(grid, gs), zip(grid[1:], gs[1:])):
-        if ga == 0.0:
-            root = a
-        elif ga * gb < 0.0:
+    # (t, E'(t) < 0); a zero of E' lies inside the bracket of its neighbours
+    signs = [(t, v < 0.0) for t, v in zip(grid, gs) if v != 0.0]
+    for (a, a_neg), (b, b_neg) in zip(signs, signs[1:]):
+        if a_neg == b_neg:
+            continue
+        if a == math.nextafter(b, 0.0):  # a jump: E' never vanishes
+            if not a_neg:
+                continue
+            root = b
+        else:
             lo, hi = a, b
-            glo = ga
             while hi - lo > BISECT_WIDTH:
                 mid = 0.5 * (lo + hi)
                 gm = g(mid)
                 if gm == 0.0:
                     lo = hi = mid
                     break
-                if glo * gm < 0.0:
-                    hi = mid
+                if (gm < 0.0) == a_neg:
+                    lo = mid
                 else:
-                    lo, glo = mid, gm
+                    hi = mid
             root = 0.5 * (lo + hi)
-        else:
-            continue
-        # reject jump-discontinuity brackets: the rate never hits the target
-        residual = abs(model.survival(root) - td * model.density(root))
-        if residual > RESIDUAL_TOL:
-            continue
-        slope = model.appearance_rate_slope(root)
-        if abs(slope) < FLAT_TOL:
-            kind = "flat"
-        elif slope < 0.0:
-            kind = "minimum"
-        else:
-            kind = "maximum"
-        points.append(
-            StationaryPoint(root, kind, expected_tt(scenario, model, root))
-        )
+        kind = "minimum" if a_neg else "maximum"
+        points.append(StationaryPoint(root, kind, expected_tt(scenario, model, root)))
     return points
 
 

@@ -103,6 +103,11 @@ class TestOptimize:
         assert payload["policy"]["strategy"] == "wait_then_walk"
         assert 0.0 < payload["policy"]["t_wait"] <= 4.0
 
+    def test_infinite_horizon_rejected(self, capsys):
+        config = str(CONFIG_DIR / "exponential24.json")
+        assert main(["optimize", config, "--horizon", "inf"]) == 2
+        assert "horizon" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_tw_curve_peaks_at_six(self, config, tmp_path, capsys):
@@ -147,6 +152,30 @@ class TestSweep:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("field, start, stop", [("to", "0", "inf"), ("from", "nan", "3")])
+    def test_non_finite_bound_rejected(self, config, tmp_path, capsys, field, start, stop):
+        code = main(
+            [
+                "sweep", config({"kind": "uniform", "headway": 30}),
+                "--var", "tw", "--from", start, "--to", stop,
+                "--steps", "3", "--out", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+    def test_wait_forever_d1_sweep_allowed(self, config, tmp_path):
+        out_path = tmp_path / "d1.csv"
+        code = main(
+            [
+                "sweep", config({"kind": "uniform", "headway": 30}),
+                "--var", "d1", "--from", "0", "--to", "2",
+                "--steps", "3", "--tw", "inf", "--out", str(out_path),
+            ]
+        )
+        assert code == 0
+        assert len(out_path.read_text().splitlines()) == 4
 
     def test_unwritable_path(self, config):
         code = main(

@@ -8,6 +8,7 @@ import pytest
 from walkwait import (
     Exponential,
     LateBusMixture,
+    PiecewiseLinearDensity,
     Scenario,
     Uniform,
     classify_uniform,
@@ -24,6 +25,40 @@ from _models import random_model, random_scenario
 
 S0 = Scenario(d=3.0, v_w=0.1, v_b=0.5)
 LATE_BUS = LateBusMixture(still_coming_prob=0.25, late_window=4.0, next_headway_offset=56.0)
+# a spike narrower than one cell of the scan grid, and a density drop at t=4
+SPIKE = PiecewiseLinearDensity([[0, .001], [5, .001], [5.05, 320], [5.1, .001], [4000, .001]])
+DROP = PiecewiseLinearDensity([[0, 1], [4, 1], [4, .01], [100, .01]])
+
+
+def jumpy_knots(rng: np.random.Generator, t_delta: float) -> list:
+    """Random knots with density jumps (repeated knot times) and, half the
+    time, a narrow spike; their features are what a plain grid scan misses."""
+    span = rng.uniform(0.5, 3.0) * t_delta
+    n = int(rng.integers(3, 9))
+    ts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, span, n - 1))])
+    knots = [(t, rng.uniform(0.05, 1.0)) for t in ts]
+    for i in rng.choice(np.arange(1, n), size=int(rng.integers(1, 3)), replace=False):
+        knots.append((ts[i], rng.uniform(0.0, 1.0)))  # the jump at ts[i]
+    if rng.random() < 0.5:
+        width = span * 10.0 ** rng.uniform(-4.0, -2.0)
+        centre = rng.uniform(0.05, 0.9) * span
+        knots += [(centre - width, 0.05), (centre, rng.uniform(5.0, 300.0)), (centre + width, 0.05)]
+    return sorted(knots, key=lambda knot: knot[0])  # stable: jumps keep their order
+
+
+def piecewise_tt(scenario: Scenario, knots: list, ws: np.ndarray) -> np.ndarray:
+    """E(W) for every wait in ws, from the knots in closed form: on a piece
+    the density is y0 + s x, so F gains y0 x + s x^2/2 and M1 gains
+    t0 (y0 x + s x^2/2) + y0 x^2/2 + s x^3/3 up to x = W - t0."""
+    ts, ys = np.array(knots, dtype=float).T
+    t0, y0, h = ts[:-1], ys[:-1], np.diff(ts)
+    s = np.divide(np.diff(ys), h, out=np.zeros_like(h), where=h > 0.0)
+    x = np.clip(ws[:, None] - t0, 0.0, h)
+    mass = y0 * x + 0.5 * s * x * x
+    total = np.sum(0.5 * (y0 + ys[1:]) * h)
+    f = mass.sum(axis=1) / total
+    m1 = (t0 * mass + 0.5 * y0 * x * x + s * x**3 / 3.0).sum(axis=1) / total
+    return scenario.bus_time * f + m1 + (1.0 - f) * (scenario.walk_time + ws)
 
 
 class TestFindStationaryPoints:
@@ -84,6 +119,24 @@ class TestFindStationaryPoints:
         with pytest.raises(ValueError):
             find_stationary_points(S0, Uniform(30.0), horizon=0.0)
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            find_stationary_points(S0, Exponential(1.0 / 24.0), horizon=horizon)
+
+    def test_minimum_at_density_drop(self):
+        # E' jumps from negative to positive at t=4 without vanishing
+        minima = [sp for sp in find_stationary_points(S0, DROP) if sp.kind == "minimum"]
+        assert [sp.t_wait for sp in minima] == [4.0]
+        assert DROP.is_kink(4.0)
+        assert expected_tt_gradient(S0, DROP, 4.0).one_sided
+
+    def test_waits_are_python_floats(self):
+        for model in (LATE_BUS, Uniform(30.0), SPIKE, DROP):
+            for sp in find_stationary_points(S0, model):
+                assert type(sp.t_wait) is float
+        assert type(optimal_policy(S0, LATE_BUS).t_wait) is float
+
 
 class TestOptimalPolicy:
     def test_uniform_case2_waits(self):
@@ -111,6 +164,35 @@ class TestOptimalPolicy:
         policy = optimal_policy(Scenario(3.0, 0.1, 0.5), Exponential(rate=1e-300))
         assert policy.strategy == "walk_now"
         assert policy.expected_tt == 30.0
+
+    def test_narrow_spike_wait(self):
+        policy = optimal_policy(S0, SPIKE)
+        assert policy.strategy == "wait_then_walk"
+        assert policy.t_wait == pytest.approx(5.1, abs=1e-3)
+        assert policy.expected_tt == pytest.approx(15.8532, abs=1e-4)
+
+    def test_wait_until_density_drop(self):
+        policy = optimal_policy(S0, DROP)
+        assert policy.strategy == "wait_then_walk"
+        assert policy.t_wait == 4.0
+        assert policy.expected_tt == pytest.approx(13.0323, abs=1e-4)
+
+    def test_matches_brute_force_with_jumps_and_spikes(self):
+        rng = np.random.default_rng(4)
+        for _ in range(150):
+            scenario = random_scenario(rng)
+            knots = jumpy_knots(rng, scenario.t_delta)
+            model = PiecewiseLinearDensity(knots)
+            ws = np.concatenate(
+                [np.linspace(0.0, model.support_end, 20_001), model.breakpoints()]
+            )
+            brute = piecewise_tt(scenario, knots, ws)
+            best = min(brute.min(), expected_tt_wait_forever(scenario, model))
+            policy = optimal_policy(scenario, model)
+            assert policy.expected_tt <= best + 1e-9 * max(1.0, best), knots
+            if policy.t_wait is not None:
+                at_wait = piecewise_tt(scenario, knots, np.array([policy.t_wait]))[0]
+                assert policy.expected_tt == pytest.approx(at_wait, rel=1e-9)
 
     def test_marginal_tie_prefers_walking(self):
         policy = optimal_policy(S0, Uniform(48.0))
