@@ -11,6 +11,7 @@ package is linear in F and M1.  Time is measured in minutes throughout.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -287,6 +288,24 @@ class LateBusMixture(ArrivalModel):
             return w + (1.0 - w) * (t - H) / L
         return 1.0
 
+    def appearance_rate(self, t):
+        # density(t) / (1 - cdf(t)), both as written above, from one lookup
+        t = _check_time(t)
+        w, L, H = self.still_coming_prob, self.late_window, self.next_headway_offset
+        if t < L:
+            u = t / L
+            p, F = w * 2.0 * (L - t) / (L * L), w * (2.0 * u - u * u)
+        elif t < H:
+            p, F = 0.0, w
+        elif t < H + L:
+            p, F = (1.0 - w) / L, w + (1.0 - w) * (t - H) / L
+        else:
+            p, F = 0.0, 1.0
+        r = 1.0 - F
+        if r <= 0.0:
+            raise UndefinedRateError(f"survival is zero at t={t}")
+        return p / r
+
     def partial_mean(self, t):
         t = _check_time(t)
         w, L, H = self.still_coming_prob, self.late_window, self.next_headway_offset
@@ -300,11 +319,17 @@ class LateBusMixture(ArrivalModel):
 
     def sample(self, rng, size=None):
         w, L, H = self.still_coming_prob, self.late_window, self.next_headway_offset
-        coming = rng.random(size) < w
-        u = rng.random(size)
+        coming = np.atleast_1d(rng.random(size)) < w
+        u = np.atleast_1d(rng.random(size))
         early = L * (1.0 - np.sqrt(1.0 - u))  # inverse triangular CDF
         late = H + L * u
-        return np.where(coming, early, late)
+        # early * coming + late * ~coming: an exact select without branches
+        early *= coming
+        late *= ~coming
+        early += late
+        if size is None:
+            return float(early[0])
+        return early
 
     def breakpoints(self):
         L, H = self.late_window, self.next_headway_offset
@@ -350,10 +375,6 @@ class PiecewiseLinearDensity(ArrivalModel):
                 cum += 0.5 * (y0 + y1) * (t1 - t0)
         self._pieces = pieces
         self._starts = [piece[0] for piece in pieces]
-        # the same table as one array per column, and the CDF at every piece
-        # edge, for vectorized sampling
-        self._columns = [np.array(column) for column in zip(*pieces)]
-        self._edges = np.append(self._columns[4], 1.0)
 
     @property
     def support_end(self) -> float:
@@ -394,6 +415,22 @@ class PiecewiseLinearDensity(ArrivalModel):
         slope = (y1 - y0) / (t1 - t0)
         return cum + y0 * x + 0.5 * slope * x * x
 
+    def appearance_rate(self, t):
+        # density(t) / (1 - cdf(t)), both as written above, from one lookup
+        t = _check_time(t)
+        if t >= self.support_end:
+            raise UndefinedRateError(f"survival is zero at t={t}")
+        piece = self._piece_at(t)
+        if piece is None:
+            return 0.0  # before the support starts
+        t0, t1, y0, y1, cum = piece
+        x = t - t0
+        slope = (y1 - y0) / (t1 - t0)
+        r = 1.0 - (cum + y0 * x + 0.5 * slope * x * x)
+        if r <= 0.0:
+            raise UndefinedRateError(f"survival is zero at t={t}")
+        return (y0 + (y1 - y0) * (t - t0) / (t1 - t0)) / r
+
     def mean(self):
         # each piece's moment in local coordinates, t0 * mass + integral of
         # x p(t0 + x), so narrow pieces far from zero lose no precision
@@ -402,26 +439,72 @@ class PiecewiseLinearDensity(ArrivalModel):
             for t0, t1, y0, y1, _ in self._pieces
         )
 
+    @functools.cached_property
+    def _columns(self):
+        """Per-piece (t0, width, y0, slope, cdf at t0) as arrays, built on
+        the first draw, so models that are never sampled skip the cost."""
+        t0, t1, y0, y1, cum = (np.array(column) for column in zip(*self._pieces))
+        width = t1 - t0
+        return t0, width, y0, (y1 - y0) / width, cum
+
+    @functools.cached_property
+    def _guide(self):
+        """Indexed-search table for the inverse CDF, built on the first draw.
+
+        Returns (edges, cells, guide): ``edges`` is the CDF at every piece
+        start plus 1.0; ``guide[k]`` is the piece of every u in the cell
+        [k, k + 1) / cells when one piece covers the whole cell, else -1.
+        """
+        edges = np.append(self._columns[4], 1.0)
+        last = len(self._pieces) - 1
+        # a power of two, so floor(u * cells) is exact
+        cells = min(1 << (64 * len(self._pieces) - 1).bit_length(), 1 << 16)
+        guide = np.minimum(
+            np.searchsorted(edges, np.arange(cells) / cells, side="right") - 1, last
+        )
+        # the piece of u never falls as u grows, so the piece at the next
+        # cell's start bounds it
+        guide[guide != np.append(guide[1:], last)] = -1
+        return edges, cells, guide
+
+    def _piece_index(self, u):
+        """Piece holding each CDF value u in [0, 1):
+        searchsorted(edges, u, "right") - 1, clamped to the last piece."""
+        edges, cells, guide = self._guide
+        idx = np.take(guide, (u * cells).astype(np.intp))
+        # the few draws in a cell that spans a piece edge: full search
+        split = np.flatnonzero(idx < 0)
+        if split.size:
+            idx[split] = np.minimum(
+                np.searchsorted(edges, u[split], side="right") - 1, len(self._pieces) - 1
+            )
+        return idx
+
     def sample(self, rng, size=None):
         u = np.atleast_1d(rng.random(size))
-        idx = np.minimum(
-            np.searchsorted(self._edges, u, side="right") - 1, len(self._pieces) - 1
-        )
-        t0, t1, y0, y1, cum = (column[idx] for column in self._columns)
-        m = u - cum
-        slope = (y1 - y0) / (t1 - t0)
-        # solve y0*x + slope/2 * x^2 = m for x in [0, t1 - t0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            disc = np.sqrt(np.maximum(y0 * y0 + 2.0 * slope * m, 0.0))
-            x = np.where(
-                np.abs(slope) > 1e-300,
-                (disc - y0) / slope,
-                np.divide(m, y0, out=np.zeros_like(m), where=y0 > 0),
-            )
-        out = t0 + np.clip(x, 0.0, t1 - t0)
+        idx = self._piece_index(u)
+        t0, width, y0, slope, cum = (np.take(column, idx) for column in self._columns)
+        # x in [0, width] solves y0*x + slope/2 * x^2 = m, in the form that
+        # has no cancellation and no division by the slope:
+        # x = 2m / (y0 + sqrt(y0^2 + 2*slope*m))
+        m = np.subtract(u, cum, out=u)
+        root = slope
+        root *= m
+        root *= 2.0
+        root += y0 * y0
+        np.maximum(root, 0.0, out=root)
+        np.sqrt(root, out=root)
+        root += y0
+        # zero only where m = 0 or on a zero-mass piece (reached through the
+        # rounding of the cumulative mass); dividing by 1 there gives x = 2m
+        root += root == 0.0
+        m *= 2.0
+        m /= root
+        np.minimum(m, width, out=m)
+        m += t0
         if size is None:
-            return float(out[0])
-        return out
+            return float(m[0])
+        return m
 
     def breakpoints(self):
         return tuple(sorted(set(self._ts)))

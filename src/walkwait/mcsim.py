@@ -71,16 +71,23 @@ def _travel_times(
     # ends, so a zero wait never boards
     tau = np.asarray(model.sample(rng, size), dtype=float)
     t1 = strategy.t1(scenario)
-    out = np.where(
-        tau < t1 + strategy.t_wait,
-        tau + scenario.bus_time,
-        scenario.walk_time + strategy.t_wait,
-    )
-    passing = tau < t1
-    if passing.any():
-        caught = rng.random(int(passing.sum())) < strategy.p_catch
-        walked = np.flatnonzero(passing)[~caught]
-        out[walked] = scenario.walk_time
+    end = t1 + strategy.t_wait
+    # each select is x * keep + y * ~keep: exact, and without branches
+    out = tau + scenario.bus_time
+    if end < math.inf:
+        board = tau < end
+        out *= board
+        out += (scenario.walk_time + strategy.t_wait) * ~board
+    if t1 > 0.0:  # there is a walking leg
+        # a bus passing it is ridden from the origin if caught; otherwise
+        # the whole distance is walked
+        legs = np.flatnonzero(tau < t1)
+        if legs.size:
+            caught = rng.random(legs.size) < strategy.p_catch
+            rides = out[legs]
+            rides *= caught
+            rides += scenario.walk_time * ~caught
+            out[legs] = rides
     return out
 
 

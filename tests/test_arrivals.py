@@ -348,3 +348,127 @@ class TestPiecewiseLookup:
             probes = ts + [t + 1.0 for t in ts] + rng.uniform(0.0, 45.0, 50).tolist()
             for t in probes:
                 assert (model.density(t), model.density_slope(t)) == reference(t)
+
+
+# the two wrong-policy inputs of the optimizer tests: a narrow spike and a
+# density drop
+SPIKE_KNOTS = [[0, .001], [5, .001], [5.05, 320], [5.1, .001], [4000, .001]]
+DROP_KNOTS = [[0, 1], [4, 1], [4, .01], [100, .01]]
+
+
+class TestOneLookupAppearanceRate:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            PiecewiseLinearDensity(SPIKE_KNOTS),
+            PiecewiseLinearDensity(DROP_KNOTS),
+            PiecewiseLinearDensity(
+                [(2.0, 0.0), (3.0, 1.0), (3.0, 4.0), (5.0, 0.5), (5.0, 0.0), (6.0, 0.0)]
+            ),
+            LateBusMixture(still_coming_prob=0.3, late_window=3.7, next_headway_offset=41.3),
+            LateBusMixture(still_coming_prob=1.0, late_window=3.7, next_headway_offset=25.0),
+        ],
+    )
+    def test_equals_density_over_survival_exactly(self, model):
+        # the override and the base-class quotient share every expression,
+        # so they agree bit for bit, and fail at the same times
+        cuts = [t for b in model.breakpoints() for t in (b, math.nextafter(b, 0.0))]
+        grid = np.linspace(0.0, model.support_end * 1.01, 2001).tolist()
+        for t in grid + cuts:
+            r = model.survival(t)
+            if r <= 0.0:
+                with pytest.raises(UndefinedRateError):
+                    model.appearance_rate(t)
+            else:
+                assert model.appearance_rate(t) == model.density(t) / r
+
+
+class FixedUniforms:
+    """Stands in for a generator: random() hands out the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size=None):
+        return self.u.copy()
+
+
+def two_branch_inverse(t0, width, y0, slope, m):
+    """Reference in-piece inverse CDF: (disc - y0) / slope on a sloped
+    piece, m / y0 on a flat one."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.sqrt(np.maximum(y0 * y0 + 2.0 * slope * m, 0.0))
+        x = np.where(
+            np.abs(slope) > 1e-300,
+            (disc - y0) / slope,
+            np.divide(m, y0, out=np.zeros_like(m), where=y0 > 0),
+        )
+    return t0 + np.clip(x, 0.0, width)
+
+
+def many_pieces(count, seed):
+    rng = np.random.default_rng(seed)
+    ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 2.0, count))])
+    return list(zip(ts.tolist(), rng.uniform(0.0, 1.0, count + 1).tolist()))
+
+
+class TestGuideTableSampler:
+    MODELS = {
+        "repeated_times": [(0, 1), (2, 1), (2, 3), (4, 3), (4, 3), (4, 0.5), (6, 0)],
+        "zero_start": [(0, 0), (3, 0), (5, 1), (8, 0.5)],
+        "zero_middle": [(0, 1), (3, 1), (3, 0), (6, 0), (6, 1), (9, 1)],
+        "zero_end": [(0, 1), (4, 0.5), (4, 0), (9, 0)],
+        "zero_first_knot": [(0, 0), (5, 1), (7, 0)],
+        "spike": SPIKE_KNOTS,
+        "drop": DROP_KNOTS,
+        "pieces_200": many_pieces(200, 5),
+        "pieces_2000": many_pieces(2000, 6),  # past the 2^16-cell cap
+    }
+
+    @pytest.fixture(params=sorted(MODELS))
+    def model(self, request):
+        return PiecewiseLinearDensity(self.MODELS[request.param])
+
+    @staticmethod
+    def probes(model):
+        edges, cells, _ = model._guide
+        return np.concatenate([
+            edges[edges < 1.0],
+            np.arange(cells) / cells,
+            [0.0, math.nextafter(1.0, 0.0)],
+            np.random.default_rng(11).random(20_000),
+        ])
+
+    def test_piece_index_matches_full_search(self, model):
+        edges, _, _ = model._guide
+        u = self.probes(model)
+        reference = np.minimum(
+            np.searchsorted(edges, u, side="right") - 1, len(model._pieces) - 1
+        )
+        assert np.array_equal(model._piece_index(u), reference)
+
+    def test_draws_lie_in_their_piece_and_match_the_two_branch_formula(self, model):
+        u = self.probes(model)
+        draws = model.sample(FixedUniforms(u), u.size)
+        edges, _, _ = model._guide
+        idx = np.minimum(np.searchsorted(edges, u, side="right") - 1, len(model._pieces) - 1)
+        t0, width, y0, slope, cum = (column[idx] for column in model._columns)
+        assert np.isfinite(draws).all()
+        assert (draws >= t0).all() and (draws <= t0 + width).all()
+        reference = two_branch_inverse(t0, width, y0, slope, u - cum)
+        assert (np.abs(draws - reference) <= 1e-9 * width).all()
+
+    def test_zero_uniform_on_a_zero_density_knot(self):
+        model = PiecewiseLinearDensity([(1.0, 0.0), (5.0, 1.0), (7.0, 0.0)])
+        assert model.sample(FixedUniforms([0.0])) == 1.0
+
+    def test_tables_are_built_on_the_first_draw(self):
+        model = PiecewiseLinearDensity(DROP_KNOTS)
+        model.cdf(3.0)
+        assert "_guide" not in vars(model) and "_columns" not in vars(model)
+        model.sample(np.random.default_rng(0), 10)
+        assert "_guide" in vars(model) and "_columns" in vars(model)
+
+    def test_scalar_draw_is_a_float(self):
+        draw = PiecewiseLinearDensity(DROP_KNOTS).sample(np.random.default_rng(0))
+        assert isinstance(draw, float)

@@ -7,6 +7,8 @@ import pytest
 
 from walkwait import (
     Exponential,
+    LateBusMixture,
+    PiecewiseLinearDensity,
     Scenario,
     Uniform,
     WaitForever,
@@ -18,6 +20,7 @@ from walkwait import (
     estimate,
     simulate_once,
 )
+from walkwait.mcsim import _travel_times
 
 from _models import random_model, random_scenario
 
@@ -162,3 +165,52 @@ class TestStrategiesArePlans:
         assert analytic == pytest.approx(24.6, abs=1e-12)
         result = estimate(S0, Uniform(30.0), plan, 200_000, 17)
         assert abs(result.mean - analytic) < 4.0 * result.stderr
+
+
+MODELS = [
+    Uniform(30.0),
+    Exponential(1.0 / 24.0),
+    LateBusMixture(still_coming_prob=0.4, late_window=4.0, next_headway_offset=25.0),
+    PiecewiseLinearDensity([(0.0, 0.0), (5.0, 1.0), (5.0, 0.2), (20.0, 0.6), (30.0, 0.0)]),
+]
+
+
+class TestBranchFreeSelects:
+    @pytest.mark.parametrize("w, lo, hi", [(0.0, 25.0, 29.0), (1.0, 0.0, 4.0)])
+    def test_late_bus_windows(self, w, lo, hi):
+        # nobody still coming: every draw is in the late window; everybody:
+        # every draw is in the early one
+        model = LateBusMixture(still_coming_prob=w, late_window=4.0, next_headway_offset=25.0)
+        draws = model.sample(np.random.default_rng(21), 100_000)
+        assert ((draws >= lo) & (draws <= hi)).all()
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_huge_finite_wait_rides_like_waiting_forever(self, model):
+        a = _travel_times(S0, model, WaitThenWalk(1e300), np.random.default_rng(5), 50_000)
+        b = _travel_times(S0, model, WaitForever(), np.random.default_rng(5), 50_000)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_draw_order_replayed_by_hand(self, model):
+        # one arrival per journey, then one uniform per journey whose bus
+        # passes the walking leg, in journey order
+        plan = WalkAndWaitPlan(d1=1.5, t_wait=5.0, p_catch=0.4)  # t1 = 12
+        rng = np.random.default_rng(9)
+        got = _travel_times(S0, model, plan, rng, 20_000)
+        replay = np.random.default_rng(9)
+        tau = model.sample(replay, 20_000)
+        t1 = plan.t1(S0)
+        passing = int((tau < t1).sum())
+        assert 0 < passing < tau.size
+        catches = iter(replay.random(passing))
+        expected = []
+        for t in tau:
+            if t < t1:
+                caught = next(catches) < plan.p_catch
+                expected.append(t + S0.bus_time if caught else S0.walk_time)
+            elif t < t1 + plan.t_wait:
+                expected.append(t + S0.bus_time)
+            else:
+                expected.append(S0.walk_time + plan.t_wait)
+        assert np.array_equal(got, np.array(expected))
+        assert rng.random() == replay.random()  # the same number of draws
