@@ -6,6 +6,10 @@ M1(t) = integral of tau p(tau) over [0, t], the appearance rate
 lambda(t) = p(t)/R(t) together with its slope, the mean arrival time, and
 seeded sampling for the simulator.  Every expected travel time in the
 package is linear in F and M1.  Time is measured in minutes throughout.
+
+Each model states p, p' and F once, in ``_at``; the base class derives the
+rest.  Subclasses implement ``support_end``, ``_at``, ``mean`` and ``sample``
+and may override ``partial_mean``, ``breakpoints`` and ``quad_bound``.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -20,8 +25,6 @@ import numpy as np
 
 from .quadrature import integrate_piecewise
 
-# step for the finite-difference fallback on the density slope
-FD_STEP = 1e-5
 # absolute tolerance of the quadrature fallback for the partial mean
 QUAD_TOL = 1e-12
 
@@ -38,8 +41,20 @@ def _check_time(t: float, name: str = "time") -> float:
     return t
 
 
+def _number(value, name: str) -> float:
+    """value as a float; booleans and non-numbers are rejected."""
+    # int and float first: the abstract numbers.Real check is slow
+    if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 class ArrivalModel(ABC):
-    """A bus arrival-time distribution on a subset of [0, inf)."""
+    """A bus arrival-time distribution on a subset of [0, inf).
+
+    Subclasses implement ``support_end``, ``_at``, ``mean`` and ``sample``;
+    density, slope, CDF, survival and appearance rate all come from ``_at``.
+    """
 
     @property
     @abstractmethod
@@ -47,12 +62,9 @@ class ArrivalModel(ABC):
         """Upper end of the support (math.inf for unbounded models)."""
 
     @abstractmethod
-    def density(self, t: float) -> float:
-        """p(t); zero outside the support. Raises on negative t."""
-
-    @abstractmethod
-    def cdf(self, t: float) -> float:
-        """Pr{arrival <= t}."""
+    def _at(self, t: float) -> tuple[float, float, float]:
+        """(p(t), p'(t), F(t)) at a checked time t >= 0; p and p' are zero
+        outside the support and right-continuous at kinks."""
 
     @abstractmethod
     def mean(self) -> float:
@@ -83,35 +95,33 @@ class ArrivalModel(ABC):
         """Times where the density or its slope is discontinuous."""
         return ()
 
-    def density_slope(self, t: float) -> float:
-        """p'(t), right-continuous at kinks.
+    def density(self, t: float) -> float:
+        """p(t); zero outside the support. Raises on negative t."""
+        return self._at(_check_time(t))[0]
 
-        Default is a central finite difference; analytic variants override.
-        """
-        t = _check_time(t)
-        if self.is_kink(t):
-            return (self.density(t + FD_STEP) - self.density(t)) / FD_STEP
-        lo = max(t - FD_STEP, 0.0)
-        return (self.density(t + FD_STEP) - self.density(lo)) / (t + FD_STEP - lo)
+    def density_slope(self, t: float) -> float:
+        """p'(t), right-continuous at kinks."""
+        return self._at(_check_time(t))[1]
+
+    def cdf(self, t: float) -> float:
+        """F(t) = Pr{arrival <= t}."""
+        return self._at(_check_time(t))[2]
 
     def survival(self, t: float) -> float:
-        return 1.0 - self.cdf(t)
+        return 1.0 - self._at(_check_time(t))[2]
 
     def appearance_rate(self, t: float) -> float:
         t = _check_time(t)
-        r = self.survival(t)
+        p, _, F = self._at(t)
+        r = 1.0 - F
         if r <= 0.0:
             raise UndefinedRateError(f"survival is zero at t={t}")
-        return self.density(t) / r
+        return p / r
 
     def appearance_rate_slope(self, t: float) -> float:
-        """lambda'(t) = (p'(t) R(t) + p(t)^2) / R(t)^2."""
-        t = _check_time(t)
-        r = self.survival(t)
-        if r <= 0.0:
-            raise UndefinedRateError(f"survival is zero at t={t}")
-        p = self.density(t)
-        return (self.density_slope(t) * r + p * p) / (r * r)
+        """lambda'(t) = p'(t) / R(t) + lambda(t)^2."""
+        rate = self.appearance_rate(t)
+        return self.density_slope(t) / self.survival(t) + rate * rate
 
     def is_kink(self, t: float, tol: float = 1e-9) -> bool:
         return any(abs(t - k) <= tol for k in self.breakpoints())
@@ -128,36 +138,23 @@ class Uniform(ArrivalModel):
     headway: float
 
     def __post_init__(self):
-        if not 0.0 < self.headway < math.inf:
+        if not 0.0 < _number(self.headway, "headway") < math.inf:
             raise ValueError("headway must be positive and finite")
 
     @property
     def support_end(self) -> float:
         return self.headway
 
-    def density(self, t):
-        t = _check_time(t)
-        return 1.0 / self.headway if t < self.headway else 0.0
-
-    def density_slope(self, t):
-        _check_time(t)
-        return 0.0
-
-    def cdf(self, t):
-        t = _check_time(t)
-        return min(t / self.headway, 1.0)
+    def _at(self, t):
+        if t < self.headway:
+            return 1.0 / self.headway, 0.0, t / self.headway
+        return 0.0, 0.0, 1.0
 
     def appearance_rate(self, t):
         t = _check_time(t)
         if t >= self.headway:
             raise UndefinedRateError(f"survival is zero at t={t}")
         return 1.0 / (self.headway - t)
-
-    def appearance_rate_slope(self, t):
-        t = _check_time(t)
-        if t >= self.headway:
-            raise UndefinedRateError(f"survival is zero at t={t}")
-        return 1.0 / (self.headway - t) ** 2
 
     def partial_mean(self, t):
         w = min(_check_time(t), self.headway)
@@ -167,7 +164,8 @@ class Uniform(ArrivalModel):
         return self.headway / 2.0
 
     def sample(self, rng, size=None):
-        return rng.uniform(0.0, self.headway, size)
+        # the draws of rng.uniform(0, headway, size), without its scaling loop
+        return rng.random(size) * self.headway
 
     def breakpoints(self):
         return (0.0, self.headway)
@@ -180,24 +178,17 @@ class Exponential(ArrivalModel):
     rate: float
 
     def __post_init__(self):
-        if not 0.0 < self.rate < math.inf:
+        if not 0.0 < _number(self.rate, "rate") < math.inf:
             raise ValueError("rate must be positive and finite")
 
     @property
     def support_end(self) -> float:
         return math.inf
 
-    def density(self, t):
-        t = _check_time(t)
-        return self.rate * math.exp(-self.rate * t)
-
-    def density_slope(self, t):
-        t = _check_time(t)
-        return -self.rate * self.rate * math.exp(-self.rate * t)
-
-    def cdf(self, t):
-        t = _check_time(t)
-        return -math.expm1(-self.rate * t)
+    def _at(self, t):
+        r = self.rate
+        e = math.exp(-r * t)
+        return r * e, -r * r * e, -math.expm1(-r * t)
 
     def survival(self, t):
         t = _check_time(t)
@@ -224,7 +215,8 @@ class Exponential(ArrivalModel):
         return 1.0 / self.rate
 
     def sample(self, rng, size=None):
-        return rng.exponential(1.0 / self.rate, size)
+        # the draws of rng.exponential(1 / rate, size), without its scaling loop
+        return rng.standard_exponential(size) * (1.0 / self.rate)
 
     def quad_bound(self):
         # survival ~ 4e-18 here, far below every tolerance in use
@@ -247,49 +239,31 @@ class LateBusMixture(ArrivalModel):
     next_headway_offset: float
 
     def __post_init__(self):
-        if not 0.0 <= self.still_coming_prob <= 1.0:
+        if not 0.0 <= _number(self.still_coming_prob, "still_coming_prob") <= 1.0:
             raise ValueError("still_coming_prob must lie in [0, 1]")
-        if not 0.0 < self.late_window < math.inf:
+        if not 0.0 < _number(self.late_window, "late_window") < math.inf:
             raise ValueError("late_window must be positive and finite")
-        if not self.late_window < self.next_headway_offset < math.inf:
+        offset = _number(self.next_headway_offset, "next_headway_offset")
+        if not self.late_window < offset < math.inf:
             raise ValueError("next_headway_offset must be finite and exceed late_window")
 
     @property
     def support_end(self) -> float:
         return self.next_headway_offset + self.late_window
 
-    def density(self, t):
-        t = _check_time(t)
-        w, L, H = self.still_coming_prob, self.late_window, self.next_headway_offset
-        if t < L:
-            return w * 2.0 * (L - t) / (L * L)
-        if t < H:
-            return 0.0
-        if t < H + L:
-            return (1.0 - w) / L
-        return 0.0
-
-    def density_slope(self, t):
-        t = _check_time(t)
-        w, L = self.still_coming_prob, self.late_window
-        if t < L:
-            return -2.0 * w / (L * L)
-        return 0.0
-
-    def cdf(self, t):
-        t = _check_time(t)
+    def _at(self, t):
         w, L, H = self.still_coming_prob, self.late_window, self.next_headway_offset
         if t < L:
             u = t / L
-            return w * (2.0 * u - u * u)
+            return w * 2.0 * (L - t) / (L * L), -2.0 * w / (L * L), w * (2.0 * u - u * u)
         if t < H:
-            return w
+            return 0.0, 0.0, w
         if t < H + L:
-            return w + (1.0 - w) * (t - H) / L
-        return 1.0
+            return (1.0 - w) / L, 0.0, w + (1.0 - w) * (t - H) / L
+        return 0.0, 0.0, 1.0
 
     def appearance_rate(self, t):
-        # density(t) / (1 - cdf(t)), both as written above, from one lookup
+        # p / (1 - F) from _at, inlined: the optimizer's scan calls it per point
         t = _check_time(t)
         w, L, H = self.still_coming_prob, self.late_window, self.next_headway_offset
         if t < L:
@@ -345,7 +319,7 @@ class PiecewiseLinearDensity(ArrivalModel):
     """
 
     def __init__(self, knots):
-        knots = [(float(t), float(y)) for t, y in knots]
+        knots = [(_number(t, "knot time"), _number(y, "knot density")) for t, y in knots]
         if len(knots) < 2:
             raise ValueError("need at least two knots")
         ts = [t for t, _ in knots]
@@ -366,12 +340,13 @@ class PiecewiseLinearDensity(ArrivalModel):
             raise ValueError("knot densities integrate to zero; cannot normalize")
         self._ts = ts
         self._ys = [y / total for y in ys]
-        # pieces with positive width: (t0, t1, y0, y1, cumulative mass at t0)
+        # pieces with positive width:
+        # (t0, t1, y0, y1, cumulative mass at t0, width, slope)
         pieces = []
         cum = 0.0
         for t0, t1, y0, y1 in zip(ts, ts[1:], self._ys, self._ys[1:]):
             if t1 > t0:
-                pieces.append((t0, t1, y0, y1, cum))
+                pieces.append((t0, t1, y0, y1, cum, t1 - t0, (y1 - y0) / (t1 - t0)))
                 cum += 0.5 * (y0 + y1) * (t1 - t0)
         self._pieces = pieces
         self._starts = [piece[0] for piece in pieces]
@@ -380,72 +355,31 @@ class PiecewiseLinearDensity(ArrivalModel):
     def support_end(self) -> float:
         return self._ts[-1]
 
-    def _piece_at(self, t):
+    def _at(self, t):
+        # pieces tile [first knot, last knot) with no gap
         i = bisect.bisect_right(self._starts, t) - 1
-        if i >= 0 and t < self._pieces[i][1]:
-            return self._pieces[i]
-        return None
-
-    def density(self, t):
-        t = _check_time(t)
-        piece = self._piece_at(t)
-        if piece is None:
-            return 0.0
-        t0, t1, y0, y1, _ = piece
-        return y0 + (y1 - y0) * (t - t0) / (t1 - t0)
-
-    def density_slope(self, t):
-        t = _check_time(t)
-        piece = self._piece_at(t)
-        if piece is None:
-            return 0.0
-        t0, t1, y0, y1, _ = piece
-        return (y1 - y0) / (t1 - t0)
-
-    def cdf(self, t):
-        t = _check_time(t)
-        if t >= self.support_end:
-            return 1.0
-        piece = self._piece_at(t)
-        if piece is None:
-            # before the support starts
-            return 0.0
-        t0, t1, y0, y1, cum = piece
+        if i < 0:
+            return 0.0, 0.0, 0.0
+        t0, t1, y0, y1, cum, width, slope = self._pieces[i]
+        if t >= t1:
+            return 0.0, 0.0, 1.0
         x = t - t0
-        slope = (y1 - y0) / (t1 - t0)
-        return cum + y0 * x + 0.5 * slope * x * x
-
-    def appearance_rate(self, t):
-        # density(t) / (1 - cdf(t)), both as written above, from one lookup
-        t = _check_time(t)
-        if t >= self.support_end:
-            raise UndefinedRateError(f"survival is zero at t={t}")
-        piece = self._piece_at(t)
-        if piece is None:
-            return 0.0  # before the support starts
-        t0, t1, y0, y1, cum = piece
-        x = t - t0
-        slope = (y1 - y0) / (t1 - t0)
-        r = 1.0 - (cum + y0 * x + 0.5 * slope * x * x)
-        if r <= 0.0:
-            raise UndefinedRateError(f"survival is zero at t={t}")
-        return (y0 + (y1 - y0) * (t - t0) / (t1 - t0)) / r
+        return y0 + (y1 - y0) * x / width, slope, cum + y0 * x + 0.5 * slope * x * x
 
     def mean(self):
         # each piece's moment in local coordinates, t0 * mass + integral of
         # x p(t0 + x), so narrow pieces far from zero lose no precision
         return sum(
             t0 * 0.5 * (y0 + y1) * (t1 - t0) + (t1 - t0) ** 2 * (y0 + 2.0 * y1) / 6.0
-            for t0, t1, y0, y1, _ in self._pieces
+            for t0, t1, y0, y1, *_ in self._pieces
         )
 
     @functools.cached_property
     def _columns(self):
         """Per-piece (t0, width, y0, slope, cdf at t0) as arrays, built on
         the first draw, so models that are never sampled skip the cost."""
-        t0, t1, y0, y1, cum = (np.array(column) for column in zip(*self._pieces))
-        width = t1 - t0
-        return t0, width, y0, (y1 - y0) / width, cum
+        t0, _, y0, _, cum, width, slope = (np.array(column) for column in zip(*self._pieces))
+        return t0, width, y0, slope, cum
 
     @functools.cached_property
     def _guide(self):
@@ -516,27 +450,18 @@ class PiecewiseLinearDensity(ArrivalModel):
 def model_from_config(config: dict) -> ArrivalModel:
     """Build a model from a dict with a `kind` discriminator.
 
-    Parameters must be JSON numbers: booleans and strings are rejected here,
-    non-finite values by the model constructors.
+    The model constructors reject booleans, strings and non-finite values.
     """
     if not isinstance(config, dict):
         raise ValueError("model config must be an object")
-
-    def number(value, field):
-        if type(value) not in (int, float):  # a JSON number, not a boolean
-            raise ValueError(f"{field} must be a number, got {value!r}")
-        return value
-
     kind = config.get("kind")
     if kind == "uniform":
-        return Uniform(headway=number(config["headway"], "headway"))
+        return Uniform(headway=config["headway"])
     if kind == "exponential":
-        return Exponential(rate=number(config["rate"], "rate"))
+        return Exponential(rate=config["rate"])
     if kind == "late_bus_mixture":
         fields = ("still_coming_prob", "late_window", "next_headway_offset")
-        return LateBusMixture(**{f: number(config[f], f) for f in fields})
+        return LateBusMixture(**{f: config[f] for f in fields})
     if kind == "piecewise":
-        return PiecewiseLinearDensity(
-            [[number(v, "knots") for v in knot] for knot in config["knots"]]
-        )
+        return PiecewiseLinearDensity(config["knots"])
     raise ValueError(f"unknown model kind: {kind!r}")

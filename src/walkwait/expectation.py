@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arrivals import ArrivalModel, _check_time
+from .arrivals import ArrivalModel, _check_time, _number
 
 
 @dataclass(frozen=True)
@@ -25,11 +25,11 @@ class Scenario:
     v_b: float
 
     def __post_init__(self):
-        if not 0.0 < self.d < math.inf:
+        if not 0.0 < _number(self.d, "d") < math.inf:
             raise ValueError("distance must be positive and finite")
-        if not 0.0 < self.v_w < math.inf:
+        if not 0.0 < _number(self.v_w, "v_w") < math.inf:
             raise ValueError("walking speed must be positive and finite")
-        if not self.v_w < self.v_b < math.inf:
+        if not self.v_w < _number(self.v_b, "v_b") < math.inf:
             raise ValueError("bus speed must be finite and exceed walking speed")
 
     @property

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arrivals import ArrivalModel, _check_time
+from .arrivals import ArrivalModel, _check_time, _number
 from .expectation import GradientPair, Scenario, _wait_gradient, _walk_and_wait_tt
 
 
@@ -30,10 +30,10 @@ class WalkAndWaitPlan:
     p_catch: float
 
     def __post_init__(self):
-        if not 0.0 <= self.d1 < math.inf:
+        if not 0.0 <= _number(self.d1, "d1") < math.inf:
             raise ValueError("d1 must be nonnegative and finite")
-        _check_time(self.t_wait, "t_wait")  # inf waits forever
-        if not 0.0 <= self.p_catch <= 1.0:
+        _check_time(_number(self.t_wait, "t_wait"), "t_wait")  # inf waits forever
+        if not 0.0 <= _number(self.p_catch, "p_catch") <= 1.0:
             raise ValueError("p_catch must lie in [0, 1]")
 
     def t1(self, scenario: Scenario) -> float:

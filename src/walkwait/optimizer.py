@@ -62,11 +62,8 @@ def find_stationary_points(
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     target = 1.0 / scenario.t_delta
+    rate = model.appearance_rate  # E'(t) has the sign of target - rate(t)
     end = min(horizon, model.support_end)
-
-    def g(t: float) -> float:  # the sign of E'(t)
-        return target - model.appearance_rate(t)
-
     inner = [b for b in model.breakpoints() if 0.0 < b < end]
     ts = np.linspace(0.0, end, SCAN_POINTS + 2)[1:-1].tolist()
     # a time listed twice makes an empty bracket, skipped as it has no sign change
@@ -75,7 +72,7 @@ def find_stationary_points(
     grid = ts[: bisect.bisect_left(ts, True, key=lambda t: model.survival(t) <= 1e-15)]
     if not grid:
         return []
-    gs = [g(t) for t in grid]
+    gs = [target - rate(t) for t in grid]
     if max(map(abs, gs)) < FLAT_TOL:
         return [StationaryPoint(0.0, "flat", expected_tt(scenario, model, 0.0))]
 
@@ -93,7 +90,7 @@ def find_stationary_points(
             lo, hi = a, b
             while hi - lo > BISECT_WIDTH:
                 mid = 0.5 * (lo + hi)
-                gm = g(mid)
+                gm = target - rate(mid)
                 if gm == 0.0:
                     lo = hi = mid
                     break

@@ -11,8 +11,15 @@ from walkwait import (
     Exponential,
     LateBusMixture,
     PiecewiseLinearDensity,
+    Scenario,
     UndefinedRateError,
     Uniform,
+    WaitForever,
+    WaitThenWalk,
+    estimate,
+    expected_tt,
+    find_stationary_points,
+    optimal_policy,
 )
 
 from _models import random_model
@@ -223,6 +230,22 @@ class TestSampling:
         critical = math.sqrt(-0.5 * math.log(0.0005)) / math.sqrt(n)
         assert statistic < critical
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_draws_are_numpys_scaled_draws(self, seed):
+        # sample skips numpy's scaled-distribution loop, with the same draws
+        # and the generator left in the same state
+        for model, numpy_draw in (
+            (Uniform(30.0), lambda rng, n: rng.uniform(0.0, 30.0, n)),
+            (Exponential(0.07), lambda rng, n: rng.exponential(1.0 / 0.07, n)),
+        ):
+            for size in (None, 1, 70_000):
+                ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+                drawn = model.sample(ours, size)
+                expected = numpy_draw(numpys, size)
+                assert type(drawn) is type(expected)
+                assert np.array_equal(drawn, expected)
+                assert ours.bit_generator.state == numpys.bit_generator.state
+
     def test_random_models_sane(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -315,11 +338,23 @@ class TestNonFiniteRejected:
             lambda: PiecewiseLinearDensity([[0, 1], [math.nan, 1], [5, 1]]),
             lambda: PiecewiseLinearDensity([[0, 1], [5, math.inf]]),
             lambda: PiecewiseLinearDensity([[0, 1], [math.inf, 1]]),
+            lambda: Uniform(True),
+            lambda: Exponential(True),
+            lambda: LateBusMixture(True, 4, 25),
+            lambda: PiecewiseLinearDensity([[0, True], [1, 1]]),
+            lambda: Uniform("30"),
+            lambda: PiecewiseLinearDensity([[0, 1], ["5", 1]]),
         ],
     )
     def test_rejected(self, build):
         with pytest.raises(ValueError):
             build()
+
+    def test_ints_and_numpy_floats_accepted(self):
+        assert Uniform(30).cdf(15) == Uniform(np.float64(30.0)).cdf(15) == 0.5
+        assert Exponential(np.float32(0.5)).mean() == 2.0
+        assert LateBusMixture(np.float64(0.25), 4, np.int64(56)).cdf(4) == 0.25
+        assert PiecewiseLinearDensity([[0, 1], [np.float64(2.0), np.int64(1)]]).cdf(1) == 0.5
 
 
 class TestPiecewiseLookup:
@@ -472,3 +507,81 @@ class TestGuideTableSampler:
     def test_scalar_draw_is_a_float(self):
         draw = PiecewiseLinearDensity(DROP_KNOTS).sample(np.random.default_rng(0))
         assert isinstance(draw, float)
+
+
+class Triangle(ArrivalModel):
+    """Density (10 - t) / 50 on [0, 10], with only the members a subclass
+    must implement."""
+
+    @property
+    def support_end(self):
+        return 10.0
+
+    def _at(self, t):
+        if t >= 10.0:
+            return 0.0, 0.0, 1.0
+        return (10.0 - t) / 50.0, -1.0 / 50.0, t / 5.0 - t * t / 100.0
+
+    def mean(self):
+        return 10.0 / 3.0
+
+    def sample(self, rng, size=None):
+        return 10.0 * (1.0 - np.sqrt(1.0 - rng.random(size)))  # inverse CDF
+
+
+class TestSubclassContract:
+    TRIANGLE = Triangle()
+    # walk 10 min, ride 6 min: t_delta = 4, so the rate 2 / (10 - t) crosses
+    # 1 / t_delta at t = 2 from below, a maximum of E
+    SCENARIO = Scenario(d=1.0, v_w=0.1, v_b=1.0 / 6.0)
+    TIMES = [0.0, 0.5, 2.0, 7.25, 9.99]
+
+    def test_pointwise_quantities_come_from_the_lookup(self):
+        m = self.TRIANGLE
+        for t in self.TIMES:
+            p, slope, F = m._at(t)
+            assert (m.density(t), m.density_slope(t), m.cdf(t)) == (p, slope, F)
+            assert m.survival(t) == 1.0 - F
+        assert (m.density(10.0), m.density_slope(12.0), m.cdf(math.inf)) == (0.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            m.density(-1.0)
+
+    def test_density_slope_is_exact(self):
+        # a finite difference would be off in the last digits at least
+        assert all(self.TRIANGLE.density_slope(t) == -0.02 for t in self.TIMES)
+
+    def test_appearance_rate_is_density_over_survival(self):
+        m = self.TRIANGLE
+        for t in self.TIMES:
+            assert m.appearance_rate(t) == m.density(t) / m.survival(t)
+            # R = 1 - F cancels near the end of the support
+            assert m.appearance_rate(t) == pytest.approx(2.0 / (10.0 - t), rel=1e-9)
+            assert m.appearance_rate_slope(t) == pytest.approx(2.0 / (10.0 - t) ** 2, rel=1e-9)
+        with pytest.raises(UndefinedRateError):
+            m.appearance_rate(10.0)
+
+    def test_partial_mean_falls_back_to_quadrature(self):
+        m = self.TRIANGLE
+        assert type(m).partial_mean is ArrivalModel.partial_mean
+        for t in self.TIMES:
+            closed = (5.0 * t * t - t**3 / 3.0) / 50.0
+            assert m.partial_mean(t) == pytest.approx(closed, abs=1e-10)
+        assert m.partial_mean(10.0) == m.partial_mean(math.inf) == m.mean()
+        with pytest.raises(ValueError, match="no closed form"):
+            expected_tt(self.SCENARIO, m, 1.0, method="closed")
+        assert expected_tt(self.SCENARIO, m, 1.0) == expected_tt(
+            self.SCENARIO, m, 1.0, method="quadrature"
+        )
+
+    def test_optimizer_and_simulator_agree(self):
+        m, s = self.TRIANGLE, self.SCENARIO
+        (peak,) = find_stationary_points(s, m)
+        assert peak.kind == "maximum" and peak.t_wait == pytest.approx(2.0, abs=1e-9)
+        policy = optimal_policy(s, m)
+        assert policy.strategy == "wait_forever"
+        for strategy, analytic in (
+            (WaitForever(), policy.expected_tt),
+            (WaitThenWalk(peak.t_wait), peak.expected_tt),
+        ):
+            est = estimate(s, m, strategy, n=200_000, seed=11)
+            assert abs(est.mean - analytic) / est.stderr < 3.5

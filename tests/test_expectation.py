@@ -190,7 +190,8 @@ class TestInputValidation:
 
     @pytest.mark.parametrize(
         "args",
-        [(math.inf, 0.1, 0.5), (math.nan, 0.1, 0.5), (3.0, math.nan, 0.5), (3.0, 0.1, math.inf)],
+        [(math.inf, 0.1, 0.5), (math.nan, 0.1, 0.5), (3.0, math.nan, 0.5), (3.0, 0.1, math.inf),
+         (True, 0.1, 0.5), (3.0, "0.1", 0.5)],
     )
     def test_non_finite_scenario_rejected(self, args):
         with pytest.raises(ValueError):

@@ -278,6 +278,19 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="p_catch"):
             WalkAndWaitPlan(d1=1.0, t_wait=1.0, p_catch=math.nan)
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [((True, 1, 0.5), "d1"), ((0, 1, True), "p_catch"), ((0, "3", 0), "t_wait")],
+    )
+    def test_boolean_or_string_rejected(self, args, field):
+        # a string wait used to pass its float check and fail later in arithmetic
+        with pytest.raises(ValueError, match=field):
+            WalkAndWaitPlan(*args)
+
+    def test_ints_and_numpy_floats_accepted(self):
+        plan = WalkAndWaitPlan(np.int64(0), np.float64(3.0), 0)
+        assert expected_tt_plan(S0, Uniform(30), plan) == expected_tt(S0, Uniform(30), 3.0)
+
     def test_unbounded_wait_at_origin_is_wait_forever(self):
         plan = WalkAndWaitPlan(d1=0.0, t_wait=math.inf, p_catch=0.0)
         for model in (Uniform(30.0), Exponential(1.0 / 17.0)):
