@@ -9,7 +9,8 @@ package is linear in F and M1.  Time is measured in minutes throughout.
 
 Each model states p, p' and F once, in ``_at``; the base class derives the
 rest.  Subclasses implement ``support_end``, ``_at``, ``mean`` and ``sample``
-and may override ``partial_mean``, ``breakpoints`` and ``quad_bound``.
+and may override ``partial_mean``, ``breakpoints``, ``quad_bound`` and
+``sign_changes``, which gives the optimizer the roots of E' in closed form.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .quadrature import integrate_piecewise
 
 # absolute tolerance of the quadrature fallback for the partial mean
 QUAD_TOL = 1e-12
+# |1/t_delta - rate| below which E' counts as zero rather than as a sign
+FLAT_TOL = 1e-12
 
 
 class UndefinedRateError(ValueError):
@@ -47,6 +50,40 @@ def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _linear_sign_changes(pieces, t_delta: float, end: float) -> list[tuple[float, str]]:
+    """Sign changes of E' in (0, end) for a density that is linear on each
+    of ``pieces``, given in order as (t0, t1, y0, slope, F(t0)).
+
+    In local x = t - t0, E' = R - t_delta p is the polynomial
+    g(x) = (R0 - t_delta y0) - (y0 + t_delta s) x - (s/2) x^2.  A root where
+    g rises is a minimum, one where it falls a maximum; a tangent root is no
+    sign change.  Roots where R <= 1e-15 are dropped, as the scan drops them.
+    """
+    changes = []
+    for t0, t1, y0, s, F0 in pieces:
+        stop = min(t1, end)
+        if not t0 < stop:
+            break
+        c = (1.0 - F0) - t_delta * y0
+        b = y0 + t_delta * s
+        if s == 0.0:
+            roots = [(c / b, "maximum" if b > 0.0 else "minimum")] if b != 0.0 else []
+        else:
+            disc = b * b + 2.0 * s * c
+            if not disc > 0.0:
+                continue
+            # the two roots of (s/2) x^2 + b x - c, in the form with no cancellation
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            # g opens downward when s > 0: it rises through the lower root
+            kinds = ("minimum", "maximum") if s > 0.0 else ("maximum", "minimum")
+            roots = zip(sorted((2.0 * q / s, -c / q)), kinds)
+        for x, kind in roots:
+            t = t0 + x
+            if t0 < t < stop and 1.0 - (F0 + x * (y0 + 0.5 * s * x)) > 1e-15:
+                changes.append((t, kind))
+    return changes
 
 
 class ArrivalModel(ABC):
@@ -123,6 +160,17 @@ class ArrivalModel(ABC):
         rate = self.appearance_rate(t)
         return self.density_slope(t) / self.survival(t) + rate * rate
 
+    def sign_changes(self, t_delta: float, end: float) -> list[tuple[float, str]] | None:
+        """Where E'(t) = R(t) - t_delta p(t) changes sign in (0, end), as
+        (t, kind) pairs sorted by t; None when the model has no closed form,
+        and the optimizer scans instead.
+
+        kind is "minimum" where E' goes from negative to positive, "maximum"
+        the other way, and "flat" (alone, at t = 0) where E' is zero
+        throughout.
+        """
+        return None
+
     def is_kink(self, t: float, tol: float = 1e-9) -> bool:
         return any(abs(t - k) <= tol for k in self.breakpoints())
 
@@ -155,6 +203,10 @@ class Uniform(ArrivalModel):
         if t >= self.headway:
             raise UndefinedRateError(f"survival is zero at t={t}")
         return 1.0 / (self.headway - t)
+
+    def sign_changes(self, t_delta, end):
+        h = self.headway
+        return _linear_sign_changes([(0.0, h, 1.0 / h, 0.0, 0.0)], t_delta, end)
 
     def partial_mean(self, t):
         w = min(_check_time(t), self.headway)
@@ -201,6 +253,10 @@ class Exponential(ArrivalModel):
     def appearance_rate_slope(self, t):
         _check_time(t)
         return 0.0
+
+    def sign_changes(self, t_delta, end):
+        # the rate is constant: E' keeps one sign or is zero throughout
+        return [(0.0, "flat")] if abs(1.0 / t_delta - self.rate) < FLAT_TOL else []
 
     def partial_mean(self, t):
         t = _check_time(t)
@@ -262,23 +318,14 @@ class LateBusMixture(ArrivalModel):
             return (1.0 - w) / L, 0.0, w + (1.0 - w) * (t - H) / L
         return 0.0, 0.0, 1.0
 
-    def appearance_rate(self, t):
-        # p / (1 - F) from _at, inlined: the optimizer's scan calls it per point
-        t = _check_time(t)
+    def sign_changes(self, t_delta, end):
         w, L, H = self.still_coming_prob, self.late_window, self.next_headway_offset
-        if t < L:
-            u = t / L
-            p, F = w * 2.0 * (L - t) / (L * L), w * (2.0 * u - u * u)
-        elif t < H:
-            p, F = 0.0, w
-        elif t < H + L:
-            p, F = (1.0 - w) / L, w + (1.0 - w) * (t - H) / L
-        else:
-            p, F = 0.0, 1.0
-        r = 1.0 - F
-        if r <= 0.0:
-            raise UndefinedRateError(f"survival is zero at t={t}")
-        return p / r
+        pieces = [
+            (0.0, L, 2.0 * w / L, -2.0 * w / (L * L), 0.0),  # the triangular head
+            (L, H, 0.0, 0.0, w),
+            (H, H + L, (1.0 - w) / L, 0.0, w),  # the uniform tail
+        ]
+        return _linear_sign_changes(pieces, t_delta, end)
 
     def partial_mean(self, t):
         t = _check_time(t)

@@ -5,6 +5,13 @@ lambda = p/R is the appearance rate.  A root where E' goes from negative to
 positive is a minimum, one where it goes from positive to negative a maximum.
 A minimum can also sit at a density jump, where E' changes sign without
 vanishing.
+
+On each piece of a linear density E' is a polynomial of degree at most 2, so
+``Uniform`` and ``LateBusMixture`` give their roots in closed form, and
+``Exponential``, whose rate is constant, has none or is flat; all three
+through ``ArrivalModel.sign_changes``.  ``PiecewiseLinearDensity`` and user
+subclasses are scanned on a grid and bisected; a closed form for the
+piecewise model waits on ROADMAP item 1.
 """
 
 from __future__ import annotations
@@ -15,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import ArrivalModel
+from .arrivals import FLAT_TOL, ArrivalModel
 from .expectation import Scenario, expected_tt, expected_tt_wait_forever
 
 SCAN_POINTS = 4096
 BISECT_WIDTH = 1e-10
-FLAT_TOL = 1e-12
 TIE_TOL = 1e-12
 
 
@@ -38,32 +44,42 @@ class PolicyChoice:
     t_wait: float | None = None
 
 
-def default_horizon(model: ArrivalModel) -> float:
-    """Search horizon covering all mass relevant at the working tolerances."""
-    return model.quad_bound()
-
-
 def find_stationary_points(
     scenario: Scenario,
     model: ArrivalModel,
     horizon: float | None = None,
 ) -> list[StationaryPoint]:
-    """Locate the sign changes of E'(W) and classify each by its direction.
+    """Locate the sign changes of E'(W) in (0, horizon) and classify each by
+    its direction.
+
+    ``Uniform``, ``Exponential`` and ``LateBusMixture`` give them in closed
+    form through ``model.sign_changes``.  Other models, such as
+    ``PiecewiseLinearDensity`` and user subclasses, are scanned: see
+    ``_scan_sign_changes``.  A rate that is flat at exactly 1/t_delta yields
+    a single "flat" marker at t = 0.
+    """
+    if horizon is None:
+        horizon = model.quad_bound()
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    end = min(horizon, model.support_end)
+    changes = model.sign_changes(scenario.t_delta, end)
+    if changes is None:
+        changes = _scan_sign_changes(model, 1.0 / scenario.t_delta, end)
+    return [StationaryPoint(t, kind, expected_tt(scenario, model, t)) for t, kind in changes]
+
+
+def _scan_sign_changes(model: ArrivalModel, target: float, end: float) -> list[tuple[float, str]]:
+    """The sign changes of E' in (0, end) found by a grid scan.
 
     Scans a fixed grid plus every breakpoint b and the float just below it,
     so no bracket spans a breakpoint, and bisects each crossing on a smooth
     piece.  The one-ulp bracket below b is a density jump: a change from
     negative to positive there is a minimum at exactly b, the other way is
-    dropped.  A rate that is flat at exactly 1/t_delta yields a single
-    "flat" marker at t = 0.
+    dropped.  Two crossings inside one grid cell, or one before the first
+    grid point, are missed.
     """
-    if horizon is None:
-        horizon = default_horizon(model)
-    if not 0.0 < horizon < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    target = 1.0 / scenario.t_delta
     rate = model.appearance_rate  # E'(t) has the sign of target - rate(t)
-    end = min(horizon, model.support_end)
     inner = [b for b in model.breakpoints() if 0.0 < b < end]
     ts = np.linspace(0.0, end, SCAN_POINTS + 2)[1:-1].tolist()
     # a time listed twice makes an empty bracket, skipped as it has no sign change
@@ -74,9 +90,9 @@ def find_stationary_points(
         return []
     gs = [target - rate(t) for t in grid]
     if max(map(abs, gs)) < FLAT_TOL:
-        return [StationaryPoint(0.0, "flat", expected_tt(scenario, model, 0.0))]
+        return [(0.0, "flat")]
 
-    points: list[StationaryPoint] = []
+    changes = []
     # (t, E'(t) < 0); a zero of E' lies inside the bracket of its neighbours
     signs = [(t, v < 0.0) for t, v in zip(grid, gs) if v != 0.0]
     for (a, a_neg), (b, b_neg) in zip(signs, signs[1:]):
@@ -99,9 +115,8 @@ def find_stationary_points(
                 else:
                     hi = mid
             root = 0.5 * (lo + hi)
-        kind = "minimum" if a_neg else "maximum"
-        points.append(StationaryPoint(root, kind, expected_tt(scenario, model, root)))
-    return points
+        changes.append((root, "minimum" if a_neg else "maximum"))
+    return changes
 
 
 def optimal_policy(

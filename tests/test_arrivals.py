@@ -405,8 +405,8 @@ class TestOneLookupAppearanceRate:
         ],
     )
     def test_equals_density_over_survival_exactly(self, model):
-        # the override and the base-class quotient share every expression,
-        # so they agree bit for bit, and fail at the same times
+        # the rate is the quotient of the lookup that density and survival
+        # use, so they agree bit for bit, and fail at the same times
         cuts = [t for b in model.breakpoints() for t in (b, math.nextafter(b, 0.0))]
         grid = np.linspace(0.0, model.support_end * 1.01, 2001).tolist()
         for t in grid + cuts:

@@ -19,8 +19,7 @@ from walkwait import (
     find_stationary_points,
     optimal_policy,
 )
-from walkwait.optimizer import default_horizon
-
+from walkwait.optimizer import SCAN_POINTS
 from _models import random_model, random_scenario
 
 S0 = Scenario(d=3.0, v_w=0.1, v_b=0.5)
@@ -138,6 +137,92 @@ class TestFindStationaryPoints:
         assert type(optimal_policy(S0, LATE_BUS).t_wait) is float
 
 
+def piecewise_twin(model):
+    """The PiecewiseLinearDensity with the density of a Uniform or a
+    LateBusMixture, which the optimizer scans rather than solves."""
+    if isinstance(model, Uniform):
+        return PiecewiseLinearDensity([[0, 1], [model.headway, 1]])
+    w, L, H = model.still_coming_prob, model.late_window, model.next_headway_offset
+    return PiecewiseLinearDensity(
+        [[0, 2 * w / L], [L, 0], [H, 0], [H, (1 - w) / L], [H + L, (1 - w) / L]]
+    )
+
+
+def counting(cls):
+    """A subclass of cls that counts appearance_rate calls on the class:
+    the frozen models take no instance attributes."""
+
+    class Counting(cls):
+        calls = 0
+
+        def appearance_rate(self, t):
+            type(self).calls += 1
+            return super().appearance_rate(t)
+
+    return Counting
+
+
+class TestClosedFormSignChanges:
+    def test_finds_every_root_the_scan_of_a_piecewise_twin_finds(self):
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            scenario = random_scenario(rng)
+            model = random_model(rng, kinds=["uniform", "late_bus"])
+            exact = find_stationary_points(scenario, model)
+            for sp in find_stationary_points(scenario, piecewise_twin(model)):
+                assert any(
+                    e.kind == sp.kind and abs(e.t_wait - sp.t_wait) <= 1e-9 for e in exact
+                ), (scenario, model, sp, exact)
+
+    @pytest.mark.parametrize(
+        "cls, args",
+        [
+            (Uniform, (30.0,)),
+            (Uniform, (20.0,)),
+            (Exponential, (1.0 / 24.0,)),
+            (Exponential, (0.1,)),
+            (LateBusMixture, (0.25, 4.0, 56.0)),
+        ],
+    )
+    def test_parametric_models_make_no_rate_calls(self, cls, args):
+        model = counting(cls)(*args)
+        assert find_stationary_points(S0, model) == find_stationary_points(S0, cls(*args))
+        assert type(model).calls == 0
+
+    def test_piecewise_models_are_scanned(self):
+        model = counting(PiecewiseLinearDensity)([[0, 1], [4, 1], [4, .01], [100, .01]])
+        assert find_stationary_points(S0, model) == find_stationary_points(S0, DROP)
+        assert type(model).calls > SCAN_POINTS
+
+    def test_late_bus_minimum_before_the_first_grid_point(self):
+        scenario = Scenario(4.70919, 5.9643 / 60, 17.3726 / 60)
+        model = LateBusMixture(0.0850255, 5.28192, 47.5513)
+        policy = optimal_policy(scenario, model)
+        assert policy.strategy == "wait_then_walk"
+        assert policy.t_wait == pytest.approx(0.00997326, abs=1e-8)
+        assert policy.t_wait < model.support_end / (SCAN_POINTS + 1)
+        assert expected_tt_gradient(scenario, model, policy.t_wait).first == (
+            pytest.approx(0.0, abs=1e-12)
+        )
+        walk_now = expected_tt(scenario, model, 0.0)
+        assert policy.expected_tt < walk_now - 5e-6
+        for w in np.linspace(0.0, 0.05, 501):
+            assert policy.expected_tt <= expected_tt(scenario, model, w) + 1e-12
+
+    def test_uniform_maximum_before_the_first_grid_point(self):
+        scenario = Scenario(5.4125, 4.38339 / 60, 22.9395 / 60)
+        points = find_stationary_points(scenario, Uniform(59.944))
+        assert [sp.kind for sp in points] == ["maximum"]
+        assert points[0].t_wait == pytest.approx(59.944 - scenario.t_delta, abs=1e-12)
+        assert points[0].t_wait < 59.944 / (SCAN_POINTS + 1)
+
+    @pytest.mark.parametrize("model", [LATE_BUS, Uniform(30.0)])
+    def test_roots_do_not_depend_on_the_horizon(self, model):
+        points = find_stationary_points(S0, model)
+        assert len(points) == 1
+        assert find_stationary_points(S0, model, horizon=10.0) == points
+
+
 class TestOptimalPolicy:
     def test_uniform_case2_waits(self):
         policy = optimal_policy(S0, Uniform(30.0))
@@ -211,7 +296,7 @@ class TestOptimalPolicy:
         for _ in range(50):
             scenario = random_scenario(rng)
             model = random_model(rng)
-            horizon = default_horizon(model)
+            horizon = model.quad_bound()
             policy = optimal_policy(scenario, model)
             candidates = [
                 expected_tt(scenario, model, w)
