@@ -8,7 +8,8 @@ seeded sampling for the simulator.  Every expected travel time in the
 package is linear in F and M1.  Time is measured in minutes throughout.
 
 Each model states p, p' and F once, in ``_at``; the base class derives the
-rest.  Subclasses implement ``support_end``, ``_at``, ``mean`` and ``sample``
+rest, and ``at`` hands the expectation layer all of p, p', F and R from one
+lookup.  Subclasses implement ``support_end``, ``_at``, ``mean`` and ``sample``
 and may override ``partial_mean``, ``breakpoints``, ``quad_bound`` and
 ``sign_changes``, which gives the optimizer the roots of E' in closed form.
 """
@@ -132,6 +133,15 @@ class ArrivalModel(ABC):
         """Times where the density or its slope is discontinuous."""
         return ()
 
+    def at(self, t: float) -> tuple[float, float, float, float]:
+        """(p(t), p'(t), F(t), R(t)) from one lookup; R is ``survival(t)``
+        bit for bit. Raises on NaN and negative t.
+
+        A subclass that overrides ``survival`` overrides this too.
+        """
+        p, slope, F = self._at(_check_time(t))
+        return p, slope, F, 1.0 - F
+
     def density(self, t: float) -> float:
         """p(t); zero outside the support. Raises on negative t."""
         return self._at(_check_time(t))[0]
@@ -241,6 +251,13 @@ class Exponential(ArrivalModel):
         r = self.rate
         e = math.exp(-r * t)
         return r * e, -r * r * e, -math.expm1(-r * t)
+
+    def at(self, t):
+        # R is the exact e^-rt, as in survival, not 1 - F
+        t = _check_time(t)
+        r = self.rate
+        e = math.exp(-r * t)
+        return r * e, -r * r * e, -math.expm1(-r * t), e
 
     def survival(self, t):
         t = _check_time(t)
@@ -397,6 +414,7 @@ class PiecewiseLinearDensity(ArrivalModel):
                 cum += 0.5 * (y0 + y1) * (t1 - t0)
         self._pieces = pieces
         self._starts = [piece[0] for piece in pieces]
+        self._breakpoints = tuple(sorted(set(ts)))
 
     @property
     def support_end(self) -> float:
@@ -488,7 +506,7 @@ class PiecewiseLinearDensity(ArrivalModel):
         return m
 
     def breakpoints(self):
-        return tuple(sorted(set(self._ts)))
+        return self._breakpoints
 
     def __repr__(self):
         return f"PiecewiseLinearDensity({list(zip(self._ts, self._ys))})"

@@ -7,6 +7,7 @@ runs in km and minutes.  Exit codes: 0 success, 2 bad input, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -205,8 +206,8 @@ def cmd_sweep(args) -> int:
         ]
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError("var", f"unknown sweep variable {args.var!r}")
-    lines = [header] + [",".join(f"{v:.12g}" for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+    # one format per row; % and format() share the float formatter
+    text = "\n".join([header] + ["%.12g,%.12g,%.12g" % row for row in rows]) + "\n"
     try:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
@@ -265,7 +266,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after.
+
+    Reuse is safe while it holds no mutable defaults and no append actions:
+    parse_args returns a fresh Namespace each time.  Each subcommand names
+    its handler, which main looks up per call.
+    """
     parser = argparse.ArgumentParser(
         prog="walkwait",
         description="Wait-for-the-bus versus walk decision analysis.",
@@ -275,13 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="break-even summary and wait/walk verdict")
     p.add_argument("config")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(handler="cmd_analyze")
 
     p = sub.add_parser("optimize", help="stationary waiting times and best policy")
     p.add_argument("config")
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_optimize)
+    p.set_defaults(handler="cmd_optimize")
 
     p = sub.add_parser("sweep", help="tabulate a curve to CSV")
     p.add_argument("config")
@@ -291,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--tw", type=float, default=0.0, help="wait time for d1 sweeps")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(handler="cmd_sweep")
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate vs analytic value")
     p.add_argument("config")
@@ -299,14 +307,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(handler="cmd_simulate")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # by name, so the parser holds no reference to a handler that a wrapper
+    # (a profiler, a tracer) may since have replaced
+    handler = globals()[args.handler]
     try:
-        return args.func(args)
+        return handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

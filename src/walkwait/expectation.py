@@ -72,18 +72,18 @@ def _walk_and_wait_tt(scenario, model, t1, t_wait, p_catch, m1) -> float:
         bus F(T) + M1(T) + R(T) (walk + t_wait)
             + (1 - p_catch) (t_delta F(t1) - M1(t1)).
 
-    Waiting at the origin is t1 = 0, where the last term vanishes.
+    Waiting at the origin is t1 = 0, where the last term is exactly +0.0
+    and is skipped.
     """
     end = t1 + t_wait
     if math.isfinite(end):
-        e = (
-            scenario.bus_time * model.cdf(end)
-            + m1(end)
-            + model.survival(end) * (scenario.walk_time + t_wait)
-        )
+        _, _, F, R = model.at(end)
+        e = scenario.bus_time * F + m1(end) + R * (scenario.walk_time + t_wait)
     else:
         e = expected_tt_wait_forever(scenario, model)
-    return e + (1.0 - p_catch) * (scenario.t_delta * model.cdf(t1) - m1(t1))
+    if t1 > 0.0:
+        e += (1.0 - p_catch) * (scenario.t_delta * model.at(t1)[2] - m1(t1))
+    return e
 
 
 def expected_tt(
@@ -117,10 +117,8 @@ def expected_tt_wait_forever(scenario: Scenario, model: ArrivalModel) -> float:
 
 def _wait_gradient(model: ArrivalModel, t: float, td: float) -> GradientPair:
     """d/dW and d2/dW2 of a wait that ends at time t, with break-even wait td."""
-    p = model.density(t)
-    first = model.survival(t) - td * p
-    second = -p - td * model.density_slope(t)
-    return GradientPair(first=first, second=second, one_sided=model.is_kink(t))
+    p, slope, _, R = model.at(t)
+    return GradientPair(first=R - td * p, second=-p - td * slope, one_sided=model.is_kink(t))
 
 
 def expected_tt_gradient(

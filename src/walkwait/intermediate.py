@@ -112,9 +112,11 @@ def _vigilant_saving(scenario: Scenario, model: ArrivalModel, p_catch: float) ->
 def expected_tt_walk_vigilant(
     scenario: Scenario, model: ArrivalModel, p_catch: float
 ) -> float:
-    """Expected time when walking the whole way, alert for passing buses.
+    """Expected time when walking the whole way, alert for passing buses:
+    the plan d1 = d with no terminal waiting.
 
-    This is the best walk-and-wait plan: d1 = d, no terminal waiting.
+    It is not always the best plan: where the density has a gap or a step,
+    walking part-way and then waiting briefly can beat it.
     """
     return scenario.walk_time - _vigilant_saving(scenario, model, p_catch)
 

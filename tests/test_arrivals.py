@@ -529,6 +529,36 @@ class Triangle(ArrivalModel):
         return 10.0 * (1.0 - np.sqrt(1.0 - rng.random(size)))  # inverse CDF
 
 
+class TestPublicLookup:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            Uniform(headway=30.0),
+            Exponential(rate=1.0 / 24.0),
+            Exponential(rate=1e-300),
+            LateBusMixture(still_coming_prob=0.25, late_window=4.0, next_headway_offset=56.0),
+            PiecewiseLinearDensity(DROP_KNOTS),
+            PiecewiseLinearDensity(SPIKE_KNOTS),
+            Triangle(),
+        ],
+    )
+    def test_at_is_the_four_pointwise_quantities_bit_for_bit(self, model):
+        end = model.support_end if math.isfinite(model.support_end) else 200.0
+        cuts = [t for b in model.breakpoints() for t in (b, math.nextafter(b, 0.0))]
+        for t in np.linspace(0.0, end * 1.01, 2001).tolist() + cuts + [math.inf]:
+            want = (model.density(t), model.density_slope(t), model.cdf(t), model.survival(t))
+            # hex tells -0.0 from 0.0
+            assert list(map(float.hex, model.at(t))) == list(map(float.hex, want))
+        for bad in (math.nan, -1.0, -1e-300):
+            with pytest.raises(ValueError):
+                model.at(bad)
+
+    def test_exponential_survival_is_exact_not_one_minus_cdf(self):
+        model = Exponential(rate=0.7)
+        p, _, F, R = model.at(40.0)
+        assert R == math.exp(-28.0) and R != 1.0 - F and p == 0.7 * R
+
+
 class TestSubclassContract:
     TRIANGLE = Triangle()
     # walk 10 min, ride 6 min: t_delta = 4, so the rate 2 / (10 - t) crosses

@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from walkwait.cli import ANALYZE_SCHEMA, main
+from walkwait.cli import ANALYZE_SCHEMA, build_parser, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -199,6 +199,34 @@ class TestSweep:
             ) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert b"\r" not in paths[0].read_bytes()
+
+
+class TestParserReuse:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_errors_leave_no_state_behind(self, config, tmp_path, capsys):
+        good = config({"kind": "late_bus_mixture", "still_coming_prob": 0.3,
+                       "late_window": 4, "next_headway_offset": 30})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"distance_km": 3, "walk_speed_kmh": 6,
+                                   "bus_speed_kmh": 30, "model": {"kind": "nope"}}))
+
+        def sweep(path, out):
+            return main(["sweep", str(path), "--var", "d1", "--tw", "3", "--from", "0",
+                         "--to", "3", "--steps", "21", "--out", str(out)])
+
+        assert sweep(good, tmp_path / "first.csv") == 0
+        with pytest.raises(SystemExit) as exc:  # argparse: unknown choice
+            main(["sweep", good, "--var", "speed", "--from", "0", "--to", "1",
+                  "--steps", "3", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert sweep(bad, tmp_path / "x.csv") == 2  # ConfigError
+        assert "model" in capsys.readouterr().err
+        assert sweep(good, tmp_path / "again.csv") == 0
+        first = (tmp_path / "first.csv").read_bytes()
+        assert first == (tmp_path / "again.csv").read_bytes() and first.count(b"\n") == 22
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestSimulate:

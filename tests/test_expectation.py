@@ -216,3 +216,36 @@ class TestRoutes:
         model = Exponential(rate=1e-300)
         for w in (1.0, 12.0, 1000.0):
             assert expected_tt(S0, model, w) == S0.walk_time + w
+
+
+class CountingUniform(Uniform):
+    """Uniform that counts its lookups on the class: the frozen instance's
+    __dict__ is left alone."""
+
+    lookups = 0
+
+    def _at(self, t):
+        CountingUniform.lookups += 1
+        return super()._at(t)
+
+
+class CountingLateBus(LateBusMixture):
+    lookups = 0
+
+    def _at(self, t):
+        CountingLateBus.lookups += 1
+        return super()._at(t)
+
+
+class TestOneLookupPerTime:
+    @pytest.mark.parametrize(
+        "model", [CountingUniform(30.0), CountingLateBus(0.25, 4.0, 56.0)]
+    )
+    def test_expected_tt_and_its_gradient_each_look_up_once(self, model):
+        counter = type(model)
+        for w in (0.5, 2.0, 4.0, 12.0, 30.0, 70.0):
+            counter.lookups = 0
+            expected_tt(S0, model, w)
+            assert counter.lookups == 1
+            expected_tt_gradient(S0, model, w)
+            assert counter.lookups == 2

@@ -7,6 +7,7 @@ import pytest
 
 from walkwait import (
     Exponential,
+    PiecewiseLinearDensity,
     Scenario,
     Uniform,
     WalkAndWaitPlan,
@@ -186,6 +187,22 @@ class TestWalkVigilant:
         assert expected_tt_walk_vigilant(S0, Uniform(12.0), 1.0) == pytest.approx(
             12.0, abs=1e-9
         )
+
+
+    def test_a_plan_that_walks_part_way_can_beat_it(self):
+        # a gap, a one-unit step, then a long thin tail: walking 1.25 km
+        # (t1 = 10 min, the step's start) and waiting 2 min there beats the
+        # vigilant walk unless every passing bus is caught
+        scenario = Scenario(d=3.0, v_w=0.1, v_b=0.5)
+        model = PiecewiseLinearDensity(
+            [[0, 0], [10, 0], [10, 1], [12, 1], [12, 0.01], [200, 0.01]]
+        )
+        for p_catch, vigilant in ((0.0, 30.0), (0.3, 27.934), (0.8, 24.4907), (1.0, 23.113)):
+            plan = expected_tt_plan(scenario, model, WalkAndWaitPlan(1.25, 2.0, p_catch))
+            walk = expected_tt_walk_vigilant(scenario, model, p_catch)
+            assert plan == pytest.approx(24.26804, abs=1e-5)
+            assert walk == pytest.approx(vigilant, abs=1e-3)
+            assert (plan < walk) is (p_catch < 1.0)
 
 
 class TestAdvantage:
