@@ -9,9 +9,11 @@ package is linear in F and M1.  Time is measured in minutes throughout.
 
 Each model states p, p' and F once, in ``_at``; the base class derives the
 rest, and ``at`` hands the expectation layer all of p, p', F and R from one
-lookup.  Subclasses implement ``support_end``, ``_at``, ``mean`` and ``sample``
-and may override ``partial_mean``, ``breakpoints``, ``quad_bound`` and
-``sign_changes``, which gives the optimizer the roots of E' in closed form.
+lookup.  ``Uniform``, ``LateBusMixture`` and ``PiecewiseLinearDensity`` are
+linear on each of a few pieces and list them once; ``_LinearDensity`` builds
+one table from them, which gives ``_at``, the mean, the breakpoints and, in
+closed form, M1 and the roots of E' (the piecewise model still integrates M1
+and scans for the roots).
 """
 
 from __future__ import annotations
@@ -51,40 +53,6 @@ def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
-
-
-def _linear_sign_changes(pieces, t_delta: float, end: float) -> list[tuple[float, str]]:
-    """Sign changes of E' in (0, end) for a density that is linear on each
-    of ``pieces``, given in order as (t0, t1, y0, slope, F(t0)).
-
-    In local x = t - t0, E' = R - t_delta p is the polynomial
-    g(x) = (R0 - t_delta y0) - (y0 + t_delta s) x - (s/2) x^2.  A root where
-    g rises is a minimum, one where it falls a maximum; a tangent root is no
-    sign change.  Roots where R <= 1e-15 are dropped, as the scan drops them.
-    """
-    changes = []
-    for t0, t1, y0, s, F0 in pieces:
-        stop = min(t1, end)
-        if not t0 < stop:
-            break
-        c = (1.0 - F0) - t_delta * y0
-        b = y0 + t_delta * s
-        if s == 0.0:
-            roots = [(c / b, "maximum" if b > 0.0 else "minimum")] if b != 0.0 else []
-        else:
-            disc = b * b + 2.0 * s * c
-            if not disc > 0.0:
-                continue
-            # the two roots of (s/2) x^2 + b x - c, in the form with no cancellation
-            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-            # g opens downward when s > 0: it rises through the lower root
-            kinds = ("minimum", "maximum") if s > 0.0 else ("maximum", "minimum")
-            roots = zip(sorted((2.0 * q / s, -c / q)), kinds)
-        for x, kind in roots:
-            t = t0 + x
-            if t0 < t < stop and 1.0 - (F0 + x * (y0 + 0.5 * s * x)) > 1e-15:
-                changes.append((t, kind))
-    return changes
 
 
 class ArrivalModel(ABC):
@@ -189,8 +157,98 @@ class ArrivalModel(ABC):
         return self.support_end
 
 
+class _LinearDensity(ArrivalModel):
+    """A density that is linear on each piece of one table, built once by
+    ``_tabulate``: a row (t0, t1, y0, y1, F(t0), width, slope, M1(t0)) per
+    piece of positive width, which every other member reads."""
+
+    def _tabulate(self, segments) -> None:
+        """Build the table from (t0, t1, y0, y1) segments that tile the
+        support in order; segments of zero width (jumps) add no row."""
+        pieces = []
+        cum = moment = 0.0
+        for t0, t1, y0, y1 in segments:
+            if t1 > t0:
+                width = t1 - t0
+                pieces.append((t0, t1, y0, y1, cum, width, (y1 - y0) / width, moment))
+                cum += 0.5 * (y0 + y1) * width
+                # the piece's moment in local coordinates, t0 * mass + the
+                # integral of x p(t0 + x), so narrow pieces far from zero
+                # lose no precision; width^2 is never formed, so it cannot
+                # overflow where the moment does not
+                moment += width * (t0 * 0.5 * (y0 + y1) + width * (y0 + 2.0 * y1) / 6.0)
+        # object.__setattr__ also sets them on frozen dataclasses
+        object.__setattr__(self, "_pieces", pieces)
+        object.__setattr__(self, "_starts", [piece[0] for piece in pieces])
+        object.__setattr__(self, "_breakpoints", (*self._starts, pieces[-1][1]))
+        object.__setattr__(self, "_moment", moment)
+
+    @property
+    def support_end(self) -> float:
+        return self._breakpoints[-1]
+
+    def _at(self, t):
+        # the pieces tile [first start, support end) with no gap
+        i = bisect.bisect_right(self._starts, t) - 1
+        if i < 0:
+            return 0.0, 0.0, 0.0
+        t0, t1, y0, y1, cum, width, slope, _ = self._pieces[i]
+        if t >= t1:
+            return 0.0, 0.0, 1.0
+        x = t - t0
+        return y0 + (y1 - y0) * x / width, slope, cum + y0 * x + 0.5 * slope * x * x
+
+    def partial_mean(self, t):
+        t = _check_time(t)
+        i = bisect.bisect_right(self._starts, t) - 1
+        if i < 0:
+            return 0.0
+        t0, t1, y0, _, _, _, slope, moment = self._pieces[i]
+        if t >= t1:
+            return self._moment
+        x = t - t0
+        # t0 * mass on [t0, t] + integral of x p(t0 + x), as in _tabulate
+        return moment + x * (t0 * (y0 + 0.5 * slope * x) + x * (0.5 * y0 + slope * x / 3.0))
+
+    def mean(self):
+        return self._moment
+
+    def breakpoints(self):
+        return self._breakpoints
+
+    def sign_changes(self, t_delta, end):
+        """On a piece, in local x = t - t0, E' = R - t_delta p is the polynomial
+        g(x) = (R0 - t_delta y0) - (y0 + t_delta s) x - (s/2) x^2.  A root
+        where g rises is a minimum, one where it falls a maximum; a tangent
+        root is no sign change.  Roots where R <= 1e-15 are dropped, as the
+        scan drops them."""
+        changes = []
+        for t0, t1, y0, _, F0, _, s, _ in self._pieces:
+            stop = min(t1, end)
+            if not t0 < stop:
+                break
+            c = (1.0 - F0) - t_delta * y0
+            b = y0 + t_delta * s
+            if s == 0.0:
+                roots = [(c / b, "maximum" if b > 0.0 else "minimum")] if b != 0.0 else []
+            else:
+                disc = b * b + 2.0 * s * c
+                if not disc > 0.0:
+                    continue
+                # the two roots of (s/2) x^2 + b x - c, in the form with no cancellation
+                q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+                # g opens downward when s > 0: it rises through the lower root
+                kinds = ("minimum", "maximum") if s > 0.0 else ("maximum", "minimum")
+                roots = zip(sorted((2.0 * q / s, -c / q)), kinds)
+            for x, kind in roots:
+                t = t0 + x
+                if t0 < t < stop and 1.0 - (F0 + x * (y0 + 0.5 * s * x)) > 1e-15:
+                    changes.append((t, kind))
+        return changes
+
+
 @dataclass(frozen=True)
-class Uniform(ArrivalModel):
+class Uniform(_LinearDensity):
     """Punctual service with unknown phase: arrival uniform on [0, headway]."""
 
     headway: float
@@ -198,39 +256,12 @@ class Uniform(ArrivalModel):
     def __post_init__(self):
         if not 0.0 < _number(self.headway, "headway") < math.inf:
             raise ValueError("headway must be positive and finite")
-
-    @property
-    def support_end(self) -> float:
-        return self.headway
-
-    def _at(self, t):
-        if t < self.headway:
-            return 1.0 / self.headway, 0.0, t / self.headway
-        return 0.0, 0.0, 1.0
-
-    def appearance_rate(self, t):
-        t = _check_time(t)
-        if t >= self.headway:
-            raise UndefinedRateError(f"survival is zero at t={t}")
-        return 1.0 / (self.headway - t)
-
-    def sign_changes(self, t_delta, end):
-        h = self.headway
-        return _linear_sign_changes([(0.0, h, 1.0 / h, 0.0, 0.0)], t_delta, end)
-
-    def partial_mean(self, t):
-        w = min(_check_time(t), self.headway)
-        return w * w / (2.0 * self.headway)
-
-    def mean(self):
-        return self.headway / 2.0
+        h = float(self.headway)
+        self._tabulate([(0.0, h, 1.0 / h, 1.0 / h)])
 
     def sample(self, rng, size=None):
         # the draws of rng.uniform(0, headway, size), without its scaling loop
         return rng.random(size) * self.headway
-
-    def breakpoints(self):
-        return (0.0, self.headway)
 
 
 @dataclass(frozen=True)
@@ -297,7 +328,7 @@ class Exponential(ArrivalModel):
 
 
 @dataclass(frozen=True)
-class LateBusMixture(ArrivalModel):
+class LateBusMixture(_LinearDensity):
     """Arriving after the scheduled time of a possibly-late bus.
 
     With probability ``still_coming_prob`` the current bus is still on its
@@ -319,41 +350,10 @@ class LateBusMixture(ArrivalModel):
         offset = _number(self.next_headway_offset, "next_headway_offset")
         if not self.late_window < offset < math.inf:
             raise ValueError("next_headway_offset must be finite and exceed late_window")
-
-    @property
-    def support_end(self) -> float:
-        return self.next_headway_offset + self.late_window
-
-    def _at(self, t):
-        w, L, H = self.still_coming_prob, self.late_window, self.next_headway_offset
-        if t < L:
-            u = t / L
-            return w * 2.0 * (L - t) / (L * L), -2.0 * w / (L * L), w * (2.0 * u - u * u)
-        if t < H:
-            return 0.0, 0.0, w
-        if t < H + L:
-            return (1.0 - w) / L, 0.0, w + (1.0 - w) * (t - H) / L
-        return 0.0, 0.0, 1.0
-
-    def sign_changes(self, t_delta, end):
-        w, L, H = self.still_coming_prob, self.late_window, self.next_headway_offset
-        pieces = [
-            (0.0, L, 2.0 * w / L, -2.0 * w / (L * L), 0.0),  # the triangular head
-            (L, H, 0.0, 0.0, w),
-            (H, H + L, (1.0 - w) / L, 0.0, w),  # the uniform tail
-        ]
-        return _linear_sign_changes(pieces, t_delta, end)
-
-    def partial_mean(self, t):
-        t = _check_time(t)
-        w, L, H = self.still_coming_prob, self.late_window, self.next_headway_offset
-        u = min(t, L) / L  # progress through the triangular head
-        late = min(max(t - H, 0.0), L)  # time spent in the uniform tail
-        return w * L * u * u * (1.0 - 2.0 * u / 3.0) + (1.0 - w) * late * (H + 0.5 * late) / L
-
-    def mean(self):
-        w, L, H = self.still_coming_prob, self.late_window, self.next_headway_offset
-        return w * L / 3.0 + (1.0 - w) * (H + L / 2.0)
+        w, L, H = map(float, (self.still_coming_prob, self.late_window, offset))
+        tail = (1.0 - w) / L
+        # the triangular head, the gap, the uniform tail
+        self._tabulate([(0.0, L, 2.0 * w / L, 0.0), (L, H, 0.0, 0.0), (H, H + L, tail, tail)])
 
     def sample(self, rng, size=None):
         w, L, H = self.still_coming_prob, self.late_window, self.next_headway_offset
@@ -369,18 +369,19 @@ class LateBusMixture(ArrivalModel):
             return float(early[0])
         return early
 
-    def breakpoints(self):
-        L, H = self.late_window, self.next_headway_offset
-        return (0.0, L, H, H + L)
 
-
-class PiecewiseLinearDensity(ArrivalModel):
+class PiecewiseLinearDensity(_LinearDensity):
     """Density given by linear interpolation between knots, auto-normalized.
 
     Knots are (time, density) pairs with nondecreasing times; a repeated time
     encodes a jump.  The knot densities are scaled at construction so the
     total mass is one.
     """
+
+    # M1 by quadrature and E' roots by the scan, not from the table, until a
+    # benchmark self-test stops pinning both (ROADMAP item 1)
+    partial_mean = ArrivalModel.partial_mean
+    sign_changes = ArrivalModel.sign_changes
 
     def __init__(self, knots):
         knots = [(_number(t, "knot time"), _number(y, "knot density")) for t, y in knots]
@@ -404,46 +405,13 @@ class PiecewiseLinearDensity(ArrivalModel):
             raise ValueError("knot densities integrate to zero; cannot normalize")
         self._ts = ts
         self._ys = [y / total for y in ys]
-        # pieces with positive width:
-        # (t0, t1, y0, y1, cumulative mass at t0, width, slope)
-        pieces = []
-        cum = 0.0
-        for t0, t1, y0, y1 in zip(ts, ts[1:], self._ys, self._ys[1:]):
-            if t1 > t0:
-                pieces.append((t0, t1, y0, y1, cum, t1 - t0, (y1 - y0) / (t1 - t0)))
-                cum += 0.5 * (y0 + y1) * (t1 - t0)
-        self._pieces = pieces
-        self._starts = [piece[0] for piece in pieces]
-        self._breakpoints = tuple(sorted(set(ts)))
-
-    @property
-    def support_end(self) -> float:
-        return self._ts[-1]
-
-    def _at(self, t):
-        # pieces tile [first knot, last knot) with no gap
-        i = bisect.bisect_right(self._starts, t) - 1
-        if i < 0:
-            return 0.0, 0.0, 0.0
-        t0, t1, y0, y1, cum, width, slope = self._pieces[i]
-        if t >= t1:
-            return 0.0, 0.0, 1.0
-        x = t - t0
-        return y0 + (y1 - y0) * x / width, slope, cum + y0 * x + 0.5 * slope * x * x
-
-    def mean(self):
-        # each piece's moment in local coordinates, t0 * mass + integral of
-        # x p(t0 + x), so narrow pieces far from zero lose no precision
-        return sum(
-            t0 * 0.5 * (y0 + y1) * (t1 - t0) + (t1 - t0) ** 2 * (y0 + 2.0 * y1) / 6.0
-            for t0, t1, y0, y1, *_ in self._pieces
-        )
+        self._tabulate(zip(ts, ts[1:], self._ys, self._ys[1:]))
 
     @functools.cached_property
     def _columns(self):
         """Per-piece (t0, width, y0, slope, cdf at t0) as arrays, built on
         the first draw, so models that are never sampled skip the cost."""
-        t0, _, y0, _, cum, width, slope = (np.array(column) for column in zip(*self._pieces))
+        t0, _, y0, _, cum, width, slope, _ = (np.array(column) for column in zip(*self._pieces))
         return t0, width, y0, slope, cum
 
     @functools.cached_property
@@ -504,9 +472,6 @@ class PiecewiseLinearDensity(ArrivalModel):
         if size is None:
             return float(m[0])
         return m
-
-    def breakpoints(self):
-        return self._breakpoints
 
     def __repr__(self):
         return f"PiecewiseLinearDensity({list(zip(self._ts, self._ys))})"

@@ -16,10 +16,10 @@ from .arrivals import ArrivalModel, model_from_config
 from .expectation import Scenario, expected_tt, expected_tt_gradient, expected_tt_wait_forever
 from .intermediate import (
     WalkAndWaitPlan,
+    _p_catch,
+    _vigilant_saving,
     expected_tt_plan,
-    expected_tt_walk_vigilant,
     plan_gradient_d1,
-    walk_vs_wait_advantage,
 )
 from .mcsim import (
     WaitForever,
@@ -196,14 +196,14 @@ def cmd_sweep(args) -> int:
             )
     elif args.var == "pc":
         header = "x,expected_tt,advantage"
-        rows = [
-            (
-                x,
-                expected_tt_walk_vigilant(scenario, model, x),
-                walk_vs_wait_advantage(scenario, model, x),
-            )
-            for x in xs
-        ]
+        # the rows of expected_tt_walk_vigilant and walk_vs_wait_advantage,
+        # with the saving per unit of p_catch found once
+        saving = _vigilant_saving(scenario, model)
+        advantage = model.mean() - scenario.t_delta
+        rows = []
+        for x in xs:
+            s = _p_catch(x) * saving
+            rows.append((x, scenario.walk_time - s, advantage + s))
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError("var", f"unknown sweep variable {args.var!r}")
     # one format per row; % and format() share the float formatter

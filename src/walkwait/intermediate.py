@@ -20,6 +20,14 @@ from .arrivals import ArrivalModel, _check_time, _number
 from .expectation import GradientPair, Scenario, _wait_gradient, _walk_and_wait_tt
 
 
+def _p_catch(value) -> float:
+    """value as a catch probability; booleans and values outside [0, 1] are rejected."""
+    p = _number(value, "p_catch")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p_catch must lie in [0, 1]")
+    return p
+
+
 @dataclass(frozen=True)
 class WalkAndWaitPlan:
     """Walk d1 km (catching a passing bus with probability p_catch), then
@@ -33,8 +41,7 @@ class WalkAndWaitPlan:
         if not 0.0 <= _number(self.d1, "d1") < math.inf:
             raise ValueError("d1 must be nonnegative and finite")
         _check_time(_number(self.t_wait, "t_wait"), "t_wait")  # inf waits forever
-        if not 0.0 <= _number(self.p_catch, "p_catch") <= 1.0:
-            raise ValueError("p_catch must lie in [0, 1]")
+        _p_catch(self.p_catch)
 
     def t1(self, scenario: Scenario) -> float:
         """Head start eroded while walking to the stop (minutes)."""
@@ -100,13 +107,12 @@ def plan_gradient_d1(
     )
 
 
-def _vigilant_saving(scenario: Scenario, model: ArrivalModel, p_catch: float) -> float:
-    """Minutes a vigilant walk saves on walking: p_catch times the integral of
-    (t_delta - tau) p(tau) over [0, t_delta], i.e. t_delta F - M1 there."""
-    if not 0.0 <= p_catch <= 1.0:
-        raise ValueError("p_catch must lie in [0, 1]")
+def _vigilant_saving(scenario: Scenario, model: ArrivalModel) -> float:
+    """Minutes a vigilant walk saves on walking, per unit of p_catch: the
+    integral of (t_delta - tau) p(tau) over [0, t_delta], i.e. t_delta F - M1
+    there."""
     td = scenario.t_delta
-    return p_catch * (td * model.cdf(td) - model.partial_mean(td))
+    return td * model.cdf(td) - model.partial_mean(td)
 
 
 def expected_tt_walk_vigilant(
@@ -118,7 +124,7 @@ def expected_tt_walk_vigilant(
     It is not always the best plan: where the density has a gap or a step,
     walking part-way and then waiting briefly can beat it.
     """
-    return scenario.walk_time - _vigilant_saving(scenario, model, p_catch)
+    return scenario.walk_time - _p_catch(p_catch) * _vigilant_saving(scenario, model)
 
 
 def walk_vs_wait_advantage(
@@ -129,7 +135,8 @@ def walk_vs_wait_advantage(
     Positive favours walking; equals expected_tt_wait_forever -
     expected_tt_walk_vigilant.
     """
-    return model.mean() - scenario.t_delta + _vigilant_saving(scenario, model, p_catch)
+    saving = _p_catch(p_catch) * _vigilant_saving(scenario, model)
+    return model.mean() - scenario.t_delta + saving
 
 
 def uniform_pc_threshold(headway_ratio: float) -> float | None:

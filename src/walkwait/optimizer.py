@@ -6,12 +6,13 @@ positive is a minimum, one where it goes from positive to negative a maximum.
 A minimum can also sit at a density jump, where E' changes sign without
 vanishing.
 
-On each piece of a linear density E' is a polynomial of degree at most 2, so
-``Uniform`` and ``LateBusMixture`` give their roots in closed form, and
-``Exponential``, whose rate is constant, has none or is flat; all three
-through ``ArrivalModel.sign_changes``.  ``PiecewiseLinearDensity`` and user
-subclasses are scanned on a grid and bisected; a closed form for the
-piecewise model waits on ROADMAP item 1.
+On each piece of a linear density E' is a polynomial of degree at most 2.
+``Uniform`` and ``LateBusMixture`` solve it on their shared piece table, and
+``Exponential``, whose rate is constant, has no root or is flat; all three
+through ``ArrivalModel.sign_changes``.  ``PiecewiseLinearDensity`` has the
+same table but, like user subclasses, is scanned on a grid and bisected: the
+table solve misses minima at density jumps, and a benchmark self-test pins
+the scan (ROADMAP items 1 and 3).
 """
 
 from __future__ import annotations

@@ -22,6 +22,8 @@ from walkwait import (
     optimal_policy,
 )
 
+from walkwait.arrivals import _LinearDensity
+
 from _models import random_model
 
 ALL_MODELS = [
@@ -615,3 +617,75 @@ class TestSubclassContract:
         ):
             est = estimate(s, m, strategy, n=200_000, seed=11)
             assert abs(est.mean - analytic) / est.stderr < 3.5
+
+
+def exact_partial_mean(model, t):
+    """M1(t) of a piecewise model's normalized knots, in exact rationals."""
+    knots = [(Fraction(a), Fraction(b)) for a, b in zip(model._ts, model._ys)]
+    t = Fraction(t) if math.isfinite(t) else knots[-1][0]
+    total = Fraction(0)
+    for (t0, y0), (t1, y1) in zip(knots, knots[1:]):
+        if t1 > t0 and t > t0:
+            slope = (y1 - y0) / (t1 - t0)
+            a = y0 - slope * t0  # density = a + slope * tau on the piece
+            hi = min(t, t1)
+            total += a / 2 * (hi**2 - t0**2) + slope / 3 * (hi**3 - t0**3)
+    return total
+
+
+class TestLinearTable:
+    @pytest.mark.parametrize("h", [30.0, 7.3, 1e-3, 48.0, 1e5 / 3.0])
+    def test_uniform_is_the_flat_piecewise_model_bit_for_bit(self, h):
+        uniform, flat = Uniform(h), PiecewiseLinearDensity([[0, 1], [h, 1]])
+        assert uniform.breakpoints() == flat.breakpoints() == (0.0, h)
+        assert uniform.support_end == flat.support_end == h
+        assert uniform.mean().hex() == flat.mean().hex()
+        cuts = [t for b in flat.breakpoints() for t in (b, math.nextafter(b, 0.0))]
+        for t in np.linspace(0.0, 1.2 * h, 1001).tolist() + cuts + [math.inf]:
+            for name in ("density", "density_slope", "cdf", "survival"):
+                got, want = getattr(uniform, name)(t), getattr(flat, name)(t)
+                assert got.hex() == want.hex(), (name, t)
+
+    @pytest.mark.parametrize(
+        "knots",
+        [
+            DROP_KNOTS,
+            SPIKE_KNOTS,
+            [(2.0, 0.0), (3.0, 1.0), (3.0, 4.0), (5.0, 0.5), (5.0, 0.0), (6.0, 0.0)],
+            [(0, 1), (2, 1), (2, 3), (4, 3), (4, 3), (4, 0.5), (6, 0)],
+            [(0, 1), (3, 1), (3, 0), (6, 0), (6, 1), (9, 1)],
+            [(100.0, 0.3), (100.0, 2.0), (100.25, 0.0), (100.25, 0.0), (400.0, 0.01)],
+        ],
+    )
+    def test_closed_partial_mean_matches_exact_rationals(self, knots):
+        # the piecewise model still integrates M1 by quadrature; the table's
+        # closed form is called on it directly
+        model = PiecewiseLinearDensity(knots)
+        cuts = [t for b in model.breakpoints() for t in (b, math.nextafter(b, 0.0))]
+        grid = np.linspace(0.0, model.support_end * 1.01, 401).tolist()
+        for t in grid + cuts + [math.inf]:
+            got = _LinearDensity.partial_mean(model, t)
+            exact = exact_partial_mean(model, t)
+            if exact == 0:
+                assert got == 0.0, t
+            else:
+                assert abs(Fraction(got) - exact) <= Fraction(1e-12) * exact, t
+
+    def test_wide_pieces_do_not_overflow(self):
+        # the width squared overflows a float; the moments do not
+        for model in (Uniform(1e200), PiecewiseLinearDensity([[0, 1], [1e200, 1]])):
+            assert model.mean() == pytest.approx(5e199, rel=1e-15)
+            assert _LinearDensity.partial_mean(model, 5e199) == pytest.approx(1.25e199, rel=1e-15)
+
+    def test_closed_partial_mean_on_random_jumpy_knots(self):
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            ts = np.sort(rng.choice(np.arange(0.0, 60.0, 3.0), 9)).tolist()  # repeats jump
+            ys = rng.uniform(0.0, 1.0, 9).tolist()
+            if len(set(ts)) < 2:
+                continue
+            model = PiecewiseLinearDensity(list(zip(ts, ys)))
+            for t in rng.uniform(0.0, 65.0, 40).tolist() + ts:
+                exact = exact_partial_mean(model, t)
+                got = _LinearDensity.partial_mean(model, t)
+                assert abs(Fraction(got) - exact) <= Fraction(1e-12) * exact, t

@@ -7,6 +7,14 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from walkwait import (
+    PiecewiseLinearDensity,
+    Scenario,
+    Uniform,
+    expected_tt_walk_vigilant,
+    walk_vs_wait_advantage,
+)
+from walkwait import cli
 from walkwait.cli import ANALYZE_SCHEMA, build_parser, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -335,3 +343,57 @@ class TestConfigValidation:
         )
         assert code == 2
         assert "strategy" in capsys.readouterr().err
+
+
+class TestSimulateImpossiblePlan:
+    def test_rejected_before_any_journey(self, capsys, monkeypatch):
+        def no_draws(self, rng, size=None):
+            raise AssertionError("drew an arrival")
+
+        monkeypatch.setattr(Uniform, "sample", no_draws)
+        argv = ["simulate", str(CONFIG_DIR / "uniform30.json"), "--strategy", "walk_and_wait:5,3,0.5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: d1")
+
+
+class TestPCSweepSavingFoundOnce:
+    KNOTS = [[0, 0.2], [5, 1], [9, 0.1], [30, 0.3], [40, 0]]
+
+    def test_one_partial_mean_per_sweep(self, config, tmp_path, monkeypatch):
+        calls = []
+
+        class Counting(PiecewiseLinearDensity):
+            def partial_mean(self, t):
+                calls.append(t)
+                return super().partial_mean(t)
+
+        monkeypatch.setattr(cli, "model_from_config", lambda spec: Counting(spec["knots"]))
+        out = tmp_path / "pc.csv"
+        argv = [
+            "sweep", config({"kind": "piecewise", "knots": self.KNOTS}),
+            "--var", "pc", "--from", "0", "--to", "1", "--steps", "21", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        assert calls == [24.0]  # M1 at t_delta, once
+        # the rows are still those of the two library functions
+        scenario, model = Scenario(d=3.0, v_w=0.1, v_b=0.5), PiecewiseLinearDensity(self.KNOTS)
+        rows = [
+            "%.12g,%.12g,%.12g" % (
+                x,
+                expected_tt_walk_vigilant(scenario, model, x),
+                walk_vs_wait_advantage(scenario, model, x),
+            )
+            for x in (i / 20 for i in range(21))
+        ]
+        assert out.read_text() == "\n".join(["x,expected_tt,advantage"] + rows) + "\n"
+
+    def test_catch_probability_outside_unit_interval_rejected(self, config, tmp_path, capsys):
+        argv = [
+            "sweep", config({"kind": "uniform", "headway": 30}),
+            "--var", "pc", "--from", "0", "--to", "2", "--steps", "3",
+            "--out", str(tmp_path / "pc.csv"),
+        ]
+        assert main(argv) == 2
+        assert "p_catch" in capsys.readouterr().err

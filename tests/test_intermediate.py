@@ -330,3 +330,16 @@ class TestPlanValidation:
             assert plan_gradient_tw(scenario, model, plan) == expected_tt_gradient(
                 scenario, model, w
             )
+
+
+class TestVigilantCatchProbability:
+    @pytest.mark.parametrize("p_catch", [True, False, "0.5", None, math.nan, -0.1, 1.5])
+    def test_rejected(self, p_catch):
+        for function in (expected_tt_walk_vigilant, walk_vs_wait_advantage):
+            with pytest.raises(ValueError, match="p_catch"):
+                function(S0, Uniform(30.0), p_catch)
+
+    def test_ints_and_numpy_floats_accepted(self):
+        for function in (expected_tt_walk_vigilant, walk_vs_wait_advantage):
+            want = function(S0, Uniform(30.0), 1.0)
+            assert function(S0, Uniform(30.0), 1) == function(S0, Uniform(30.0), np.float64(1.0)) == want

@@ -214,3 +214,26 @@ class TestBranchFreeSelects:
                 expected.append(S0.walk_time + plan.t_wait)
         assert np.array_equal(got, np.array(expected))
         assert rng.random() == replay.random()  # the same number of draws
+
+
+class NoDraws(Uniform):
+    """A uniform model whose sampler must not be reached."""
+
+    def sample(self, rng, size=None):
+        raise AssertionError("drew an arrival")
+
+
+class TestImpossiblePlan:
+    # S0 is 3 km long: a plan cannot walk 5 km of it
+    PLAN = WalkAndWaitPlan(d1=5.0, t_wait=3.0, p_catch=0.5)
+
+    def test_estimate_rejects_before_any_draw(self):
+        with pytest.raises(ValueError, match="d1"):
+            estimate(S0, NoDraws(30.0), self.PLAN, 1000, 1)
+
+    def test_simulate_once_rejects_before_any_draw(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="d1"):
+            simulate_once(S0, NoDraws(30.0), self.PLAN, rng)
+        assert rng.bit_generator.state == state
