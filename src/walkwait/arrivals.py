@@ -220,14 +220,20 @@ class _LinearDensity(ArrivalModel):
         """On a piece, in local x = t - t0, E' = R - t_delta p is the polynomial
         g(x) = (R0 - t_delta y0) - (y0 + t_delta s) x - (s/2) x^2.  A root
         where g rises is a minimum, one where it falls a maximum; a tangent
-        root is no sign change.  Roots where R <= 1e-15 are dropped, as the
-        scan drops them."""
+        root is no sign change.  At a row start t0 where the density jumps,
+        E' goes from R0 - t_delta y1 of the row before to g(0): a change from
+        negative to positive is a minimum at t0, the other way is dropped, as
+        the scan drops it.  Roots where R <= 1e-15 are dropped too."""
         changes = []
-        for t0, t1, y0, _, F0, _, s, _ in self._pieces:
+        y_below = 0.0  # the density just below the row start
+        for t0, t1, y0, y1, F0, _, s, _ in self._pieces:
             stop = min(t1, end)
             if not t0 < stop:
                 break
             c = (1.0 - F0) - t_delta * y0
+            if (1.0 - F0) - t_delta * y_below < 0.0 < c and 1.0 - F0 > 1e-15:
+                changes.append((t0, "minimum"))
+            y_below = y1
             b = y0 + t_delta * s
             if s == 0.0:
                 roots = [(c / b, "maximum" if b > 0.0 else "minimum")] if b != 0.0 else []

@@ -7,12 +7,12 @@ A minimum can also sit at a density jump, where E' changes sign without
 vanishing.
 
 On each piece of a linear density E' is a polynomial of degree at most 2.
-``Uniform`` and ``LateBusMixture`` solve it on their shared piece table, and
-``Exponential``, whose rate is constant, has no root or is flat; all three
-through ``ArrivalModel.sign_changes``.  ``PiecewiseLinearDensity`` has the
-same table but, like user subclasses, is scanned on a grid and bisected: the
-table solve misses minima at density jumps, and a benchmark self-test pins
-the scan (ROADMAP items 1 and 3).
+``Uniform`` and ``LateBusMixture`` solve it, jump minima included, on their
+shared piece table, and ``Exponential``, whose rate is constant, has no root
+or is flat; all three through ``ArrivalModel.sign_changes``.
+``PiecewiseLinearDensity`` has the same table but, like user subclasses, is
+scanned on a grid and bisected, as a benchmark self-test pins the scan
+(ROADMAP items 1 and 3); the scan's cost is its ``appearance_rate`` calls.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import FLAT_TOL, ArrivalModel
+from .arrivals import FLAT_TOL, ArrivalModel, _number
 from .expectation import Scenario, expected_tt, expected_tt_wait_forever
 
 SCAN_POINTS = 4096
@@ -59,8 +59,7 @@ def find_stationary_points(
     ``_scan_sign_changes``.  A rate that is flat at exactly 1/t_delta yields
     a single "flat" marker at t = 0.
     """
-    if horizon is None:
-        horizon = model.quad_bound()
+    horizon = model.quad_bound() if horizon is None else _number(horizon, "horizon")
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     end = min(horizon, model.support_end)
@@ -78,7 +77,8 @@ def _scan_sign_changes(model: ArrivalModel, target: float, end: float) -> list[t
     piece.  The one-ulp bracket below b is a density jump: a change from
     negative to positive there is a minimum at exactly b, the other way is
     dropped.  Two crossings inside one grid cell, or one before the first
-    grid point, are missed.
+    grid point, are missed.  numpy finds the flips among the samples, so the
+    cost is one ``appearance_rate`` call per grid point and bisection step.
     """
     rate = model.appearance_rate  # E'(t) has the sign of target - rate(t)
     inner = [b for b in model.breakpoints() if 0.0 < b < end]
@@ -89,16 +89,15 @@ def _scan_sign_changes(model: ArrivalModel, target: float, end: float) -> list[t
     grid = ts[: bisect.bisect_left(ts, True, key=lambda t: model.survival(t) <= 1e-15)]
     if not grid:
         return []
-    gs = [target - rate(t) for t in grid]
-    if max(map(abs, gs)) < FLAT_TOL:
+    gs = target - np.fromiter(map(rate, grid), float, len(grid))
+    if np.abs(gs).max() < FLAT_TOL:
         return [(0.0, "flat")]
 
     changes = []
-    # (t, E'(t) < 0); a zero of E' lies inside the bracket of its neighbours
-    signs = [(t, v < 0.0) for t, v in zip(grid, gs) if v != 0.0]
-    for (a, a_neg), (b, b_neg) in zip(signs, signs[1:]):
-        if a_neg == b_neg:
-            continue
+    keep = np.flatnonzero(gs)  # a zero of E' lies inside the bracket of its neighbours
+    neg = gs[keep] < 0.0
+    for i in np.flatnonzero(neg[1:] != neg[:-1]).tolist():
+        a, b, a_neg = grid[keep[i]], grid[keep[i + 1]], bool(neg[i])
         if a == math.nextafter(b, 0.0):  # a jump: E' never vanishes
             if not a_neg:
                 continue

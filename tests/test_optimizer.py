@@ -1,5 +1,6 @@
 """Stationary-point search, classification, and policy selection."""
 
+import bisect
 import math
 
 import numpy as np
@@ -19,7 +20,8 @@ from walkwait import (
     find_stationary_points,
     optimal_policy,
 )
-from walkwait.optimizer import SCAN_POINTS
+from walkwait.arrivals import FLAT_TOL, ArrivalModel, _LinearDensity
+from walkwait.optimizer import BISECT_WIDTH, SCAN_POINTS, _scan_sign_changes
 from _models import random_model, random_scenario
 
 S0 = Scenario(d=3.0, v_w=0.1, v_b=0.5)
@@ -130,6 +132,26 @@ class TestFindStationaryPoints:
         assert DROP.is_kink(4.0)
         assert expected_tt_gradient(S0, DROP, 4.0).one_sided
 
+    @pytest.mark.parametrize("horizon", [True, False, "5"])
+    def test_non_number_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            find_stationary_points(S0, Uniform(30.0), horizon=horizon)
+        with pytest.raises(ValueError, match="horizon"):
+            optimal_policy(S0, Uniform(30.0), horizon=horizon)
+
+    @pytest.mark.parametrize("horizon", [10, np.float64(10.0), np.float32(10.0)])
+    def test_number_horizon_accepted(self, horizon):
+        assert find_stationary_points(S0, LATE_BUS, horizon=horizon) == (
+            find_stationary_points(S0, LATE_BUS, horizon=10.0)
+        )
+        assert optimal_policy(S0, DROP, horizon=horizon) == optimal_policy(S0, DROP, horizon=10.0)
+
+    def test_no_horizon_is_the_models_default(self):
+        for model in (LATE_BUS, Uniform(30.0), DROP):
+            assert find_stationary_points(S0, model, horizon=None) == (
+                find_stationary_points(S0, model, horizon=model.quad_bound())
+            )
+
     def test_waits_are_python_floats(self):
         for model in (LATE_BUS, Uniform(30.0), SPIKE, DROP):
             for sp in find_stationary_points(S0, model):
@@ -221,6 +243,123 @@ class TestClosedFormSignChanges:
         points = find_stationary_points(S0, model)
         assert len(points) == 1
         assert find_stationary_points(S0, model, horizon=10.0) == points
+
+
+def reference_scan(model, target: float, end: float) -> list:
+    """The grid scan as a plain Python loop over every neighbouring pair of
+    nonzero samples: the optimizer's numpy pass must return exactly this."""
+    rate = model.appearance_rate
+    inner = [b for b in model.breakpoints() if 0.0 < b < end]
+    ts = np.linspace(0.0, end, SCAN_POINTS + 2)[1:-1].tolist()
+    ts = sorted(ts + inner + [math.nextafter(b, 0.0) for b in inner])
+    grid = ts[: bisect.bisect_left(ts, True, key=lambda t: model.survival(t) <= 1e-15)]
+    if not grid:
+        return []
+    gs = [target - rate(t) for t in grid]
+    if max(map(abs, gs)) < FLAT_TOL:
+        return [(0.0, "flat")]
+    changes = []
+    signs = [(t, v < 0.0) for t, v in zip(grid, gs) if v != 0.0]
+    for (a, a_neg), (b, b_neg) in zip(signs, signs[1:]):
+        if a_neg == b_neg:
+            continue
+        if a == math.nextafter(b, 0.0):
+            if not a_neg:
+                continue
+            root = b
+        else:
+            lo, hi = a, b
+            while hi - lo > BISECT_WIDTH:
+                mid = 0.5 * (lo + hi)
+                gm = target - rate(mid)
+                if gm == 0.0:
+                    lo = hi = mid
+                    break
+                if (gm < 0.0) == a_neg:
+                    lo = mid
+                else:
+                    hi = mid
+            root = 0.5 * (lo + hi)
+        changes.append((root, "minimum" if a_neg else "maximum"))
+    return changes
+
+
+def scan_end(model) -> float:
+    """The end of the scan that find_stationary_points runs by default."""
+    return min(model.quad_bound(), model.support_end)
+
+
+class TestGridScan:
+    def test_matches_the_pairwise_reference_loop(self):
+        rng = np.random.default_rng(6)
+        models = [(S0, SPIKE), (S0, DROP)]
+        for _ in range(100):
+            scenario = random_scenario(rng)
+            models.append((scenario, PiecewiseLinearDensity(jumpy_knots(rng, scenario.t_delta))))
+        cases = [(model, 1.0 / scenario.t_delta, scan_end(model)) for scenario, model in models]
+        # E' exactly zero on a grid point: the zero is skipped, not read as a sign
+        flat = PiecewiseLinearDensity([[0, 1], [30, 1]])
+        on_grid = np.linspace(0.0, 30.0, SCAN_POINTS + 2)[1000]
+        cases.append((flat, flat.appearance_rate(on_grid), 30.0))
+        for model, target, end in cases:
+            assert _scan_sign_changes(model, target, end) == reference_scan(model, target, end)
+
+    @pytest.mark.parametrize(
+        "model, knots, calls",
+        [
+            (DROP, [[0, 1], [4, 1], [4, .01], [100, .01]], 4126),
+            (SPIKE, [[0, .001], [5, .001], [5.05, 320], [5.1, .001], [4000, .001]], 4194),
+        ],
+    )
+    def test_one_rate_call_per_grid_point_and_bisection_step(self, model, knots, calls):
+        counted = counting(PiecewiseLinearDensity)(knots)
+        assert find_stationary_points(S0, counted) == find_stationary_points(S0, model)
+        assert type(counted).calls == calls
+
+    def test_flat_marker_from_the_scan(self):
+        class ScannedExponential(Exponential):
+            sign_changes = ArrivalModel.sign_changes
+
+        for rate in (1.0 / 24.0, 0.1, 0.01):
+            assert find_stationary_points(S0, ScannedExponential(rate)) == (
+                find_stationary_points(S0, Exponential(rate))
+            )
+        target = 1.0 / S0.t_delta
+        assert _scan_sign_changes(ScannedExponential(target), target, 100.0) == [(0.0, "flat")]
+        assert _scan_sign_changes(ScannedExponential(0.1), target, 100.0) == []
+
+
+class TestTableJumpMinima:
+    def test_minimum_at_a_density_drop(self):
+        changes = _LinearDensity.sign_changes(DROP, 24.0, 100.0)
+        assert [kind for _, kind in changes] == ["minimum", "maximum"]
+        assert changes[0][0] == 4.0
+        assert changes[1][0] == pytest.approx(76.0, abs=1e-12)
+
+    def test_a_rise_at_a_jump_is_no_sign_change(self):
+        # E' falls from + to - across the jump up at t = 4
+        rise = PiecewiseLinearDensity([[0, .01], [4, .01], [4, 1], [8, 1]])
+        assert _LinearDensity.sign_changes(rise, 24.0, 8.0) == []
+
+    def test_finds_every_root_the_scan_finds_and_the_best_wait(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            scenario = random_scenario(rng)
+            knots = jumpy_knots(rng, scenario.t_delta)
+            model = PiecewiseLinearDensity(knots)
+            table = _LinearDensity.sign_changes(model, scenario.t_delta, scan_end(model))
+            for sp in find_stationary_points(scenario, model):
+                assert any(
+                    kind == sp.kind and abs(t - sp.t_wait) <= 1e-9 for t, kind in table
+                ), (knots, sp, table)
+            minima = [t for t, kind in table if kind == "minimum"]
+            best = min(
+                piecewise_tt(scenario, knots, np.array([0.0, *minima])).min(),
+                expected_tt_wait_forever(scenario, model),
+            )
+            ws = np.concatenate([np.linspace(0.0, model.support_end, 20_001), model.breakpoints()])
+            brute = min(piecewise_tt(scenario, knots, ws).min(), expected_tt_wait_forever(scenario, model))
+            assert best <= brute + 1e-9 * max(1.0, brute), knots
 
 
 class TestOptimalPolicy:
