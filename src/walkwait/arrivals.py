@@ -83,14 +83,17 @@ class ArrivalModel(ABC):
     def partial_mean(self, t: float) -> float:
         """M1(t) = integral of tau p(tau) over [0, t].
 
-        Default is adaptive quadrature split at the breakpoints; models with
-        a closed form override it.
+        Default is adaptive quadrature split at the breakpoints, which reads
+        p from ``_at`` (every node lies in the checked range [0, t]) and each
+        piece's right end as its left limit, so a density jump costs no
+        refinement; models with a closed form override it.
         """
         t = _check_time(t)
         if t >= self.support_end:
             return self.mean()
+        at = self._at
         return integrate_piecewise(
-            lambda tau: tau * self.density(tau),
+            lambda tau: tau * at(tau)[0],
             0.0,
             min(t, self.quad_bound()),
             self.breakpoints(),
@@ -134,9 +137,12 @@ class ArrivalModel(ABC):
         return p / r
 
     def appearance_rate_slope(self, t: float) -> float:
-        """lambda'(t) = p'(t) / R(t) + lambda(t)^2."""
-        rate = self.appearance_rate(t)
-        return self.density_slope(t) / self.survival(t) + rate * rate
+        """lambda'(t) = p'(t) / R(t) + lambda(t)^2, from one ``at`` lookup."""
+        p, slope, _, r = self.at(t)
+        if r <= 0.0:
+            raise UndefinedRateError(f"survival is zero at t={float(t)}")
+        rate = p / r
+        return slope / r + rate * rate
 
     def sign_changes(self, t_delta: float, end: float) -> list[tuple[float, str]] | None:
         """Where E'(t) = R(t) - t_delta p(t) changes sign in (0, end), as

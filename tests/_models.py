@@ -46,3 +46,19 @@ def smooth_time(model, rng: np.random.Generator, margin: float = 1e-2) -> float:
         ):
             return t
     raise RuntimeError("could not find a smooth interior time")
+
+
+def jumpy_knots(rng: np.random.Generator, t_delta: float) -> list:
+    """Random knots with density jumps (repeated knot times) and, half the
+    time, a narrow spike; their features are what a plain grid scan misses."""
+    span = rng.uniform(0.5, 3.0) * t_delta
+    n = int(rng.integers(3, 9))
+    ts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, span, n - 1))])
+    knots = [(t, rng.uniform(0.05, 1.0)) for t in ts]
+    for i in rng.choice(np.arange(1, n), size=int(rng.integers(1, 3)), replace=False):
+        knots.append((ts[i], rng.uniform(0.0, 1.0)))  # the jump at ts[i]
+    if rng.random() < 0.5:
+        width = span * 10.0 ** rng.uniform(-4.0, -2.0)
+        centre = rng.uniform(0.05, 0.9) * span
+        knots += [(centre - width, 0.05), (centre, rng.uniform(5.0, 300.0)), (centre + width, 0.05)]
+    return sorted(knots, key=lambda knot: knot[0])  # stable: jumps keep their order

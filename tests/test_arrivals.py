@@ -619,6 +619,47 @@ class TestSubclassContract:
             assert abs(est.mean - analytic) / est.stderr < 3.5
 
 
+class TestOneLookupRateSlope:
+    # Exponential keeps its own exact zero slope
+    @pytest.mark.parametrize(
+        "model",
+        [
+            Uniform(headway=30.0),
+            LateBusMixture(still_coming_prob=0.25, late_window=4.0, next_headway_offset=56.0),
+            PiecewiseLinearDensity(DROP_KNOTS),
+            PiecewiseLinearDensity(SPIKE_KNOTS),
+            Triangle(),
+        ],
+    )
+    def test_equals_the_three_lookup_form_bit_for_bit(self, model):
+        end = model.support_end if math.isfinite(model.support_end) else 200.0
+        cuts = [t for b in model.breakpoints() for t in (b, math.nextafter(b, 0.0))]
+        for t in np.linspace(0.0, end * 1.01, 2001).tolist() + cuts:
+            try:
+                rate = model.appearance_rate(t)
+            except UndefinedRateError as undefined:
+                with pytest.raises(UndefinedRateError) as raised:
+                    model.appearance_rate_slope(t)
+                assert str(raised.value) == str(undefined)
+                continue
+            want = model.density_slope(t) / model.survival(t) + rate * rate
+            assert model.appearance_rate_slope(t).hex() == want.hex(), t
+
+    @pytest.mark.parametrize("base", [Triangle, lambda: PiecewiseLinearDensity(DROP_KNOTS)])
+    def test_one_lookup(self, base):
+        model = base()
+        calls = []
+        lookup = model._at
+
+        def counted(t):
+            calls.append(t)
+            return lookup(t)
+
+        model._at = counted  # on the instance: the class keeps its own
+        model.appearance_rate_slope(3.0)
+        assert calls == [3.0]
+
+
 def exact_partial_mean(model, t):
     """M1(t) of a piecewise model's normalized knots, in exact rationals."""
     knots = [(Fraction(a), Fraction(b)) for a, b in zip(model._ts, model._ys)]

@@ -22,29 +22,13 @@ from walkwait import (
 )
 from walkwait.arrivals import FLAT_TOL, ArrivalModel, _LinearDensity
 from walkwait.optimizer import BISECT_WIDTH, SCAN_POINTS, _scan_sign_changes
-from _models import random_model, random_scenario
+from _models import jumpy_knots, random_model, random_scenario
 
 S0 = Scenario(d=3.0, v_w=0.1, v_b=0.5)
 LATE_BUS = LateBusMixture(still_coming_prob=0.25, late_window=4.0, next_headway_offset=56.0)
 # a spike narrower than one cell of the scan grid, and a density drop at t=4
 SPIKE = PiecewiseLinearDensity([[0, .001], [5, .001], [5.05, 320], [5.1, .001], [4000, .001]])
 DROP = PiecewiseLinearDensity([[0, 1], [4, 1], [4, .01], [100, .01]])
-
-
-def jumpy_knots(rng: np.random.Generator, t_delta: float) -> list:
-    """Random knots with density jumps (repeated knot times) and, half the
-    time, a narrow spike; their features are what a plain grid scan misses."""
-    span = rng.uniform(0.5, 3.0) * t_delta
-    n = int(rng.integers(3, 9))
-    ts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, span, n - 1))])
-    knots = [(t, rng.uniform(0.05, 1.0)) for t in ts]
-    for i in rng.choice(np.arange(1, n), size=int(rng.integers(1, 3)), replace=False):
-        knots.append((ts[i], rng.uniform(0.0, 1.0)))  # the jump at ts[i]
-    if rng.random() < 0.5:
-        width = span * 10.0 ** rng.uniform(-4.0, -2.0)
-        centre = rng.uniform(0.05, 0.9) * span
-        knots += [(centre - width, 0.05), (centre, rng.uniform(5.0, 300.0)), (centre + width, 0.05)]
-    return sorted(knots, key=lambda knot: knot[0])  # stable: jumps keep their order
 
 
 def piecewise_tt(scenario: Scenario, knots: list, ws: np.ndarray) -> np.ndarray:

@@ -1,0 +1,108 @@
+"""Adaptive Simpson quadrature: right-continuous integrands, the partial-mean
+fallback that rests on it, and the interval cap."""
+
+import math
+
+import numpy as np
+import pytest
+
+from walkwait import PiecewiseLinearDensity
+from walkwait.arrivals import QUAD_TOL, ArrivalModel, _LinearDensity
+from walkwait.quadrature import adaptive_simpson, integrate_piecewise
+
+from _models import jumpy_knots, random_scenario
+
+
+def counted(f):
+    """f wrapped, and the list of the points the wrapper was called at."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+class TestRightEndIsTheLeftLimit:
+    # right-continuous: at the jump the step already takes its new value
+    @staticmethod
+    def step(x):
+        return 1.0 if x < 2.0 else 3.0
+
+    def test_jump_at_a_listed_breakpoint(self):
+        f, calls = counted(self.step)
+        assert integrate_piecewise(f, 0.0, 5.0, (2.0,)) == pytest.approx(11.0, rel=1e-15)
+        # 5 calls per piece: both ends, the midpoint and the two quarter points
+        assert len(calls) <= 2 * 5
+        assert math.nextafter(2.0, 0.0) in calls
+
+    def test_jump_at_the_upper_limit(self):
+        f, calls = counted(self.step)
+        assert adaptive_simpson(f, 0.0, 2.0) == pytest.approx(2.0, rel=1e-15)
+        assert len(calls) <= 5 and max(calls) == math.nextafter(2.0, 0.0)
+
+    def test_smooth_integrand_keeps_its_accuracy(self):
+        assert adaptive_simpson(math.sin, 0.0, math.pi, tol=1e-12) == pytest.approx(2.0, abs=1e-11)
+        assert integrate_piecewise(math.exp, 0.0, 3.0, (1.0, 2.0), tol=1e-12) == pytest.approx(
+            math.expm1(3.0), abs=1e-11
+        )
+
+
+class CountingLookup(PiecewiseLinearDensity):
+    """The piecewise model, counting its lookups."""
+
+    def __init__(self, knots):
+        super().__init__(knots)
+        self.lookups = 0
+
+    def _at(self, t):
+        self.lookups += 1
+        return super()._at(t)
+
+
+class TestPartialMeanFallback:
+    def test_matches_the_table_on_random_jumpy_knots(self):
+        # Simpson's rule is exact on tau p(tau), a quadratic on each piece,
+        # so a piece costs 5 lookups whether or not p jumps at its ends.  The
+        # exception is a narrow spike far from zero: its integrand is so
+        # steep that rounding the node times alone moves the error estimate
+        # past the piece's tolerance, so such a piece may refine, and its
+        # error may pass QUAD_TOL a little (up to 1.6e-12 over seeds 0-11)
+        rng = np.random.default_rng(10)
+        lookups = pieces_total = spike_free = 0
+        for _ in range(300):
+            model = CountingLookup(jumpy_knots(rng, random_scenario(rng).t_delta))
+            assert type(model).partial_mean is ArrivalModel.partial_mean
+            end = model.support_end
+            cuts = model.breakpoints()
+            no_spike = min(np.diff(cuts)) >= 1e-2 * end
+            spike_free += no_spike
+            for t in list(cuts) + rng.uniform(0.0, 1.05 * end, 10).tolist():
+                model.lookups = 0
+                error = abs(model.partial_mean(t) - _LinearDensity.partial_mean(model, t))
+                pieces = 1 + sum(0.0 < b < min(t, end) for b in cuts) if t < end else 0
+                assert error <= (1.0 if no_spike else 2.0) * QUAD_TOL, (model, t)
+                if no_spike:
+                    assert model.lookups <= 5 * pieces, (model, t)
+                lookups += model.lookups
+                pieces_total += pieces
+        assert spike_free >= 100
+        assert lookups <= 5 * pieces_total
+
+    def test_drop_costs_five_lookups_per_piece(self):
+        model = CountingLookup([[0, 1], [4, 1], [4, .01], [100, .01]])
+        for t, pieces in ((3.0, 1), (4.0, 1), (10.0, 2), (50.0, 2)):
+            model.lookups = 0
+            assert model.partial_mean(t) == pytest.approx(
+                _LinearDensity.partial_mean(model, t), abs=1e-12
+            )
+            assert model.lookups == 5 * pieces
+
+
+def test_interval_cap_raises():
+    def wild(x):
+        return math.sin(1.0 / x) if x > 0.0 else 0.0
+
+    with pytest.raises(RuntimeError, match="interval cap"):
+        adaptive_simpson(wild, 0.0, 1.0, tol=1e-12, max_intervals=1000)
