@@ -11,9 +11,9 @@ Each model states p, p' and F once, in ``_at``; the base class derives the
 rest, and ``at`` hands the expectation layer all of p, p', F and R from one
 lookup.  ``Uniform``, ``LateBusMixture`` and ``PiecewiseLinearDensity`` are
 linear on each of a few pieces and list them once; ``_LinearDensity`` builds
-one table from them, which gives ``_at``, the mean, the breakpoints and, in
-closed form, M1 and the roots of E' (the piecewise model still integrates M1
-and scans for the roots).
+one table from them, which gives ``_at``, the appearance rate from one row,
+the mean, the breakpoints and, in closed form, M1 and the roots of E' (the
+piecewise model still integrates M1 and scans for the roots).
 """
 
 from __future__ import annotations
@@ -203,6 +203,21 @@ class _LinearDensity(ArrivalModel):
             return 0.0, 0.0, 1.0
         x = t - t0
         return y0 + (y1 - y0) * x / width, slope, cum + y0 * x + 0.5 * slope * x * x
+
+    def appearance_rate(self, t):
+        # p / R from one row, with the expressions of _at and without its
+        # slope: the base class's value and error, bit for bit
+        t = _check_time(t)
+        i = bisect.bisect_right(self._starts, t) - 1
+        if i < 0:
+            return 0.0
+        t0, t1, y0, y1, cum, width, slope, _ = self._pieces[i]
+        if t < t1:
+            x = t - t0
+            r = 1.0 - (cum + y0 * x + 0.5 * slope * x * x)
+            if r > 0.0:
+                return (y0 + (y1 - y0) * x / width) / r
+        raise UndefinedRateError(f"survival is zero at t={t}")
 
     def partial_mean(self, t):
         t = _check_time(t)

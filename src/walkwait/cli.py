@@ -28,7 +28,7 @@ from .mcsim import (
     analytic_expectation,
     estimate,
 )
-from .optimizer import compare_wait_walk, find_stationary_points, optimal_policy
+from .optimizer import _best_policy, compare_wait_walk, find_stationary_points
 
 ANALYZE_SCHEMA = {
     "type": "object",
@@ -136,7 +136,7 @@ def cmd_analyze(args) -> int:
 def cmd_optimize(args) -> int:
     scenario, model, _ = load_config(args.config)
     points = find_stationary_points(scenario, model, args.horizon)
-    policy = optimal_policy(scenario, model, args.horizon)
+    policy = _best_policy(scenario, model, points)
     if args.json:
         print(
             json.dumps(

@@ -12,7 +12,8 @@ shared piece table, and ``Exponential``, whose rate is constant, has no root
 or is flat; all three through ``ArrivalModel.sign_changes``.
 ``PiecewiseLinearDensity`` has the same table but, like user subclasses, is
 scanned on a grid and bisected, as a benchmark self-test pins the scan
-(ROADMAP items 1 and 3); the scan's cost is its ``appearance_rate`` calls.
+(ROADMAP items 1 and 3); the scan's cost is its ``appearance_rate`` calls,
+which a table model answers from one row of its piece table.
 """
 
 from __future__ import annotations
@@ -129,15 +130,20 @@ def optimal_policy(
     Ties within 1e-12 min go to walk_now, then wait_forever, then the
     smallest finite wait.
     """
+    return _best_policy(scenario, model, find_stationary_points(scenario, model, horizon))
+
+
+def _best_policy(
+    scenario: Scenario,
+    model: ArrivalModel,
+    points: list[StationaryPoint],
+) -> PolicyChoice:
+    """``optimal_policy`` given the stationary points it would find."""
     candidates = [
         PolicyChoice("walk_now", expected_tt(scenario, model, 0.0)),
         PolicyChoice("wait_forever", expected_tt_wait_forever(scenario, model)),
     ]
-    minima = [
-        sp
-        for sp in find_stationary_points(scenario, model, horizon)
-        if sp.kind == "minimum"
-    ]
+    minima = [sp for sp in points if sp.kind == "minimum"]
     for sp in sorted(minima, key=lambda sp: sp.t_wait):
         candidates.append(
             PolicyChoice("wait_then_walk", sp.expected_tt, t_wait=sp.t_wait)

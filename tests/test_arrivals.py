@@ -1,6 +1,7 @@
 """Arrival-model contracts: densities, survival, appearance rates, sampling."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from walkwait import (
 
 from walkwait.arrivals import _LinearDensity
 
-from _models import random_model
+from _models import jumpy_knots, random_model
 
 ALL_MODELS = [
     Uniform(headway=30.0),
@@ -291,9 +292,20 @@ class TestPartialMean:
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_nan_time_rejected(self, model):
-        for method in (model.density, model.cdf, model.survival, model.partial_mean):
-            with pytest.raises(ValueError):
-                method(math.nan)
+        methods = (
+            model.density,
+            model.cdf,
+            model.survival,
+            model.partial_mean,
+            model.appearance_rate,
+            model.appearance_rate_slope,
+            model.density_slope,
+            model.at,
+        )
+        for method in methods:
+            for t in (math.nan, -1.0):
+                with pytest.raises(ValueError):
+                    method(t)
 
 
 class TestPiecewiseMeanExact:
@@ -391,6 +403,9 @@ class TestPiecewiseLookup:
 # density drop
 SPIKE_KNOTS = [[0, .001], [5, .001], [5.05, 320], [5.1, .001], [4000, .001]]
 DROP_KNOTS = [[0, 1], [4, 1], [4, .01], [100, .01]]
+# the jump and spike shapes that the optimizer's random models draw
+_JUMPY_RNG = np.random.default_rng(12)
+JUMPY_MODELS = [PiecewiseLinearDensity(jumpy_knots(_JUMPY_RNG, 24.0)) for _ in range(4)]
 
 
 class TestOneLookupAppearanceRate:
@@ -404,17 +419,21 @@ class TestOneLookupAppearanceRate:
             ),
             LateBusMixture(still_coming_prob=0.3, late_window=3.7, next_headway_offset=41.3),
             LateBusMixture(still_coming_prob=1.0, late_window=3.7, next_headway_offset=25.0),
+            Uniform(30.0),
+            *JUMPY_MODELS,
         ],
     )
     def test_equals_density_over_survival_exactly(self, model):
-        # the rate is the quotient of the lookup that density and survival
-        # use, so they agree bit for bit, and fail at the same times
+        # the rate reads the row that density and survival read, with the
+        # same expressions, so they agree bit for bit, and fail at the same
+        # times with the message of the base class
         cuts = [t for b in model.breakpoints() for t in (b, math.nextafter(b, 0.0))]
         grid = np.linspace(0.0, model.support_end * 1.01, 2001).tolist()
-        for t in grid + cuts:
+        for t in grid + cuts + [math.inf]:
             r = model.survival(t)
             if r <= 0.0:
-                with pytest.raises(UndefinedRateError):
+                message = re.escape(f"survival is zero at t={t}") + "$"
+                with pytest.raises(UndefinedRateError, match=message):
                     model.appearance_rate(t)
             else:
                 assert model.appearance_rate(t) == model.density(t) / r

@@ -14,7 +14,7 @@ from walkwait import (
     expected_tt_walk_vigilant,
     walk_vs_wait_advantage,
 )
-from walkwait import cli
+from walkwait import cli, optimizer
 from walkwait.cli import ANALYZE_SCHEMA, build_parser, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -115,6 +115,19 @@ class TestOptimize:
         config = str(CONFIG_DIR / "exponential24.json")
         assert main(["optimize", config, "--horizon", "inf"]) == 2
         assert "horizon" in capsys.readouterr().err
+
+    def test_piecewise_scans_once(self, monkeypatch):
+        # the policy is picked from the points already found, not a second scan
+        scans = []
+        scan = optimizer._scan_sign_changes
+
+        def counted(*args):
+            scans.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(optimizer, "_scan_sign_changes", counted)
+        assert main(["optimize", str(CONFIG_DIR / "piecewise.json"), "--json"]) == 0
+        assert len(scans) == 1
 
 
 class TestSweep:
