@@ -285,6 +285,8 @@ class Uniform(_LinearDensity):
             raise ValueError("headway must be positive and finite")
         h = float(self.headway)
         self._tabulate([(0.0, h, 1.0 / h, 1.0 / h)])
+        if not math.isfinite(self._moment):
+            raise ValueError(f"headway {h} is too small: sums of the density 1/headway overflow")
 
     def sample(self, rng, size=None):
         # the draws of rng.uniform(0, headway, size), without its scaling loop
@@ -430,9 +432,13 @@ class PiecewiseLinearDensity(_LinearDensity):
         )
         if total <= 0.0:
             raise ValueError("knot densities integrate to zero; cannot normalize")
+        if total == math.inf:
+            raise ValueError("knot densities integrate to an overflowing mass; cannot normalize")
         self._ts = ts
         self._ys = [y / total for y in ys]
         self._tabulate(zip(ts, ts[1:], self._ys, self._ys[1:]))
+        if not math.isfinite(self._moment):
+            raise ValueError("normalized knot densities overflow: the knots hold too little mass")
 
     @functools.cached_property
     def _columns(self):

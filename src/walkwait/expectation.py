@@ -64,7 +64,7 @@ def t_delta(scenario: Scenario) -> float:
     return scenario.t_delta
 
 
-def _walk_and_wait_tt(scenario, model, t1, t_wait, p_catch, m1) -> float:
+def _walk_and_wait_tt(scenario, model, t1, t_wait, p_catch) -> float:
     """Expected time of walking until the head start over the bus has shrunk
     by t1 minutes (catching a passing bus with probability p_catch), then
     waiting up to t_wait.  With T = t1 + t_wait:
@@ -78,36 +78,20 @@ def _walk_and_wait_tt(scenario, model, t1, t_wait, p_catch, m1) -> float:
     end = t1 + t_wait
     if math.isfinite(end):
         _, _, F, R = model.at(end)
-        e = scenario.bus_time * F + m1(end) + R * (scenario.walk_time + t_wait)
+        e = scenario.bus_time * F + model.partial_mean(end) + R * (scenario.walk_time + t_wait)
     else:
         e = expected_tt_wait_forever(scenario, model)
     if t1 > 0.0:
-        e += (1.0 - p_catch) * (scenario.t_delta * model.at(t1)[2] - m1(t1))
+        e += (1.0 - p_catch) * (scenario.t_delta * model.at(t1)[2] - model.partial_mean(t1))
     return e
 
 
-def expected_tt(
-    scenario: Scenario,
-    model: ArrivalModel,
-    t_wait: float,
-    method: str = "auto",
-) -> float:
+def expected_tt(scenario: Scenario, model: ArrivalModel, t_wait: float) -> float:
     """Expected travel time (minutes) when waiting up to t_wait, then walking:
-    E(W) = bus F(W) + M1(W) + R(W) (walk + W).
-
-    method: "auto" takes M1 from the model's partial_mean; "closed" does the
-    same but raises when the model has no closed form of its own;
-    "quadrature" forces the base-class adaptive quadrature.
+    E(W) = bus F(W) + M1(W) + R(W) (walk + W), with M1 from the model's
+    partial_mean.
     """
-    t_wait = _check_time(t_wait, "wait time")
-    if method not in ("auto", "closed", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    m1 = model.partial_mean
-    if method == "quadrature":
-        m1 = lambda t: ArrivalModel.partial_mean(model, t)
-    elif method == "closed" and type(model).partial_mean is ArrivalModel.partial_mean:
-        raise ValueError(f"no closed form for {type(model).__name__}")
-    return _walk_and_wait_tt(scenario, model, 0.0, t_wait, 0.0, m1)
+    return _walk_and_wait_tt(scenario, model, 0.0, _check_time(t_wait, "wait time"), 0.0)
 
 
 def expected_tt_wait_forever(scenario: Scenario, model: ArrivalModel) -> float:

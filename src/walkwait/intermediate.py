@@ -75,9 +75,7 @@ def expected_tt_plan(
     and t1 + t_wait; with d1 = 0 it is expected_tt.
     """
     _check_plan(scenario, plan)
-    return _walk_and_wait_tt(
-        scenario, model, plan.t1(scenario), plan.t_wait, plan.p_catch, model.partial_mean
-    )
+    return _walk_and_wait_tt(scenario, model, plan.t1(scenario), plan.t_wait, plan.p_catch)
 
 
 def plan_gradient_tw(

@@ -3,12 +3,27 @@
 import numpy as np
 
 from walkwait import (
+    ArrivalModel,
     Exponential,
     LateBusMixture,
     PiecewiseLinearDensity,
     Scenario,
     Uniform,
 )
+
+
+# twins that opt into the base-class quadrature for M1: the reference that
+# each closed form is checked against
+class QuadUniform(Uniform):
+    partial_mean = ArrivalModel.partial_mean
+
+
+class QuadExponential(Exponential):
+    partial_mean = ArrivalModel.partial_mean
+
+
+class QuadLateBus(LateBusMixture):
+    partial_mean = ArrivalModel.partial_mean
 
 
 def random_scenario(rng: np.random.Generator) -> Scenario:

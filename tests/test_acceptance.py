@@ -31,7 +31,7 @@ from walkwait import (
 )
 from walkwait.quadrature import integrate_piecewise
 
-from _models import random_model, random_scenario, smooth_time
+from _models import QuadExponential, random_model, random_scenario, smooth_time
 
 S0 = Scenario(d=3.0, v_w=0.1, v_b=0.5)  # t_delta = 24 min
 
@@ -74,8 +74,9 @@ def test_criterion_1_uniform_three_cases():
 
 def test_criterion_2_exponential_flatness():
     model = Exponential(rate=1.0 / 24.0)
+    twin = QuadExponential(rate=1.0 / 24.0)  # M1 by quadrature
     deviations = [
-        abs(expected_tt(S0, model, w, method="quadrature") - 30.0)
+        abs(expected_tt(S0, twin, w) - 30.0)
         for w in np.linspace(0.0, 120.0, 1000)
     ]
     ok = max(deviations) < 1e-9

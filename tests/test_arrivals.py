@@ -18,7 +18,6 @@ from walkwait import (
     WaitForever,
     WaitThenWalk,
     estimate,
-    expected_tt,
     find_stationary_points,
     optimal_policy,
 )
@@ -364,6 +363,27 @@ class TestNonFiniteRejected:
         with pytest.raises(ValueError):
             build()
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            # 1/headway overflows, and at 1e-308 the table's sum 2/headway does
+            (lambda: Uniform(1e-310), "headway"),
+            (lambda: Uniform(1e-308), "headway"),
+            # the mass sum overflows
+            (lambda: PiecewiseLinearDensity([[0, 1e300], [1e10, 1e300]]), "knot densities"),
+            # a normalized density, or the table's sum of two, overflows
+            (lambda: PiecewiseLinearDensity([[0, 1], [1e-310, 1]]), "knot densities"),
+            (lambda: PiecewiseLinearDensity([[0, 1], [1e-308, 1]]), "knot densities"),
+        ],
+    )
+    def test_overflow_rejected_naming_the_field(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()
+
+    def test_smallest_spans_accepted(self):
+        for model in (Uniform(1.7e-308), PiecewiseLinearDensity([[0, 1], [1.7e-308, 1]])):
+            assert model.mean() == 8.5e-309 and model.cdf(1.7e-308) == 1.0
+
     def test_ints_and_numpy_floats_accepted(self):
         assert Uniform(30).cdf(15) == Uniform(np.float64(30.0)).cdf(15) == 0.5
         assert Exponential(np.float32(0.5)).mean() == 2.0
@@ -618,11 +638,6 @@ class TestSubclassContract:
             closed = (5.0 * t * t - t**3 / 3.0) / 50.0
             assert m.partial_mean(t) == pytest.approx(closed, abs=1e-10)
         assert m.partial_mean(10.0) == m.partial_mean(math.inf) == m.mean()
-        with pytest.raises(ValueError, match="no closed form"):
-            expected_tt(self.SCENARIO, m, 1.0, method="closed")
-        assert expected_tt(self.SCENARIO, m, 1.0) == expected_tt(
-            self.SCENARIO, m, 1.0, method="quadrature"
-        )
 
     def test_optimizer_and_simulator_agree(self):
         m, s = self.TRIANGLE, self.SCENARIO

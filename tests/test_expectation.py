@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from walkwait import (
+    ArrivalModel,
     Exponential,
     LateBusMixture,
     Scenario,
@@ -16,7 +17,14 @@ from walkwait import (
     t_delta,
 )
 
-from _models import random_model, random_scenario, smooth_time
+from _models import (
+    QuadExponential,
+    QuadLateBus,
+    QuadUniform,
+    random_model,
+    random_scenario,
+    smooth_time,
+)
 
 S0 = Scenario(d=3.0, v_w=0.1, v_b=0.5)
 
@@ -55,17 +63,19 @@ class TestExpectedTT:
         assert expected_tt(S0, Uniform(30.0), 6.0) == pytest.approx(30.6, abs=1e-12)
 
     def test_uniform_quadrature_agrees_with_closed(self):
-        model = Uniform(30.0)
+        model, twin = Uniform(30.0), QuadUniform(30.0)
+        assert type(model).partial_mean is not ArrivalModel.partial_mean
         for w in (0.0, 3.0, 6.0, 17.5, 29.0, 45.0):
-            closed = expected_tt(S0, model, w, method="closed")
-            quad = expected_tt(S0, model, w, method="quadrature")
+            closed = expected_tt(S0, model, w)
+            quad = expected_tt(S0, twin, w)
             assert quad == pytest.approx(closed, abs=1e-10)
 
     def test_exponential_quadrature_agrees_with_closed(self):
-        model = Exponential(1.0 / 17.0)
+        model, twin = Exponential(1.0 / 17.0), QuadExponential(1.0 / 17.0)
+        assert type(model).partial_mean is not ArrivalModel.partial_mean
         for w in (0.0, 2.0, 10.0, 40.0, 200.0):
-            closed = expected_tt(S0, model, w, method="closed")
-            quad = expected_tt(S0, model, w, method="quadrature")
+            closed = expected_tt(S0, model, w)
+            quad = expected_tt(S0, twin, w)
             assert quad == pytest.approx(closed, abs=1e-10)
 
     def test_exponential_flat_at_break_even_rate(self):
@@ -89,11 +99,6 @@ class TestExpectedTT:
     def test_negative_wait_rejected(self):
         with pytest.raises(ValueError):
             expected_tt(S0, Uniform(30.0), -1.0)
-
-    def test_closed_unavailable_for_piecewise(self):
-        model = random_model(np.random.default_rng(2), kinds=["piecewise"])
-        with pytest.raises(ValueError):
-            expected_tt(S0, model, 1.0, method="closed")
 
 
 class TestWaitForever:
@@ -197,17 +202,14 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             Scenario(*args)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            expected_tt(S0, Uniform(30.0), 1.0, method="simpson")
-
 
 class TestRoutes:
     def test_late_bus_closed_agrees_with_quadrature(self):
-        model = LateBusMixture(0.25, 4.0, 56.0)
+        model, twin = LateBusMixture(0.25, 4.0, 56.0), QuadLateBus(0.25, 4.0, 56.0)
+        assert type(model).partial_mean is not ArrivalModel.partial_mean
         for w in (0.0, 2.0, 4.0, 30.0, 57.0, 70.0):
-            closed = expected_tt(S0, model, w, method="closed")
-            quad = expected_tt(S0, model, w, method="quadrature")
+            closed = expected_tt(S0, model, w)
+            quad = expected_tt(S0, twin, w)
             assert quad == pytest.approx(closed, abs=1e-10)
 
     def test_exponential_tiny_rate_is_walking_after_the_wait(self):

@@ -175,10 +175,11 @@ class TestClosedFormSignChanges:
             scenario = random_scenario(rng)
             model = random_model(rng, kinds=["uniform", "late_bus"])
             exact = find_stationary_points(scenario, model)
-            for sp in find_stationary_points(scenario, piecewise_twin(model)):
+            twin = piecewise_twin(model)
+            for t, kind in _scan_sign_changes(twin, 1.0 / scenario.t_delta, scan_end(twin)):
                 assert any(
-                    e.kind == sp.kind and abs(e.t_wait - sp.t_wait) <= 1e-9 for e in exact
-                ), (scenario, model, sp, exact)
+                    e.kind == kind and abs(e.t_wait - t) <= 1e-9 for e in exact
+                ), (scenario, model, t, kind, exact)
 
     @pytest.mark.parametrize(
         "cls, args",
@@ -296,9 +297,13 @@ class TestGridScan:
         ],
     )
     def test_one_rate_call_per_grid_point_and_bisection_step(self, model, knots, calls):
-        counted = counting(PiecewiseLinearDensity)(knots)
-        assert find_stationary_points(S0, counted) == find_stationary_points(S0, model)
+        class ScannedPiecewise(PiecewiseLinearDensity):
+            sign_changes = ArrivalModel.sign_changes
+
+        counted = counting(ScannedPiecewise)(knots)
+        points = [(sp.t_wait, sp.kind) for sp in find_stationary_points(S0, counted)]
         assert type(counted).calls == calls
+        assert points == _scan_sign_changes(model, 1.0 / S0.t_delta, scan_end(model))
 
     def test_flat_marker_from_the_scan(self):
         class ScannedExponential(Exponential):
@@ -332,10 +337,12 @@ class TestTableJumpMinima:
             knots = jumpy_knots(rng, scenario.t_delta)
             model = PiecewiseLinearDensity(knots)
             table = _LinearDensity.sign_changes(model, scenario.t_delta, scan_end(model))
-            for sp in find_stationary_points(scenario, model):
+            for t_scan, kind_scan in _scan_sign_changes(
+                model, 1.0 / scenario.t_delta, scan_end(model)
+            ):
                 assert any(
-                    kind == sp.kind and abs(t - sp.t_wait) <= 1e-9 for t, kind in table
-                ), (knots, sp, table)
+                    kind == kind_scan and abs(t - t_scan) <= 1e-9 for t, kind in table
+                ), (knots, t_scan, kind_scan, table)
             minima = [t for t, kind in table if kind == "minimum"]
             best = min(
                 piecewise_tt(scenario, knots, np.array([0.0, *minima])).min(),

@@ -50,7 +50,9 @@ class TestRightEndIsTheLeftLimit:
 
 
 class CountingLookup(PiecewiseLinearDensity):
-    """The piecewise model, counting its lookups."""
+    """The piecewise model on the quadrature fallback, counting its lookups."""
+
+    partial_mean = ArrivalModel.partial_mean
 
     def __init__(self, knots):
         super().__init__(knots)
