@@ -18,6 +18,7 @@ from .expectation import (
     GradientPair,
     Scenario,
     expected_tt,
+    expected_tt_curve,
     expected_tt_gradient,
     expected_tt_wait_forever,
     t_delta,
@@ -26,10 +27,12 @@ from .intermediate import (
     WalkAndWaitPlan,
     expected_tt_plan,
     expected_tt_walk_vigilant,
+    plan_curve_d1,
     plan_gradient_d1,
     plan_gradient_tw,
     prob_miss,
     uniform_pc_threshold,
+    vigilant_curve,
     walk_vs_wait_advantage,
 )
 from .mcsim import (
@@ -75,6 +78,7 @@ __all__ = [
     "compare_wait_walk",
     "estimate",
     "expected_tt",
+    "expected_tt_curve",
     "expected_tt_gradient",
     "expected_tt_plan",
     "expected_tt_wait_forever",
@@ -82,12 +86,14 @@ __all__ = [
     "find_stationary_points",
     "model_from_config",
     "optimal_policy",
+    "plan_curve_d1",
     "plan_gradient_d1",
     "plan_gradient_tw",
     "prob_miss",
     "simulate_once",
     "t_delta",
     "uniform_pc_threshold",
+    "vigilant_curve",
     "walk_vs_wait_advantage",
 ]
 

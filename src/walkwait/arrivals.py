@@ -168,9 +168,12 @@ class _LinearDensity(ArrivalModel):
     ``_tabulate``: a row (t0, t1, y0, y1, F(t0), width, slope, M1(t0)) per
     piece of positive width, which every other member reads."""
 
-    def _tabulate(self, segments) -> None:
+    def _tabulate(self, segments, overflow: str) -> None:
         """Build the table from (t0, t1, y0, y1) segments that tile the
-        support in order; segments of zero width (jumps) add no row."""
+        support in order; segments of zero width (jumps) add no row.
+
+        Raises ValueError(overflow) when the mean or a piece's slope is not
+        finite: the parameters are too narrow for the table's sums."""
         pieces = []
         cum = moment = 0.0
         for t0, t1, y0, y1 in segments:
@@ -183,6 +186,8 @@ class _LinearDensity(ArrivalModel):
                 # lose no precision; width^2 is never formed, so it cannot
                 # overflow where the moment does not
                 moment += width * (t0 * 0.5 * (y0 + y1) + width * (y0 + 2.0 * y1) / 6.0)
+        if not (math.isfinite(moment) and all(math.isfinite(piece[6]) for piece in pieces)):
+            raise ValueError(overflow)
         # object.__setattr__ also sets them on frozen dataclasses
         object.__setattr__(self, "_pieces", pieces)
         object.__setattr__(self, "_starts", [piece[0] for piece in pieces])
@@ -284,9 +289,10 @@ class Uniform(_LinearDensity):
         if not 0.0 < _number(self.headway, "headway") < math.inf:
             raise ValueError("headway must be positive and finite")
         h = float(self.headway)
-        self._tabulate([(0.0, h, 1.0 / h, 1.0 / h)])
-        if not math.isfinite(self._moment):
-            raise ValueError(f"headway {h} is too small: sums of the density 1/headway overflow")
+        self._tabulate(
+            [(0.0, h, 1.0 / h, 1.0 / h)],
+            f"headway {h} is too small: sums of the density 1/headway overflow",
+        )
 
     def sample(self, rng, size=None):
         # the draws of rng.uniform(0, headway, size), without its scaling loop
@@ -382,7 +388,10 @@ class LateBusMixture(_LinearDensity):
         w, L, H = map(float, (self.still_coming_prob, self.late_window, offset))
         tail = (1.0 - w) / L
         # the triangular head, the gap, the uniform tail
-        self._tabulate([(0.0, L, 2.0 * w / L, 0.0), (L, H, 0.0, 0.0), (H, H + L, tail, tail)])
+        self._tabulate(
+            [(0.0, L, 2.0 * w / L, 0.0), (L, H, 0.0, 0.0), (H, H + L, tail, tail)],
+            f"late_window {L} is too small: the slope of the density's head overflows",
+        )
 
     def sample(self, rng, size=None):
         w, L, H = self.still_coming_prob, self.late_window, self.next_headway_offset
@@ -436,9 +445,10 @@ class PiecewiseLinearDensity(_LinearDensity):
             raise ValueError("knot densities integrate to an overflowing mass; cannot normalize")
         self._ts = ts
         self._ys = [y / total for y in ys]
-        self._tabulate(zip(ts, ts[1:], self._ys, self._ys[1:]))
-        if not math.isfinite(self._moment):
-            raise ValueError("normalized knot densities overflow: the knots hold too little mass")
+        self._tabulate(
+            zip(ts, ts[1:], self._ys, self._ys[1:]),
+            "normalized knot densities or their slopes overflow: the knots hold too little mass",
+        )
 
     @functools.cached_property
     def _columns(self):

@@ -13,14 +13,8 @@ import math
 import sys
 
 from .arrivals import ArrivalModel, model_from_config
-from .expectation import Scenario, expected_tt, expected_tt_gradient, expected_tt_wait_forever
-from .intermediate import (
-    WalkAndWaitPlan,
-    _p_catch,
-    _vigilant_saving,
-    expected_tt_plan,
-    plan_gradient_d1,
-)
+from .expectation import Scenario, expected_tt_curve, expected_tt_wait_forever
+from .intermediate import WalkAndWaitPlan, plan_curve_d1, vigilant_curve
 from .mcsim import (
     WaitForever,
     WaitThenWalk,
@@ -178,32 +172,13 @@ def cmd_sweep(args) -> int:
     xs = [args.start + span * i / (args.steps - 1) for i in range(args.steps)]
     if args.var == "tw":
         header = "x,expected_tt,derivative"
-        rows = [
-            (x, expected_tt(scenario, model, x), expected_tt_gradient(scenario, model, x).first)
-            for x in xs
-        ]
+        rows = expected_tt_curve(scenario, model, xs)
     elif args.var == "d1":
         header = "x,expected_tt,derivative"
-        rows = []
-        for x in xs:
-            plan = WalkAndWaitPlan(d1=x, t_wait=args.tw, p_catch=p_catch)
-            rows.append(
-                (
-                    x,
-                    expected_tt_plan(scenario, model, plan),
-                    plan_gradient_d1(scenario, model, plan),
-                )
-            )
+        rows = plan_curve_d1(scenario, model, xs, args.tw, p_catch)
     elif args.var == "pc":
         header = "x,expected_tt,advantage"
-        # the rows of expected_tt_walk_vigilant and walk_vs_wait_advantage,
-        # with the saving per unit of p_catch found once
-        saving = _vigilant_saving(scenario, model)
-        advantage = model.mean() - scenario.t_delta
-        rows = []
-        for x in xs:
-            s = _p_catch(x) * saving
-            rows.append((x, scenario.walk_time - s, advantage + s))
+        rows = vigilant_curve(scenario, model, xs)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError("var", f"unknown sweep variable {args.var!r}")
     # one format per row; % and format() share the float formatter

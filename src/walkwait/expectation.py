@@ -64,7 +64,7 @@ def t_delta(scenario: Scenario) -> float:
     return scenario.t_delta
 
 
-def _walk_and_wait_tt(scenario, model, t1, t_wait, p_catch) -> float:
+def _walk_and_wait(scenario, model, t1, t_wait, p_catch) -> tuple:
     """Expected time of walking until the head start over the bus has shrunk
     by t1 minutes (catching a passing bus with probability p_catch), then
     waiting up to t_wait.  With T = t1 + t_wait:
@@ -72,18 +72,28 @@ def _walk_and_wait_tt(scenario, model, t1, t_wait, p_catch) -> float:
         bus F(T) + M1(T) + R(T) (walk + t_wait)
             + (1 - p_catch) (t_delta F(t1) - M1(t1)).
 
-    Waiting at the origin is t1 = 0, where the last term is exactly +0.0
-    and is skipped.
+    Returns (E, p(T), R(T), p(t1)): E with the density and survival it
+    looked up, so a caller can form a derivative without a second lookup.
+    Each distinct time is read once, by one ``at`` and one ``partial_mean``.
+    Waiting at the origin is t1 = 0, where the last term is exactly +0.0 and
+    is skipped, and p(t1) is None unless T is 0 too.  An infinite T waits
+    forever: E reads the mean, and p(T) = R(T) = 0.
     """
     end = t1 + t_wait
     if math.isfinite(end):
-        _, _, F, R = model.at(end)
-        e = scenario.bus_time * F + model.partial_mean(end) + R * (scenario.walk_time + t_wait)
+        p, _, F, R = model.at(end)
+        m = model.partial_mean(end)
+        e = scenario.bus_time * F + m + R * (scenario.walk_time + t_wait)
     else:
+        p = R = 0.0
         e = expected_tt_wait_forever(scenario, model)
+    p1 = p if end == t1 else None  # with no wait, T is t1
     if t1 > 0.0:
-        e += (1.0 - p_catch) * (scenario.t_delta * model.at(t1)[2] - model.partial_mean(t1))
-    return e
+        if p1 is None:
+            p1, _, F, _ = model.at(t1)
+            m = model.partial_mean(t1)
+        e += (1.0 - p_catch) * (scenario.t_delta * F - m)
+    return e, p, R, p1
 
 
 def expected_tt(scenario: Scenario, model: ArrivalModel, t_wait: float) -> float:
@@ -91,7 +101,26 @@ def expected_tt(scenario: Scenario, model: ArrivalModel, t_wait: float) -> float
     E(W) = bus F(W) + M1(W) + R(W) (walk + W), with M1 from the model's
     partial_mean.
     """
-    return _walk_and_wait_tt(scenario, model, 0.0, _check_time(t_wait, "wait time"), 0.0)
+    return _walk_and_wait(scenario, model, 0.0, _check_time(t_wait, "wait time"), 0.0)[0]
+
+
+def expected_tt_curve(scenario: Scenario, model: ArrivalModel, waits) -> list[tuple]:
+    """Rows (W, E(W), E'(W)) for each wait W of a nondecreasing sequence:
+    the values of expected_tt and expected_tt_gradient(...).first, bit for
+    bit, with E' = R(W) - t_delta p(W) formed from the lookups of E, so each
+    row reads its wait once.
+
+    The first wait is checked as expected_tt checks it, which checks them
+    all; the model's lookups reject any later one that is NaN or negative.
+    """
+    if waits:
+        _check_time(waits[0], "wait time")
+    td = scenario.t_delta
+    rows = []
+    for w in waits:
+        e, p, R, _ = _walk_and_wait(scenario, model, 0.0, w, 0.0)
+        rows.append((w, e, R - td * p))
+    return rows
 
 
 def expected_tt_wait_forever(scenario: Scenario, model: ArrivalModel) -> float:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .arrivals import ArrivalModel, _check_time, _number
-from .expectation import GradientPair, Scenario, _wait_gradient, _walk_and_wait_tt
+from .expectation import GradientPair, Scenario, _wait_gradient, _walk_and_wait
 
 
 def _p_catch(value) -> float:
@@ -75,7 +75,7 @@ def expected_tt_plan(
     and t1 + t_wait; with d1 = 0 it is expected_tt.
     """
     _check_plan(scenario, plan)
-    return _walk_and_wait_tt(scenario, model, plan.t1(scenario), plan.t_wait, plan.p_catch)
+    return _walk_and_wait(scenario, model, plan.t1(scenario), plan.t_wait, plan.p_catch)[0]
 
 
 def plan_gradient_tw(
@@ -103,6 +103,36 @@ def plan_gradient_d1(
         * (scenario.d - plan.d1)
         * ((1.0 - plan.p_catch) * model.density(t1) - model.density(t1 + plan.t_wait))
     )
+
+
+def plan_curve_d1(
+    scenario: Scenario, model: ArrivalModel, d1s, t_wait: float, p_catch: float
+) -> list[tuple]:
+    """Rows (d1, E, dE/dd1) of the plans (d1, t_wait, p_catch) for each d1 of
+    a nondecreasing sequence: the values of expected_tt_plan and
+    plan_gradient_d1, bit for bit, with
+
+        dE/dd1 = q^2 (d - d1) ((1 - p_catch) p(t1) - p(T))
+
+    formed from the lookups of E, so each row reads t1 and T = t1 + t_wait
+    once.
+
+    The plans of the first and the last d1 are checked, which checks every
+    row's, with the message of its first failing check.
+    """
+    if not d1s:
+        return []
+    WalkAndWaitPlan(d1s[0], t_wait, p_catch)
+    _check_plan(scenario, WalkAndWaitPlan(d1s[-1], t_wait, p_catch))
+    q = scenario.q
+    rows = []
+    for d1 in d1s:
+        t1 = d1 * q
+        e, p, _, p1 = _walk_and_wait(scenario, model, t1, t_wait, p_catch)
+        if p1 is None:  # t1 = 0 < T, where E reads nothing at t1
+            p1 = model.density(t1)
+        rows.append((d1, e, q * q * (scenario.d - d1) * ((1.0 - p_catch) * p1 - p)))
+    return rows
 
 
 def _vigilant_saving(scenario: Scenario, model: ArrivalModel) -> float:
@@ -135,6 +165,20 @@ def walk_vs_wait_advantage(
     """
     saving = _p_catch(p_catch) * _vigilant_saving(scenario, model)
     return model.mean() - scenario.t_delta + saving
+
+
+def vigilant_curve(scenario: Scenario, model: ArrivalModel, p_catches) -> list[tuple]:
+    """Rows (p_catch, expected_tt_walk_vigilant, walk_vs_wait_advantage) for
+    each catch probability, bit for bit, with the saving per unit of p_catch
+    found once."""
+    saving = _vigilant_saving(scenario, model)
+    walk = scenario.walk_time
+    advantage = model.mean() - scenario.t_delta
+    rows = []
+    for p in p_catches:
+        s = _p_catch(p) * saving
+        rows.append((p, walk - s, advantage + s))
+    return rows
 
 
 def uniform_pc_threshold(headway_ratio: float) -> float | None:

@@ -26,6 +26,25 @@ class QuadLateBus(LateBusMixture):
     partial_mean = ArrivalModel.partial_mean
 
 
+class CountingUniform(Uniform):
+    """Uniform that counts its lookups on the class: the frozen instance's
+    __dict__ is left alone."""
+
+    lookups = 0
+
+    def _at(self, t):
+        CountingUniform.lookups += 1
+        return super()._at(t)
+
+
+class CountingLateBus(LateBusMixture):
+    lookups = 0
+
+    def _at(self, t):
+        CountingLateBus.lookups += 1
+        return super()._at(t)
+
+
 def random_scenario(rng: np.random.Generator) -> Scenario:
     d = rng.uniform(0.5, 5.0)
     v_w = rng.uniform(0.05, 0.12)

@@ -374,6 +374,10 @@ class TestNonFiniteRejected:
             # a normalized density, or the table's sum of two, overflows
             (lambda: PiecewiseLinearDensity([[0, 1], [1e-310, 1]]), "knot densities"),
             (lambda: PiecewiseLinearDensity([[0, 1], [1e-308, 1]]), "knot densities"),
+            # a table slope overflows: the triangular head's -2w/L^2, and the
+            # sides of a narrow normalized peak
+            (lambda: LateBusMixture(0.5, 1e-300, 2e-300), "late_window"),
+            (lambda: PiecewiseLinearDensity([[0, 0], [1e-300, 1], [2e-300, 0]]), "knot densities"),
         ],
     )
     def test_overflow_rejected_naming_the_field(self, build, field):

@@ -5,17 +5,26 @@ import math
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from walkwait import (
     PiecewiseLinearDensity,
     Scenario,
     Uniform,
+    WalkAndWaitPlan,
+    expected_tt,
+    expected_tt_gradient,
+    expected_tt_plan,
     expected_tt_walk_vigilant,
+    model_from_config,
+    plan_gradient_d1,
     walk_vs_wait_advantage,
 )
 from walkwait import cli, optimizer
 from walkwait.cli import ANALYZE_SCHEMA, build_parser, main
+
+from _models import CountingLateBus, CountingUniform, jumpy_knots
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -336,6 +345,17 @@ class TestConfigValidation:
             ),
             ({"kind": "piecewise", "knots": [[0, 1], [math.nan, 1], [5, 1]]}, "knot"),
             ({"kind": "piecewise", "knots": [[0, 1], [5, True]]}, "knot"),
+            # the table's slope overflows
+            (
+                {
+                    "kind": "late_bus_mixture",
+                    "still_coming_prob": 0.5,
+                    "late_window": 1e-300,
+                    "next_headway_offset": 2e-300,
+                },
+                "late_window",
+            ),
+            ({"kind": "piecewise", "knots": [[0, 0], [1e-300, 1], [2e-300, 0]]}, "knot densities"),
         ],
     )
     def test_model_parameter_rejected(self, config, capsys, model, field):
@@ -410,3 +430,111 @@ class TestPCSweepSavingFoundOnce:
         ]
         assert main(argv) == 2
         assert "p_catch" in capsys.readouterr().err
+
+
+S_CONFIG = Scenario(d=3.0, v_w=0.1, v_b=0.5)  # the scenario of the config fixture
+_rng = np.random.default_rng(13)
+MODEL_SPECS = [
+    {"kind": "uniform", "headway": 30},
+    {"kind": "exponential", "rate": 0.05},
+    {"kind": "late_bus_mixture", "still_coming_prob": 0.25, "late_window": 4, "next_headway_offset": 56},
+    json.loads((CONFIG_DIR / "piecewise.json").read_text())["model"],
+] + [
+    {"kind": "piecewise", "knots": [[float(t), float(y)] for t, y in jumpy_knots(_rng, 24.0)]}
+    for _ in range(20)
+]
+
+
+def sweep_xs(start, stop, steps):
+    return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
+
+
+class TestSweepRowsAreTheLibrarysRows:
+    """Each tw or d1 row is the row of the library's functions, bit for bit
+    up to the CSV format."""
+
+    @pytest.mark.parametrize("spec", MODEL_SPECS)
+    def test_tw_rows(self, config, tmp_path, spec):
+        out = tmp_path / "tw.csv"
+        argv = ["sweep", config(spec), "--var", "tw", "--from", "0", "--to", "40",
+                "--steps", "61", "--out", str(out)]
+        assert main(argv) == 0
+        model = model_from_config(spec)
+        rows = [
+            "%.12g,%.12g,%.12g" % (
+                x,
+                expected_tt(S_CONFIG, model, x),
+                expected_tt_gradient(S_CONFIG, model, x).first,
+            )
+            for x in sweep_xs(0.0, 40.0, 61)
+        ]
+        assert out.read_text() == "\n".join(["x,expected_tt,derivative"] + rows) + "\n"
+
+    @pytest.mark.parametrize("tw", ["2.5", "0", "inf"])
+    @pytest.mark.parametrize("spec", MODEL_SPECS)
+    def test_d1_rows(self, config, tmp_path, spec, tw):
+        out = tmp_path / "d1.csv"
+        # from the origin (x = 0) to the destination (d1 = d = 3 km)
+        argv = ["sweep", config(spec, p_catch=0.3), "--var", "d1", "--from", "0", "--to", "3",
+                "--steps", "21", "--tw", tw, "--out", str(out)]
+        assert main(argv) == 0
+        model = model_from_config(spec)
+        rows = []
+        for x in sweep_xs(0.0, 3.0, 21):
+            plan = WalkAndWaitPlan(d1=x, t_wait=float(tw), p_catch=0.3)
+            rows.append("%.12g,%.12g,%.12g" % (
+                x,
+                expected_tt_plan(S_CONFIG, model, plan),
+                plan_gradient_d1(S_CONFIG, model, plan),
+            ))
+        assert out.read_text() == "\n".join(["x,expected_tt,derivative"] + rows) + "\n"
+
+
+class TestSweepLooksUpEachTimeOnce:
+    @pytest.fixture(params=[lambda: CountingUniform(30.0), lambda: CountingLateBus(0.25, 4.0, 56.0)])
+    def counted(self, request, monkeypatch):
+        model = request.param()
+        monkeypatch.setattr(cli, "model_from_config", lambda spec: model)
+        type(model).lookups = 0
+        return type(model)
+
+    def test_tw_row_reads_its_wait_once(self, config, tmp_path, counted):
+        argv = ["sweep", config({}), "--var", "tw", "--from", "0", "--to", "40",
+                "--steps", "61", "--out", str(tmp_path / "tw.csv")]
+        assert main(argv) == 0
+        assert counted.lookups == 61
+
+    # t1 and T = t1 + t_wait, which are one time with no wait; waiting
+    # forever reads the mean, and p(T) = 0, at T = inf
+    @pytest.mark.parametrize("tw, per_row", [("4", 2), ("0", 1), ("inf", 1)])
+    def test_d1_row_reads_t1_and_its_end_once(self, config, tmp_path, counted, tw, per_row):
+        argv = ["sweep", config({}, p_catch=0.3), "--var", "d1", "--from", "0", "--to", "3",
+                "--steps", "21", "--tw", tw, "--out", str(tmp_path / "d1.csv")]
+        assert main(argv) == 0
+        assert counted.lookups == per_row * 21
+
+
+class TestSweepErrors:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--var", "tw", "--from", "-1", "--to", "5"], "wait time must be nonnegative, got -1.0"),
+            (["--var", "d1", "--from", "-0.5", "--to", "2"], "d1 must be nonnegative and finite"),
+            (["--var", "d1", "--from", "0", "--to", "9"], "d1 cannot exceed the journey distance"),
+            (["--var", "d1", "--from", "0", "--to", "2", "--tw", "-1"],
+             "t_wait must be nonnegative, got -1.0"),
+            (["--var", "d1", "--from", "0", "--to", "2", "--tw", "nan"],
+             "t_wait must be nonnegative, got nan"),
+            # a row checks its d1 before its wait, and its wait before the distance
+            (["--var", "d1", "--from", "-0.5", "--to", "2", "--tw", "-1"],
+             "d1 must be nonnegative and finite"),
+            (["--var", "d1", "--from", "0", "--to", "9", "--tw", "-1"],
+             "t_wait must be nonnegative, got -1.0"),
+        ],
+    )
+    def test_exit_2_with_the_row_message_and_no_csv(self, tmp_path, capsys, args, message):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", str(CONFIG_DIR / "uniform30.json"), *args, "--steps", "5", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()

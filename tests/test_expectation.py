@@ -18,6 +18,8 @@ from walkwait import (
 )
 
 from _models import (
+    CountingLateBus,
+    CountingUniform,
     QuadExponential,
     QuadLateBus,
     QuadUniform,
@@ -218,25 +220,6 @@ class TestRoutes:
         model = Exponential(rate=1e-300)
         for w in (1.0, 12.0, 1000.0):
             assert expected_tt(S0, model, w) == S0.walk_time + w
-
-
-class CountingUniform(Uniform):
-    """Uniform that counts its lookups on the class: the frozen instance's
-    __dict__ is left alone."""
-
-    lookups = 0
-
-    def _at(self, t):
-        CountingUniform.lookups += 1
-        return super()._at(t)
-
-
-class CountingLateBus(LateBusMixture):
-    lookups = 0
-
-    def _at(self, t):
-        CountingLateBus.lookups += 1
-        return super()._at(t)
 
 
 class TestOneLookupPerTime:
