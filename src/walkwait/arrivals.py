@@ -7,11 +7,11 @@ lambda(t) = p(t)/R(t) together with its slope, the mean arrival time, and
 seeded sampling for the simulator.  Every expected travel time in the
 package is linear in F and M1.  Time is measured in minutes throughout.
 
-Each model states p, p' and F once, in ``_at``; the base class derives the
-rest, and ``at`` hands the expectation layer all of p, p', F and R from one
-lookup.  ``Uniform``, ``LateBusMixture`` and ``PiecewiseLinearDensity`` are
-linear on each of a few pieces and list them once; ``_LinearDensity`` builds
-one table from them, which gives ``_at``, the appearance rate from one row,
+Each model states p, p', F and R once, in ``_at``; the base class derives
+the rest, and ``at`` hands the expectation layer all four from one lookup.
+``Uniform``, ``LateBusMixture`` and ``PiecewiseLinearDensity`` are linear on
+each of a few pieces and list them once; ``_LinearDensity`` builds one table
+from them, which gives ``_at``, the appearance rate from one row,
 the mean, the breakpoints and, in closed form, M1 and the roots of E' (the
 piecewise model still integrates M1 and scans for the roots).
 """
@@ -22,6 +22,7 @@ import bisect
 import functools
 import math
 import numbers
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -68,9 +69,9 @@ class ArrivalModel(ABC):
         """Upper end of the support (math.inf for unbounded models)."""
 
     @abstractmethod
-    def _at(self, t: float) -> tuple[float, float, float]:
-        """(p(t), p'(t), F(t)) at a checked time t >= 0; p and p' are zero
-        outside the support and right-continuous at kinks."""
+    def _at(self, t: float) -> tuple[float, float, float, float]:
+        """(p(t), p'(t), F(t), R(t)) at a checked time t >= 0; p and p' are
+        zero outside the support and right-continuous at kinks."""
 
     @abstractmethod
     def mean(self) -> float:
@@ -105,13 +106,9 @@ class ArrivalModel(ABC):
         return ()
 
     def at(self, t: float) -> tuple[float, float, float, float]:
-        """(p(t), p'(t), F(t), R(t)) from one lookup; R is ``survival(t)``
-        bit for bit. Raises on NaN and negative t.
-
-        A subclass that overrides ``survival`` overrides this too.
-        """
-        p, slope, F = self._at(_check_time(t))
-        return p, slope, F, 1.0 - F
+        """(p(t), p'(t), F(t), R(t)) from one lookup. Raises on NaN and
+        negative t."""
+        return self._at(_check_time(t))
 
     def density(self, t: float) -> float:
         """p(t); zero outside the support. Raises on negative t."""
@@ -126,12 +123,11 @@ class ArrivalModel(ABC):
         return self._at(_check_time(t))[2]
 
     def survival(self, t: float) -> float:
-        return 1.0 - self._at(_check_time(t))[2]
+        return self._at(_check_time(t))[3]
 
     def appearance_rate(self, t: float) -> float:
         t = _check_time(t)
-        p, _, F = self._at(t)
-        r = 1.0 - F
+        p, _, _, r = self._at(t)
         if r <= 0.0:
             raise UndefinedRateError(f"survival is zero at t={t}")
         return p / r
@@ -155,9 +151,6 @@ class ArrivalModel(ABC):
         """
         return None
 
-    def is_kink(self, t: float, tol: float = 1e-9) -> bool:
-        return any(abs(t - k) <= tol for k in self.breakpoints())
-
     def quad_bound(self) -> float:
         """Finite time beyond which remaining mass is negligible."""
         return self.support_end
@@ -168,12 +161,15 @@ class _LinearDensity(ArrivalModel):
     ``_tabulate``: a row (t0, t1, y0, y1, F(t0), width, slope, M1(t0)) per
     piece of positive width, which every other member reads."""
 
-    def _tabulate(self, segments, overflow: str) -> None:
+    def _tabulate(self, segments, range_error: str, mass_error: str) -> None:
         """Build the table from (t0, t1, y0, y1) segments that tile the
         support in order; segments of zero width (jumps) add no row.
 
-        Raises ValueError(overflow) when the mean or a piece's slope is not
-        finite: the parameters are too narrow for the table's sums."""
+        Raises ValueError(range_error) when the mean or a piece's slope is
+        not finite, or when a density or a piece's change in density falls
+        below the normal floats, where it loses its relative precision; and
+        ValueError(mass_error) when the total mass is off by more than
+        rounding explains."""
         pieces = []
         cum = moment = 0.0
         for t0, t1, y0, y1 in segments:
@@ -186,8 +182,27 @@ class _LinearDensity(ArrivalModel):
                 # lose no precision; width^2 is never formed, so it cannot
                 # overflow where the moment does not
                 moment += width * (t0 * 0.5 * (y0 + y1) + width * (y0 + 2.0 * y1) / 6.0)
-        if not (math.isfinite(moment) and all(math.isfinite(piece[6]) for piece in pieces)):
-            raise ValueError(overflow)
+        tiny = sys.float_info.min
+        if not (
+            math.isfinite(moment)
+            and all(
+                math.isfinite(s)
+                and (y0 == y1 or abs(s) >= tiny)
+                and (y0 == 0.0 or y0 >= tiny)
+                and (y1 == 0.0 or y1 >= tiny)
+                for _, _, y0, y1, _, _, s, _ in pieces
+            )
+        ):
+            raise ValueError(range_error)
+        # Rounding moves the mass off one by a few ulps per piece, in the sums
+        # here and in normalizing knot densities, and by (1 - w) |fl(H + L) -
+        # (H + L)| / L where LateBusMixture's tail end H + L rounds: up to
+        # about 17 ulps at the ratios H / L <= 31 of the benchmark's models.
+        # 1e-13 (450 ulps) plus 4 ulps a piece covers both, for H / L up to
+        # about 900 / (1 - w), and rejects a tail that rounding drops or
+        # widens by more than that.
+        if not abs(cum - 1.0) <= 1e-13 + 4.0 * len(pieces) * sys.float_info.epsilon:
+            raise ValueError(f"{mass_error} (the table's mass is {cum!r})")
         # object.__setattr__ also sets them on frozen dataclasses
         object.__setattr__(self, "_pieces", pieces)
         object.__setattr__(self, "_starts", [piece[0] for piece in pieces])
@@ -202,12 +217,13 @@ class _LinearDensity(ArrivalModel):
         # the pieces tile [first start, support end) with no gap
         i = bisect.bisect_right(self._starts, t) - 1
         if i < 0:
-            return 0.0, 0.0, 0.0
+            return 0.0, 0.0, 0.0, 1.0
         t0, t1, y0, y1, cum, width, slope, _ = self._pieces[i]
         if t >= t1:
-            return 0.0, 0.0, 1.0
+            return 0.0, 0.0, 1.0, 0.0
         x = t - t0
-        return y0 + (y1 - y0) * x / width, slope, cum + y0 * x + 0.5 * slope * x * x
+        F = cum + y0 * x + 0.5 * slope * x * x
+        return y0 + (y1 - y0) * x / width, slope, F, 1.0 - F
 
     def appearance_rate(self, t):
         # p / R from one row, with the expressions of _at and without its
@@ -289,10 +305,8 @@ class Uniform(_LinearDensity):
         if not 0.0 < _number(self.headway, "headway") < math.inf:
             raise ValueError("headway must be positive and finite")
         h = float(self.headway)
-        self._tabulate(
-            [(0.0, h, 1.0 / h, 1.0 / h)],
-            f"headway {h} is too small: sums of the density 1/headway overflow",
-        )
+        error = f"headway {h} is out of range: 1/headway or its sums leave the normal floats"
+        self._tabulate([(0.0, h, 1.0 / h, 1.0 / h)], error, error)
 
     def sample(self, rng, size=None):
         # the draws of rng.uniform(0, headway, size), without its scaling loop
@@ -314,20 +328,10 @@ class Exponential(ArrivalModel):
         return math.inf
 
     def _at(self, t):
-        r = self.rate
-        e = math.exp(-r * t)
-        return r * e, -r * r * e, -math.expm1(-r * t)
-
-    def at(self, t):
-        # R is the exact e^-rt, as in survival, not 1 - F
-        t = _check_time(t)
+        # R is the exact e^-rt, not 1 - F
         r = self.rate
         e = math.exp(-r * t)
         return r * e, -r * r * e, -math.expm1(-r * t), e
-
-    def survival(self, t):
-        t = _check_time(t)
-        return math.exp(-self.rate * t)
 
     def appearance_rate(self, t):
         _check_time(t)
@@ -386,11 +390,20 @@ class LateBusMixture(_LinearDensity):
         if not self.late_window < offset < math.inf:
             raise ValueError("next_headway_offset must be finite and exceed late_window")
         w, L, H = map(float, (self.still_coming_prob, self.late_window, offset))
-        tail = (1.0 - w) / L
+        head, tail = 2.0 * w / L, (1.0 - w) / L
+        error = (
+            f"late_window {L} is out of range for still_coming_prob {w}: the density of the"
+            " head or the tail, or the head's slope, overflows or underflows"
+        )
+        # a density that underflows to zero would drop its weight from the table
+        if head == 0.0 < w or tail == 0.0 < 1.0 - w:
+            raise ValueError(error)
         # the triangular head, the gap, the uniform tail
         self._tabulate(
-            [(0.0, L, 2.0 * w / L, 0.0), (L, H, 0.0, 0.0), (H, H + L, tail, tail)],
-            f"late_window {L} is too small: the slope of the density's head overflows",
+            [(0.0, L, head, 0.0), (L, H, 0.0, 0.0), (H, H + L, tail, tail)],
+            error,
+            f"next_headway_offset {H} is too large for late_window {L}: their sum rounds"
+            f" to {H + L}, which moves the mass of the uniform tail",
         )
 
     def sample(self, rng, size=None):
@@ -445,9 +458,16 @@ class PiecewiseLinearDensity(_LinearDensity):
             raise ValueError("knot densities integrate to an overflowing mass; cannot normalize")
         self._ts = ts
         self._ys = [y / total for y in ys]
+        error = (
+            "normalized knot densities or their slopes overflow or underflow: the knots"
+            " hold too little or too much mass for their densities and spacing"
+        )
+        if any(n == 0.0 < y for y, n in zip(ys, self._ys)):
+            raise ValueError(error)
         self._tabulate(
             zip(ts, ts[1:], self._ys, self._ys[1:]),
-            "normalized knot densities or their slopes overflow: the knots hold too little mass",
+            error,
+            "knot densities do not normalize to a mass of one",
         )
 
     @functools.cached_property
@@ -520,21 +540,33 @@ class PiecewiseLinearDensity(_LinearDensity):
         return f"PiecewiseLinearDensity({list(zip(self._ts, self._ys))})"
 
 
+# each config kind: its class and the fields passed to it by name
+MODEL_KINDS = {
+    "uniform": (Uniform, ("headway",)),
+    "exponential": (Exponential, ("rate",)),
+    "late_bus_mixture": (
+        LateBusMixture,
+        ("still_coming_prob", "late_window", "next_headway_offset"),
+    ),
+    "piecewise": (PiecewiseLinearDensity, ("knots",)),
+}
+
+
 def model_from_config(config: dict) -> ArrivalModel:
-    """Build a model from a dict with a `kind` discriminator.
+    """Build a model from a dict with a `kind` discriminator and that kind's
+    fields; an unknown field is rejected, naming it.
 
     The model constructors reject booleans, strings and non-finite values.
     """
     if not isinstance(config, dict):
         raise ValueError("model config must be an object")
     kind = config.get("kind")
-    if kind == "uniform":
-        return Uniform(headway=config["headway"])
-    if kind == "exponential":
-        return Exponential(rate=config["rate"])
-    if kind == "late_bus_mixture":
-        fields = ("still_coming_prob", "late_window", "next_headway_offset")
-        return LateBusMixture(**{f: config[f] for f in fields})
-    if kind == "piecewise":
-        return PiecewiseLinearDensity(config["knots"])
-    raise ValueError(f"unknown model kind: {kind!r}")
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind: {kind!r}")
+    cls, fields = MODEL_KINDS[kind]
+    unknown = sorted(set(config) - {"kind", *fields})
+    if unknown:
+        raise ValueError(
+            f"unknown {kind} field {', '.join(unknown)}; it takes only {', '.join(fields)}"
+        )
+    return cls(**{f: config[f] for f in fields})

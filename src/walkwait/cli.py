@@ -48,6 +48,9 @@ ANALYZE_SCHEMA = {
 }
 
 
+CONFIG_FIELDS = ("distance_km", "walk_speed_kmh", "bus_speed_kmh", "model", "p_catch")
+
+
 class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
@@ -65,6 +68,10 @@ def load_config(path: str) -> tuple[Scenario, ArrivalModel, float]:
         raise ConfigError(path, f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(path, "config must be a JSON object")
+    unknown = sorted(set(raw) - set(CONFIG_FIELDS))
+    if unknown:
+        fields = ", ".join(CONFIG_FIELDS)
+        raise ConfigError(", ".join(unknown), f"unknown field; a config takes only {fields}")
 
     def number(field, minimum=None):
         if field not in raw:

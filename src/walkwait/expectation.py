@@ -131,7 +131,9 @@ def expected_tt_wait_forever(scenario: Scenario, model: ArrivalModel) -> float:
 def _wait_gradient(model: ArrivalModel, t: float, td: float) -> GradientPair:
     """d/dW and d2/dW2 of a wait that ends at time t, with break-even wait td."""
     p, slope, _, R = model.at(t)
-    return GradientPair(first=R - td * p, second=-p - td * slope, one_sided=model.is_kink(t))
+    return GradientPair(
+        first=R - td * p, second=-p - td * slope, one_sided=t in model.breakpoints()
+    )
 
 
 def expected_tt_gradient(

@@ -70,14 +70,17 @@ def random_model(rng: np.random.Generator, kinds=None):
     return PiecewiseLinearDensity(list(zip(ts, ys)))
 
 
+def near_kink(model, t: float, tol: float) -> bool:
+    """Whether t lies within tol of one of the model's breakpoints."""
+    return any(abs(t - k) <= tol for k in model.breakpoints())
+
+
 def smooth_time(model, rng: np.random.Generator, margin: float = 1e-2) -> float:
     """A time inside the support, away from density kinks."""
     end = model.quad_bound()
     for _ in range(1000):
         t = rng.uniform(margin, end * 0.95)
-        if model.survival(t) > 1e-6 and all(
-            abs(t - k) > margin for k in model.breakpoints()
-        ):
+        if model.survival(t) > 1e-6 and not near_kink(model, t, margin):
             return t
     raise RuntimeError("could not find a smooth interior time")
 

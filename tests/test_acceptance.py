@@ -31,7 +31,7 @@ from walkwait import (
 )
 from walkwait.quadrature import integrate_piecewise
 
-from _models import QuadExponential, random_model, random_scenario, smooth_time
+from _models import QuadExponential, near_kink, random_model, random_scenario, smooth_time
 
 S0 = Scenario(d=3.0, v_w=0.1, v_b=0.5)  # t_delta = 24 min
 
@@ -133,8 +133,8 @@ def test_criterion_4_gradient_fidelity():
         plan = WalkAndWaitPlan(d1=d1, t_wait=w, p_catch=pc)
         t1 = plan.t1(scenario)
         if (
-            model.is_kink(t1, tol=1e-2)
-            or model.is_kink(t1 + w, tol=1e-2)
+            near_kink(model, t1, 1e-2)
+            or near_kink(model, t1 + w, 1e-2)
             or model.survival(t1 + w) < 1e-6
         ):
             continue
@@ -174,7 +174,7 @@ def test_criterion_5_stationarity_classification():
                 model.survival(sp.t_wait) - scenario.t_delta * model.density(sp.t_wait)
             )
             ok &= residual < 1e-9
-            if not model.is_kink(sp.t_wait, tol=1e-6):
+            if not near_kink(model, sp.t_wait, 1e-6):
                 second = expected_tt_gradient(scenario, model, sp.t_wait).second
                 ok &= (second > 0.0) if sp.kind == "minimum" else (second < 0.0)
     report(5, ok)

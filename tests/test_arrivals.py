@@ -18,13 +18,14 @@ from walkwait import (
     WaitForever,
     WaitThenWalk,
     estimate,
+    expected_tt,
     find_stationary_points,
     optimal_policy,
 )
 
 from walkwait.arrivals import _LinearDensity
 
-from _models import jumpy_knots, random_model
+from _models import jumpy_knots, near_kink, random_model
 
 ALL_MODELS = [
     Uniform(headway=30.0),
@@ -158,7 +159,7 @@ class TestAppearanceRateSlope:
         h = 1e-6
         for _ in range(30):
             t = rng.uniform(h, end)
-            if model.survival(t) < 1e-3 or model.is_kink(t, tol=1e-3):
+            if model.survival(t) < 1e-3 or near_kink(model, t, 1e-3):
                 continue
             fd = (model.appearance_rate(t + h) - model.appearance_rate(t - h)) / (2 * h)
             assert model.appearance_rate_slope(t) == pytest.approx(fd, rel=1e-4, abs=1e-9)
@@ -564,14 +565,24 @@ class Triangle(ArrivalModel):
 
     def _at(self, t):
         if t >= 10.0:
-            return 0.0, 0.0, 1.0
-        return (10.0 - t) / 50.0, -1.0 / 50.0, t / 5.0 - t * t / 100.0
+            return 0.0, 0.0, 1.0, 0.0
+        F = t / 5.0 - t * t / 100.0
+        return (10.0 - t) / 50.0, -1.0 / 50.0, F, 1.0 - F
 
     def mean(self):
         return 10.0 / 3.0
 
     def sample(self, rng, size=None):
         return 10.0 * (1.0 - np.sqrt(1.0 - rng.random(size)))  # inverse CDF
+
+
+class ExactTriangle(Triangle):
+    """The triangle with its survival stated exactly, (10 - t)^2 / 100, not
+    as 1 - F."""
+
+    def _at(self, t):
+        p, slope, F, _ = super()._at(t)
+        return p, slope, F, (10.0 - min(t, 10.0)) ** 2 / 100.0
 
 
 class TestPublicLookup:
@@ -614,12 +625,24 @@ class TestSubclassContract:
     def test_pointwise_quantities_come_from_the_lookup(self):
         m = self.TRIANGLE
         for t in self.TIMES:
-            p, slope, F = m._at(t)
+            p, slope, F, R = m._at(t)
             assert (m.density(t), m.density_slope(t), m.cdf(t)) == (p, slope, F)
-            assert m.survival(t) == 1.0 - F
+            assert m.survival(t) == R == 1.0 - F
         assert (m.density(10.0), m.density_slope(12.0), m.cdf(math.inf)) == (0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             m.density(-1.0)
+
+    def test_survival_stated_in_the_lookup_reaches_every_reader(self):
+        m, s = ExactTriangle(), self.SCENARIO
+        rounded = 0
+        for t in np.linspace(0.0, 9.99, 1000).tolist():
+            R = (10.0 - t) ** 2 / 100.0
+            rounded += R != 1.0 - m.cdf(t)
+            assert m.at(t)[3].hex() == m.survival(t).hex() == R.hex()
+            assert m.appearance_rate(t) == m.density(t) / R
+            want = s.bus_time * m.cdf(t) + m.partial_mean(t) + R * (s.walk_time + t)
+            assert expected_tt(s, m, t) == want
+        assert rounded > 100  # 1 - F is not this R
 
     def test_density_slope_is_exact(self):
         # a finite difference would be off in the last digits at least

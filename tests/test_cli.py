@@ -356,11 +356,53 @@ class TestConfigValidation:
                 "late_window",
             ),
             ({"kind": "piecewise", "knots": [[0, 0], [1e-300, 1], [2e-300, 0]]}, "knot densities"),
+            # the table's slope underflows: the head's -2w/L^2, and the
+            # sides of a wide normalized peak
+            (
+                {
+                    "kind": "late_bus_mixture",
+                    "still_coming_prob": 0.5,
+                    "late_window": 1e200,
+                    "next_headway_offset": 3e200,
+                },
+                "late_window",
+            ),
+            ({"kind": "piecewise", "knots": [[0, 0], [1e200, 1], [2e200, 0]]}, "knot densities"),
+            # offset + window rounds: the tail vanishes, or gains 60% mass
+            (
+                {
+                    "kind": "late_bus_mixture",
+                    "still_coming_prob": 0.5,
+                    "late_window": 1,
+                    "next_headway_offset": 1e17,
+                },
+                "next_headway_offset",
+            ),
+            (
+                {
+                    "kind": "late_bus_mixture",
+                    "still_coming_prob": 0.5,
+                    "late_window": 10,
+                    "next_headway_offset": 1e17,
+                },
+                "next_headway_offset",
+            ),
         ],
     )
     def test_model_parameter_rejected(self, config, capsys, model, field):
         assert main(["analyze", config(model)]) == 2
         assert field in capsys.readouterr().err
+
+    def test_unknown_top_level_field_rejected(self, config, capsys):
+        # a misspelt p_catch would otherwise leave p_catch at 0
+        path = config({"kind": "uniform", "headway": 30}, p_cacth=0.8)
+        assert main(["analyze", path]) == 2
+        assert "p_cacth" in capsys.readouterr().err
+
+    def test_unknown_model_field_rejected(self, config, capsys):
+        path = config({"kind": "uniform", "headway": 30, "head_way": 20})
+        assert main(["analyze", path]) == 2
+        assert "head_way" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "strategy",

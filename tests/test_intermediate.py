@@ -23,7 +23,7 @@ from walkwait import (
     walk_vs_wait_advantage,
 )
 
-from _models import random_model, random_scenario
+from _models import near_kink, random_model, random_scenario
 
 S0 = Scenario(d=3.0, v_w=0.1, v_b=0.5)
 
@@ -115,7 +115,7 @@ class TestPlanGradientTW:
             w = rng.uniform(2 * h, 20.0)
             plan = WalkAndWaitPlan(d1=d1, t_wait=w, p_catch=rng.uniform(0.0, 1.0))
             t = plan.t1(scenario) + w
-            if model.is_kink(t, tol=1e-2) or model.survival(t) < 1e-6:
+            if near_kink(model, t, 1e-2) or model.survival(t) < 1e-6:
                 continue
             fd = (
                 expected_tt_plan(
@@ -155,7 +155,7 @@ class TestPlanGradientD1:
             pc = rng.uniform(0.0, 1.0)
             plan = WalkAndWaitPlan(d1=d1, t_wait=w, p_catch=pc)
             t1 = plan.t1(scenario)
-            if model.is_kink(t1, tol=1e-2) or model.is_kink(t1 + w, tol=1e-2):
+            if near_kink(model, t1, 1e-2) or near_kink(model, t1 + w, 1e-2):
                 continue
             fd = (
                 expected_tt_plan(scenario, model, WalkAndWaitPlan(d1 + h, w, pc))

@@ -22,7 +22,7 @@ from walkwait import (
 )
 from walkwait.arrivals import FLAT_TOL, ArrivalModel, _LinearDensity
 from walkwait.optimizer import BISECT_WIDTH, SCAN_POINTS, _scan_sign_changes
-from _models import jumpy_knots, random_model, random_scenario
+from _models import jumpy_knots, near_kink, random_model, random_scenario
 
 S0 = Scenario(d=3.0, v_w=0.1, v_b=0.5)
 LATE_BUS = LateBusMixture(still_coming_prob=0.25, late_window=4.0, next_headway_offset=56.0)
@@ -92,7 +92,7 @@ class TestFindStationaryPoints:
             scenario = random_scenario(rng)
             model = random_model(rng)
             for sp in find_stationary_points(scenario, model):
-                if sp.kind == "flat" or model.is_kink(sp.t_wait, tol=1e-6):
+                if sp.kind == "flat" or near_kink(model, sp.t_wait, 1e-6):
                     continue
                 second = expected_tt_gradient(scenario, model, sp.t_wait).second
                 if sp.kind == "minimum":
@@ -113,8 +113,12 @@ class TestFindStationaryPoints:
         # E' jumps from negative to positive at t=4 without vanishing
         minima = [sp for sp in find_stationary_points(S0, DROP) if sp.kind == "minimum"]
         assert [sp.t_wait for sp in minima] == [4.0]
-        assert DROP.is_kink(4.0)
+        assert 4.0 in DROP.breakpoints()
         assert expected_tt_gradient(S0, DROP, 4.0).one_sided
+
+    def test_one_sided_only_at_the_breakpoint_itself(self):
+        # the float just below the drop is on the smooth piece before it
+        assert not expected_tt_gradient(S0, DROP, math.nextafter(4.0, 0.0)).one_sided
 
     @pytest.mark.parametrize("horizon", [True, False, "5"])
     def test_non_number_horizon_rejected(self, horizon):
