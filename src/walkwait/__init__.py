@@ -21,7 +21,6 @@ from .expectation import (
     expected_tt_curve,
     expected_tt_gradient,
     expected_tt_wait_forever,
-    t_delta,
 )
 from .intermediate import (
     WalkAndWaitPlan,
@@ -37,7 +36,6 @@ from .intermediate import (
 )
 from .mcsim import (
     SimEstimate,
-    Strategy,
     WaitForever,
     WaitThenWalk,
     WalkAndWait,
@@ -65,7 +63,6 @@ __all__ = [
     "Scenario",
     "SimEstimate",
     "StationaryPoint",
-    "Strategy",
     "UndefinedRateError",
     "Uniform",
     "WaitForever",
@@ -91,7 +88,6 @@ __all__ = [
     "plan_gradient_tw",
     "prob_miss",
     "simulate_once",
-    "t_delta",
     "uniform_pc_threshold",
     "vigilant_curve",
     "walk_vs_wait_advantage",

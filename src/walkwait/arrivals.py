@@ -34,6 +34,8 @@ from .quadrature import integrate_piecewise
 QUAD_TOL = 1e-12
 # |1/t_delta - rate| below which E' counts as zero rather than as a sign
 FLAT_TOL = 1e-12
+# survival R at or below which a root of E' is dropped
+SURVIVAL_FLOOR = 1e-15
 
 
 class UndefinedRateError(ValueError):
@@ -200,7 +202,8 @@ class _LinearDensity(ArrivalModel):
         # about 17 ulps at the ratios H / L <= 31 of the benchmark's models.
         # 1e-13 (450 ulps) plus 4 ulps a piece covers both, for H / L up to
         # about 900 / (1 - w), and rejects a tail that rounding drops or
-        # widens by more than that.
+        # widens by more than that.  The mass sees a rounded tail only in
+        # proportion to its weight, so LateBusMixture checks the width too.
         if not abs(cum - 1.0) <= 1e-13 + 4.0 * len(pieces) * sys.float_info.epsilon:
             raise ValueError(f"{mass_error} (the table's mass is {cum!r})")
         # object.__setattr__ also sets them on frozen dataclasses
@@ -265,7 +268,7 @@ class _LinearDensity(ArrivalModel):
         root is no sign change.  At a row start t0 where the density jumps,
         E' goes from R0 - t_delta y1 of the row before to g(0): a change from
         negative to positive is a minimum at t0, the other way is dropped, as
-        the scan drops it.  Roots where R <= 1e-15 are dropped too."""
+        the scan drops it.  Roots where R <= SURVIVAL_FLOOR are dropped too."""
         changes = []
         y_below = 0.0  # the density just below the row start
         for t0, t1, y0, y1, F0, _, s, _ in self._pieces:
@@ -273,7 +276,7 @@ class _LinearDensity(ArrivalModel):
             if not t0 < stop:
                 break
             c = (1.0 - F0) - t_delta * y0
-            if (1.0 - F0) - t_delta * y_below < 0.0 < c and 1.0 - F0 > 1e-15:
+            if (1.0 - F0) - t_delta * y_below < 0.0 < c and 1.0 - F0 > SURVIVAL_FLOOR:
                 changes.append((t0, "minimum"))
             y_below = y1
             b = y0 + t_delta * s
@@ -290,7 +293,7 @@ class _LinearDensity(ArrivalModel):
                 roots = zip(sorted((2.0 * q / s, -c / q)), kinds)
             for x, kind in roots:
                 t = t0 + x
-                if t0 < t < stop and 1.0 - (F0 + x * (y0 + 0.5 * s * x)) > 1e-15:
+                if t0 < t < stop and 1.0 - (F0 + x * (y0 + 0.5 * s * x)) > SURVIVAL_FLOOR:
                     changes.append((t, kind))
         return changes
 
@@ -398,12 +401,17 @@ class LateBusMixture(_LinearDensity):
         # a density that underflows to zero would drop its weight from the table
         if head == 0.0 < w or tail == 0.0 < 1.0 - w:
             raise ValueError(error)
+        too_large = (
+            f"next_headway_offset {H} is too large for late_window {L}: their sum rounds"
+            f" to {H + L}, which moves the mass of the uniform tail"
+        )
+        # a tail that rounding widens or narrows keeps a wrong mean, even where
+        # its mass is too small for the table's mass check to see
+        if w < 1.0 and not abs(((H + L) - H) - L) <= 1e-13 * L:
+            raise ValueError(too_large)
         # the triangular head, the gap, the uniform tail
         self._tabulate(
-            [(0.0, L, head, 0.0), (L, H, 0.0, 0.0), (H, H + L, tail, tail)],
-            error,
-            f"next_headway_offset {H} is too large for late_window {L}: their sum rounds"
-            f" to {H + L}, which moves the mass of the uniform tail",
+            [(0.0, L, head, 0.0), (L, H, 0.0, 0.0), (H, H + L, tail, tail)], error, too_large
         )
 
     def sample(self, rng, size=None):

@@ -1,7 +1,8 @@
 """Command-line front end: analyze, optimize, sweep, simulate.
 
 Configs are JSON with human-friendly units (km, km/h); everything internal
-runs in km and minutes.  Exit codes: 0 success, 2 bad input, 3 I/O failure.
+runs in km and minutes.  Exit codes: 0 success, 2 bad input (including a
+model whose partial mean the quadrature cannot resolve), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .mcsim import (
     estimate,
 )
 from .optimizer import _best_policy, compare_wait_walk, find_stationary_points
+from .quadrature import IntervalCapError
 
 ANALYZE_SCHEMA = {
     "type": "object",
@@ -54,7 +56,6 @@ CONFIG_FIELDS = ("distance_km", "walk_speed_kmh", "bus_speed_kmh", "model", "p_c
 class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
-        self.field = field
 
 
 def load_config(path: str) -> tuple[Scenario, ArrivalModel, float]:
@@ -170,6 +171,8 @@ def cmd_sweep(args) -> int:
     scenario, model, p_catch = load_config(args.config)
     if args.steps < 2:
         raise ConfigError("steps", "must be at least 2")
+    if args.tw is not None and args.var != "d1":
+        raise ConfigError("tw", "applies only to --var d1")
     for field, value in (("from", args.start), ("to", args.stop)):
         if not math.isfinite(value):
             raise ConfigError(field, "must be a finite number")
@@ -182,12 +185,10 @@ def cmd_sweep(args) -> int:
         rows = expected_tt_curve(scenario, model, xs)
     elif args.var == "d1":
         header = "x,expected_tt,derivative"
-        rows = plan_curve_d1(scenario, model, xs, args.tw, p_catch)
-    elif args.var == "pc":
+        rows = plan_curve_d1(scenario, model, xs, 0.0 if args.tw is None else args.tw, p_catch)
+    else:  # pc
         header = "x,expected_tt,advantage"
         rows = vigilant_curve(scenario, model, xs)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError("var", f"unknown sweep variable {args.var!r}")
     # one format per row; % and format() share the float formatter
     text = "\n".join([header] + ["%.12g,%.12g,%.12g" % row for row in rows]) + "\n"
     try:
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tw", type=float, default=0.0, help="wait time for d1 sweeps")
+    p.add_argument("--tw", type=float, help="wait time for d1 sweeps (default 0)")
     p.set_defaults(handler="cmd_sweep")
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate vs analytic value")
@@ -302,6 +303,9 @@ def main(argv=None) -> int:
         return handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except IntervalCapError as exc:  # the model's M1 fallback cannot meet its tolerance
+        print(f"error: model: {exc}", file=sys.stderr)
         return 2
 
 

@@ -60,10 +60,6 @@ class GradientPair:
     one_sided: bool = False
 
 
-def t_delta(scenario: Scenario) -> float:
-    return scenario.t_delta
-
-
 def _walk_and_wait(scenario, model, t1, t_wait, p_catch) -> tuple:
     """Expected time of walking until the head start over the bus has shrunk
     by t1 minutes (catching a passing bus with probability p_catch), then

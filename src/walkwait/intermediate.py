@@ -117,13 +117,13 @@ def plan_curve_d1(
     formed from the lookups of E, so each row reads t1 and T = t1 + t_wait
     once.
 
-    The plans of the first and the last d1 are checked, which checks every
-    row's, with the message of its first failing check.
+    The plans of the smallest and the largest d1 are checked, which checks
+    every row's, with the message of its first failing check.
     """
     if not d1s:
         return []
-    WalkAndWaitPlan(d1s[0], t_wait, p_catch)
-    _check_plan(scenario, WalkAndWaitPlan(d1s[-1], t_wait, p_catch))
+    WalkAndWaitPlan(min(d1s), t_wait, p_catch)
+    _check_plan(scenario, WalkAndWaitPlan(max(d1s), t_wait, p_catch))
     q = scenario.q
     rows = []
     for d1 in d1s:
@@ -135,14 +135,6 @@ def plan_curve_d1(
     return rows
 
 
-def _vigilant_saving(scenario: Scenario, model: ArrivalModel) -> float:
-    """Minutes a vigilant walk saves on walking, per unit of p_catch: the
-    integral of (t_delta - tau) p(tau) over [0, t_delta], i.e. t_delta F - M1
-    there."""
-    td = scenario.t_delta
-    return td * model.cdf(td) - model.partial_mean(td)
-
-
 def expected_tt_walk_vigilant(
     scenario: Scenario, model: ArrivalModel, p_catch: float
 ) -> float:
@@ -152,7 +144,7 @@ def expected_tt_walk_vigilant(
     It is not always the best plan: where the density has a gap or a step,
     walking part-way and then waiting briefly can beat it.
     """
-    return scenario.walk_time - _p_catch(p_catch) * _vigilant_saving(scenario, model)
+    return vigilant_curve(scenario, model, [p_catch])[0][1]
 
 
 def walk_vs_wait_advantage(
@@ -163,17 +155,17 @@ def walk_vs_wait_advantage(
     Positive favours walking; equals expected_tt_wait_forever -
     expected_tt_walk_vigilant.
     """
-    saving = _p_catch(p_catch) * _vigilant_saving(scenario, model)
-    return model.mean() - scenario.t_delta + saving
+    return vigilant_curve(scenario, model, [p_catch])[0][2]
 
 
 def vigilant_curve(scenario: Scenario, model: ArrivalModel, p_catches) -> list[tuple]:
     """Rows (p_catch, expected_tt_walk_vigilant, walk_vs_wait_advantage) for
-    each catch probability, bit for bit, with the saving per unit of p_catch
-    found once."""
-    saving = _vigilant_saving(scenario, model)
+    each catch probability.  The saving per unit of p_catch, the integral of
+    (t_delta - tau) p(tau) over [0, t_delta], is found once."""
+    td = scenario.t_delta
+    saving = td * model.cdf(td) - model.partial_mean(td)
     walk = scenario.walk_time
-    advantage = model.mean() - scenario.t_delta
+    advantage = model.mean() - td
     rows = []
     for p in p_catches:
         s = _p_catch(p) * saving

@@ -19,10 +19,8 @@ from .intermediate import WalkAndWaitPlan, _check_plan, expected_tt_plan
 
 CHUNK = 1 << 16
 
+
 # every strategy is a walk-and-wait plan; the names below build the simple ones
-Strategy = WalkAndWaitPlan
-
-
 def WaitForever() -> WalkAndWaitPlan:
     return WalkAndWaitPlan(d1=0.0, t_wait=math.inf, p_catch=0.0)
 
@@ -49,7 +47,7 @@ class SimEstimate:
 def simulate_once(
     scenario: Scenario,
     model: ArrivalModel,
-    strategy: Strategy,
+    strategy: WalkAndWaitPlan,
     rng: np.random.Generator,
 ) -> float:
     """One journey's travel time in minutes.
@@ -64,7 +62,7 @@ def simulate_once(
 def _travel_times(
     scenario: Scenario,
     model: ArrivalModel,
-    strategy: Strategy,
+    strategy: WalkAndWaitPlan,
     rng: np.random.Generator,
     size: int,
 ) -> np.ndarray:
@@ -95,7 +93,7 @@ def _travel_times(
 def estimate(
     scenario: Scenario,
     model: ArrivalModel,
-    strategy: Strategy,
+    strategy: WalkAndWaitPlan,
     n: int,
     seed: int,
 ) -> SimEstimate:
@@ -126,7 +124,7 @@ def estimate(
 
 
 def analytic_expectation(
-    scenario: Scenario, model: ArrivalModel, strategy: Strategy
+    scenario: Scenario, model: ArrivalModel, strategy: WalkAndWaitPlan
 ) -> float:
     """The analytic expectation matching a simulated strategy."""
     return expected_tt_plan(scenario, model, strategy)

@@ -12,7 +12,7 @@ shared piece table, and ``Exponential``, whose rate is constant, has no root
 or is flat; all three through ``ArrivalModel.sign_changes``.
 ``PiecewiseLinearDensity`` has the same table but, like user subclasses, is
 scanned on a grid and bisected, as a benchmark self-test pins the scan
-(ROADMAP items 1 and 3); the scan's cost is its ``appearance_rate`` calls,
+(ROADMAP items 1 and 2); the scan's cost is its ``appearance_rate`` calls,
 which a table model answers from one row of its piece table.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import FLAT_TOL, ArrivalModel, _number
+from .arrivals import FLAT_TOL, SURVIVAL_FLOOR, ArrivalModel, _number
 from .expectation import Scenario, expected_tt, expected_tt_wait_forever
 
 SCAN_POINTS = 4096
@@ -86,8 +86,8 @@ def _scan_sign_changes(model: ArrivalModel, target: float, end: float) -> list[t
     ts = np.linspace(0.0, end, SCAN_POINTS + 2)[1:-1].tolist()
     # a time listed twice makes an empty bracket, skipped as it has no sign change
     ts = sorted(ts + inner + [math.nextafter(b, 0.0) for b in inner])
-    # R never increases, so the scan ends at the first time where R <= 1e-15
-    grid = ts[: bisect.bisect_left(ts, True, key=lambda t: model.survival(t) <= 1e-15)]
+    # R never increases, so the scan ends at the first time where R <= SURVIVAL_FLOOR
+    grid = ts[: bisect.bisect_left(ts, True, key=lambda t: model.survival(t) <= SURVIVAL_FLOOR)]
     if not grid:
         return []
     gs = target - np.fromiter(map(rate, grid), float, len(grid))

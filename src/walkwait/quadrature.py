@@ -17,6 +17,10 @@ from typing import Callable, Iterable
 MAX_INTERVALS = 2**20
 
 
+class IntervalCapError(RuntimeError):
+    """Adaptive quadrature needed more than its cap of intervals."""
+
+
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
     return h / 6.0 * (fa + 4.0 * fm + fb)
 
@@ -57,7 +61,7 @@ def adaptive_simpson(
             continue
         used += 2
         if used > max_intervals:
-            raise RuntimeError("adaptive quadrature exceeded the interval cap")
+            raise IntervalCapError("adaptive quadrature exceeded the interval cap")
         half = 0.5 * tol
         stack.append((a, fa, lm, flm, m, fm, left, half))
         stack.append((m, fm, rm, frm, b, fb, right, half))

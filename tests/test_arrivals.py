@@ -385,6 +385,14 @@ class TestNonFiniteRejected:
         with pytest.raises(ValueError, match=field):
             build()
 
+    def test_rounded_tail_rejected_naming_the_offset(self):
+        # H + L rounds to 16 past H, which moves the mean from 1002.53 to
+        # 1602.05; the tail's weight of 1e-14 hides that from the mass check
+        with pytest.raises(ValueError, match="next_headway_offset"):
+            LateBusMixture(1.0 - 1e-14, 10.0, 1e17)
+        # a tail with no weight has no row, so its rounding moves nothing
+        assert LateBusMixture(1.0, 10.0, 1e17).mean() == pytest.approx(10.0 / 3.0)
+
     def test_smallest_spans_accepted(self):
         for model in (Uniform(1.7e-308), PiecewiseLinearDensity([[0, 1], [1.7e-308, 1]])):
             assert model.mean() == 8.5e-309 and model.cdf(1.7e-308) == 1.0

@@ -68,6 +68,20 @@ def test_summary_counts_wins_in_the_metrics_direction(runs, tmp_path):
     assert summary["decide"]["latency_p90_ms"]["change_wins"] == 0
 
 
+def test_summary_reports_each_sides_interquartile_range(runs, tmp_path):
+    out = tmp_path / "BENCH.json"
+    bench_pair.main([str(runs[0]), str(runs[1]), "--out", str(out)])
+    summary = json.loads(out.read_text())["summary"]
+    # statistics.quantiles(n=4) of three values is the values themselves:
+    # 90, 100, 110 and 105, 140, 150
+    ops = summary["curves"]["ops_per_s"]
+    assert (ops["parent_iqr"], ops["change_iqr"]) == (20.0, 45.0)
+    assert summary["curves"]["latency_p90_ms"]["parent_iqr"] == 0.0
+    # one pair has no spread to report
+    decide = summary["decide"]["ops_per_s"]
+    assert decide["parent_iqr"] is None and decide["change_iqr"] is None
+
+
 def test_no_common_run_is_an_error(tmp_path, capsys):
     write_result(tmp_path / "a", "curves", 1, 1.0, 1.0)
     write_result(tmp_path / "b", "curves", 2, 1.0, 1.0)

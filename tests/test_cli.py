@@ -1,5 +1,6 @@
 """Command-line interface: configs, reports, CSV sweeps, exit codes."""
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -16,12 +17,10 @@ from walkwait import (
     expected_tt,
     expected_tt_gradient,
     expected_tt_plan,
-    expected_tt_walk_vigilant,
     model_from_config,
     plan_gradient_d1,
-    walk_vs_wait_advantage,
 )
-from walkwait import cli, optimizer
+from walkwait import cli, optimizer, quadrature
 from walkwait.cli import ANALYZE_SCHEMA, build_parser, main
 
 from _models import CountingLateBus, CountingUniform, jumpy_knots
@@ -387,6 +386,16 @@ class TestConfigValidation:
                 },
                 "next_headway_offset",
             ),
+            # the tail widens by 60%, at a weight too small for the mass to show
+            (
+                {
+                    "kind": "late_bus_mixture",
+                    "still_coming_prob": 1 - 1e-14,
+                    "late_window": 10,
+                    "next_headway_offset": 1e17,
+                },
+                "next_headway_offset",
+            ),
         ],
     )
     def test_model_parameter_rejected(self, config, capsys, model, field):
@@ -452,14 +461,14 @@ class TestPCSweepSavingFoundOnce:
         ]
         assert main(argv) == 0
         assert calls == [24.0]  # M1 at t_delta, once
-        # the rows are still those of the two library functions
+        # the rows against the paper's expressions, formed here: the vigilant
+        # walk saves pc (t_delta F(t_delta) - M1(t_delta)) on walking
         scenario, model = Scenario(d=3.0, v_w=0.1, v_b=0.5), PiecewiseLinearDensity(self.KNOTS)
+        td = scenario.t_delta
+        saving = td * model.cdf(td) - model.partial_mean(td)
         rows = [
-            "%.12g,%.12g,%.12g" % (
-                x,
-                expected_tt_walk_vigilant(scenario, model, x),
-                walk_vs_wait_advantage(scenario, model, x),
-            )
+            "%.12g,%.12g,%.12g"
+            % (x, scenario.walk_time - x * saving, (model.mean() - td) + x * saving)
             for x in (i / 20 for i in range(21))
         ]
         assert out.read_text() == "\n".join(["x,expected_tt,advantage"] + rows) + "\n"
@@ -572,6 +581,9 @@ class TestSweepErrors:
              "d1 must be nonnegative and finite"),
             (["--var", "d1", "--from", "0", "--to", "9", "--tw", "-1"],
              "t_wait must be nonnegative, got -1.0"),
+            # --tw sets the wait of a d1 sweep and nothing else
+            (["--var", "tw", "--from", "0", "--to", "5", "--tw", "5"], "tw: applies only to --var d1"),
+            (["--var", "pc", "--from", "0", "--to", "1", "--tw", "0"], "tw: applies only to --var d1"),
         ],
     )
     def test_exit_2_with_the_row_message_and_no_csv(self, tmp_path, capsys, args, message):
@@ -579,4 +591,18 @@ class TestSweepErrors:
         argv = ["sweep", str(CONFIG_DIR / "uniform30.json"), *args, "--steps", "5", "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_quadrature_interval_cap_is_an_error_line(self, config, tmp_path, capsys, monkeypatch):
+        # M1 of this model near its time scale exhausts the quadrature's
+        # interval cap after about 2 s; a lower cap reaches it in milliseconds
+        monkeypatch.setattr(quadrature, "adaptive_simpson",
+                            functools.partial(quadrature.adaptive_simpson, max_intervals=1000))
+        knots = [[0, 0.3], [52910052.91005291, 2.1], [142857142.85714287, 1.3]]
+        out = tmp_path / "tw.csv"
+        argv = ["sweep", config({"kind": "piecewise", "knots": knots}), "--var", "tw",
+                "--from", "0", "--to", "1.1e8", "--steps", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: model: adaptive quadrature exceeded the interval cap\n")
         assert not out.exists()

@@ -14,7 +14,6 @@ from walkwait import (
     expected_tt,
     expected_tt_gradient,
     expected_tt_wait_forever,
-    t_delta,
 )
 
 from _models import (
@@ -33,10 +32,10 @@ S0 = Scenario(d=3.0, v_w=0.1, v_b=0.5)
 
 class TestScenario:
     def test_t_delta_direct(self):
-        assert t_delta(S0) == pytest.approx(24.0)
+        assert S0.t_delta == pytest.approx(24.0)
 
     def test_t_delta_small(self):
-        assert t_delta(Scenario(d=2.0, v_w=1.0, v_b=2.0)) == pytest.approx(1.0)
+        assert Scenario(d=2.0, v_w=1.0, v_b=2.0).t_delta == pytest.approx(1.0)
 
     def test_equal_speed_limit(self):
         eps = 1e-9

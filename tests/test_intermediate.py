@@ -16,6 +16,7 @@ from walkwait import (
     expected_tt_plan,
     expected_tt_wait_forever,
     expected_tt_walk_vigilant,
+    plan_curve_d1,
     plan_gradient_d1,
     plan_gradient_tw,
     prob_miss,
@@ -164,6 +165,20 @@ class TestPlanGradientD1:
             grad = plan_gradient_d1(scenario, model, plan)
             assert np.isclose(fd, grad, rtol=1e-4, atol=1e-7)
             checked += 1
+
+
+class TestPlanCurveD1:
+    # the last d1 lies in the journey, an earlier one does not
+    @pytest.mark.parametrize(
+        "d1s, message",
+        [
+            ([5.0, 3.0], "d1 cannot exceed the journey distance"),
+            ([2.0, -1.0, 1.0], "d1 must be nonnegative and finite"),
+        ],
+    )
+    def test_every_rows_plan_checked(self, d1s, message):
+        with pytest.raises(ValueError, match=message):
+            plan_curve_d1(S0, Uniform(30.0), d1s, 0.0, 0.5)
 
 
 class TestWalkVigilant:

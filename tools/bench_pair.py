@@ -7,7 +7,8 @@ PARENT_DIR and CHANGE_DIR each hold the ``result-<workload>-seed<n>-trace<t>.jso
 files that ``perfbench/run.py`` writes to ``.bench_out/``.  Runs are paired by
 workload, seed and trace flag.  The output lists every pair's end-to-end
 metrics, the seeds per workload, the machine of each run, the runs that found
-no partner, and per workload and metric the two medians and the number of
+no partner, and per workload and metric the two medians, the two
+interquartile ranges (null with fewer than two pairs) and the number of
 pairs the change won (the direction comes from the repository's
 BENCHMARK.json).  Standard library only.
 """
@@ -43,6 +44,14 @@ def run_summary(result: dict) -> dict:
     }
 
 
+def iqr(values: list) -> float | None:
+    """Interquartile range of values, or None with fewer than two."""
+    if len(values) < 2:
+        return None
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
 def pair(parent: dict, change: dict, better: dict) -> dict:
     """The paired report of two {(workload, seed, trace): result} maps."""
     keys = sorted(parent.keys() & change.keys())
@@ -69,6 +78,8 @@ def pair(parent: dict, change: dict, better: dict) -> dict:
                 "pairs": len(entry["parent"]),
                 "parent_median": statistics.median(entry["parent"]),
                 "change_median": statistics.median(entry["change"]),
+                "parent_iqr": iqr(entry["parent"]),
+                "change_iqr": iqr(entry["change"]),
                 "change_wins": entry["change_wins"],
                 "better": better.get(name),
             }
