@@ -15,14 +15,8 @@ import sys
 
 from .arrivals import ArrivalModel, model_from_config
 from .expectation import Scenario, expected_tt_curve, expected_tt_wait_forever
-from .intermediate import WalkAndWaitPlan, plan_curve_d1, vigilant_curve
-from .mcsim import (
-    WaitForever,
-    WaitThenWalk,
-    WalkNow,
-    analytic_expectation,
-    estimate,
-)
+from .intermediate import WalkAndWaitPlan, expected_tt_plan, plan_curve_d1, vigilant_curve
+from .mcsim import WaitForever, WaitThenWalk, WalkNow, estimate
 from .optimizer import _best_policy, compare_wait_walk, find_stationary_points
 from .quadrature import IntervalCapError
 
@@ -225,7 +219,7 @@ def cmd_simulate(args) -> int:
     if args.n < 2:
         raise ConfigError("n", "must be at least 2")
     result = estimate(scenario, model, strategy, args.n, args.seed)
-    analytic = analytic_expectation(scenario, model, strategy)
+    analytic = expected_tt_plan(scenario, model, strategy)
     z = (result.mean - analytic) / result.stderr if result.stderr > 0 else 0.0
     if args.json:
         print(

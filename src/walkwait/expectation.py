@@ -2,7 +2,8 @@
 
 The traveller waits up to ``t_wait`` minutes for a bus, boarding if it comes,
 and otherwise walks the whole way.  ``t_wait = math.inf`` means wait forever;
-``t_wait = 0`` means walk immediately.
+``t_wait = 0`` means walk immediately.  ``_wait`` checks every wait, a plan's
+and a curve row's too: NaN, negatives, booleans and strings are rejected.
 
 Every expectation here and in :mod:`walkwait.intermediate` is one expression
 in the model's CDF F, its survival R = 1 - F and its partial mean M1.
@@ -51,6 +52,11 @@ class Scenario:
         return 1.0 / self.v_w - 1.0 / self.v_b
 
 
+def _wait(value, name: str = "wait time") -> float:
+    """value as a wait: a number >= 0, where inf waits forever."""
+    return _check_time(_number(value, name), name)
+
+
 @dataclass(frozen=True)
 class GradientPair:
     """First and second derivative of expected travel time in the wait time."""
@@ -97,23 +103,19 @@ def expected_tt(scenario: Scenario, model: ArrivalModel, t_wait: float) -> float
     E(W) = bus F(W) + M1(W) + R(W) (walk + W), with M1 from the model's
     partial_mean.
     """
-    return _walk_and_wait(scenario, model, 0.0, _check_time(t_wait, "wait time"), 0.0)[0]
+    return _walk_and_wait(scenario, model, 0.0, _wait(t_wait), 0.0)[0]
 
 
 def expected_tt_curve(scenario: Scenario, model: ArrivalModel, waits) -> list[tuple]:
-    """Rows (W, E(W), E'(W)) for each wait W of a nondecreasing sequence:
-    the values of expected_tt and expected_tt_gradient(...).first, bit for
-    bit, with E' = R(W) - t_delta p(W) formed from the lookups of E, so each
-    row reads its wait once.
-
-    The first wait is checked as expected_tt checks it, which checks them
-    all; the model's lookups reject any later one that is NaN or negative.
+    """Rows (W, E(W), E'(W)) for each wait W, in any order: the values of
+    expected_tt and expected_tt_gradient(...).first, bit for bit, with
+    E' = R(W) - t_delta p(W) formed from the lookups of E, so each row reads
+    its wait once.  Each wait is checked as expected_tt checks it.
     """
-    if waits:
-        _check_time(waits[0], "wait time")
     td = scenario.t_delta
     rows = []
     for w in waits:
+        w = _wait(w)
         e, p, R, _ = _walk_and_wait(scenario, model, 0.0, w, 0.0)
         rows.append((w, e, R - td * p))
     return rows
@@ -140,4 +142,4 @@ def expected_tt_gradient(
     At a density kink the second component uses the right-hand density slope
     and the result is flagged one_sided.
     """
-    return _wait_gradient(model, _check_time(t_wait, "wait time"), scenario.t_delta)
+    return _wait_gradient(model, _wait(t_wait), scenario.t_delta)

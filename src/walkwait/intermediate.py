@@ -8,7 +8,9 @@ arrival at the *starting* point, since the arrival density refers to a fixed
 point on the route.
 
 Every strategy is a plan: walking now is (0, 0, 0), waiting up to W minutes
-at the origin is (0, W, 0) and waiting forever is (0, inf, 0).
+at the origin is (0, W, 0) and waiting forever is (0, inf, 0).  Each plan
+input has one rule, which the plan and every curve row apply in one order:
+``_d1``, ``_wait``, ``_p_catch``, then ``_reach`` (d1 lies in the journey).
 """
 
 from __future__ import annotations
@@ -16,8 +18,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arrivals import ArrivalModel, _check_time, _number
-from .expectation import GradientPair, Scenario, _wait_gradient, _walk_and_wait
+from .arrivals import ArrivalModel, _number
+from .expectation import GradientPair, Scenario, _wait, _wait_gradient, _walk_and_wait
+
+
+def _d1(value) -> float:
+    """value as a walked distance; booleans, NaN, inf and negatives are rejected."""
+    d1 = _number(value, "d1")
+    if not 0.0 <= d1 < math.inf:
+        raise ValueError("d1 must be nonnegative and finite")
+    return d1
 
 
 def _p_catch(value) -> float:
@@ -26,6 +36,11 @@ def _p_catch(value) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p_catch must lie in [0, 1]")
     return p
+
+
+def _reach(scenario: Scenario, d1: float) -> None:
+    if d1 > scenario.d:
+        raise ValueError("d1 cannot exceed the journey distance")
 
 
 @dataclass(frozen=True)
@@ -38,9 +53,8 @@ class WalkAndWaitPlan:
     p_catch: float
 
     def __post_init__(self):
-        if not 0.0 <= _number(self.d1, "d1") < math.inf:
-            raise ValueError("d1 must be nonnegative and finite")
-        _check_time(_number(self.t_wait, "t_wait"), "t_wait")  # inf waits forever
+        _d1(self.d1)
+        _wait(self.t_wait, "t_wait")
         _p_catch(self.p_catch)
 
     def t1(self, scenario: Scenario) -> float:
@@ -52,16 +66,11 @@ class WalkAndWaitPlan:
         return scenario.t_delta - self.t1(scenario)
 
 
-def _check_plan(scenario: Scenario, plan: WalkAndWaitPlan) -> None:
-    if plan.d1 > scenario.d:
-        raise ValueError("d1 cannot exceed the journey distance")
-
-
 def prob_miss(
     scenario: Scenario, model: ArrivalModel, plan: WalkAndWaitPlan
 ) -> float:
     """Probability a bus passes before the intermediate stop is reached."""
-    _check_plan(scenario, plan)
+    _reach(scenario, plan.d1)
     return model.cdf(plan.t1(scenario))
 
 
@@ -74,7 +83,7 @@ def expected_tt_plan(
     caught, missed and boarded legs sum to one expression in F and M1 at t1
     and t1 + t_wait; with d1 = 0 it is expected_tt.
     """
-    _check_plan(scenario, plan)
+    _reach(scenario, plan.d1)
     return _walk_and_wait(scenario, model, plan.t1(scenario), plan.t_wait, plan.p_catch)[0]
 
 
@@ -86,47 +95,33 @@ def plan_gradient_tw(
     The origin-stop gradient, shifted by t1 and with the reduced break-even
     wait t_delta1.
     """
-    _check_plan(scenario, plan)
+    _reach(scenario, plan.d1)
     return _wait_gradient(model, plan.t1(scenario) + plan.t_wait, plan.t_delta1(scenario))
 
 
-def plan_gradient_d1(
-    scenario: Scenario, model: ArrivalModel, plan: WalkAndWaitPlan
-) -> float:
-    """Derivative of the plan's expected time in d1 (minutes per km)."""
-    _check_plan(scenario, plan)
-    t1 = plan.t1(scenario)
-    q = scenario.q
-    return (
-        q
-        * q
-        * (scenario.d - plan.d1)
-        * ((1.0 - plan.p_catch) * model.density(t1) - model.density(t1 + plan.t_wait))
-    )
+def plan_gradient_d1(scenario: Scenario, model: ArrivalModel, plan: WalkAndWaitPlan) -> float:
+    """dE/dd1 of the plan (minutes per km): the slope of its one-row plan_curve_d1."""
+    return plan_curve_d1(scenario, model, [plan.d1], plan.t_wait, plan.p_catch)[0][2]
 
 
 def plan_curve_d1(
     scenario: Scenario, model: ArrivalModel, d1s, t_wait: float, p_catch: float
 ) -> list[tuple]:
-    """Rows (d1, E, dE/dd1) of the plans (d1, t_wait, p_catch) for each d1 of
-    a nondecreasing sequence: the values of expected_tt_plan and
-    plan_gradient_d1, bit for bit, with
+    """Rows (d1, E, dE/dd1) of the plans (d1, t_wait, p_catch) for each d1,
+    in any order: E is expected_tt_plan's value, bit for bit, and
 
         dE/dd1 = q^2 (d - d1) ((1 - p_catch) p(t1) - p(T))
 
-    formed from the lookups of E, so each row reads t1 and T = t1 + t_wait
-    once.
-
-    The plans of the smallest and the largest d1 are checked, which checks
-    every row's, with the message of its first failing check.
+    is formed from the lookups of E, so each row reads t1 and T = t1 + t_wait
+    once.  Each row is checked as its plan is, and fails with the same message.
     """
-    if not d1s:
-        return []
-    WalkAndWaitPlan(min(d1s), t_wait, p_catch)
-    _check_plan(scenario, WalkAndWaitPlan(max(d1s), t_wait, p_catch))
     q = scenario.q
     rows = []
     for d1 in d1s:
+        d1 = _d1(d1)
+        if not rows:  # every row shares its wait and p_catch: check them once
+            t_wait, p_catch = _wait(t_wait, "t_wait"), _p_catch(p_catch)
+        _reach(scenario, d1)
         t1 = d1 * q
         e, p, _, p1 = _walk_and_wait(scenario, model, t1, t_wait, p_catch)
         if p1 is None:  # t1 = 0 < T, where E reads nothing at t1

@@ -15,7 +15,7 @@ import numpy as np
 
 from .arrivals import ArrivalModel
 from .expectation import Scenario
-from .intermediate import WalkAndWaitPlan, _check_plan, expected_tt_plan
+from .intermediate import WalkAndWaitPlan, _reach, expected_tt_plan
 
 CHUNK = 1 << 16
 
@@ -55,7 +55,7 @@ def simulate_once(
     Draw order is fixed: the bus arrival first, then (only when a bus passes
     during the walking leg of the plan) one uniform for the catch.
     """
-    _check_plan(scenario, strategy)
+    _reach(scenario, strategy.d1)
     return float(_travel_times(scenario, model, strategy, rng, 1)[0])
 
 
@@ -103,7 +103,7 @@ def estimate(
     """
     if n < 2:
         raise ValueError("need at least two samples")
-    _check_plan(scenario, strategy)
+    _reach(scenario, strategy.d1)
     total_n = 0
     mean = 0.0
     m2 = 0.0

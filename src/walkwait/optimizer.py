@@ -158,7 +158,7 @@ def _best_policy(
 def compare_wait_walk(scenario: Scenario, model: ArrivalModel) -> str:
     """"wait" if the mean arrival beats t_delta, "walk" if not, else tied."""
     diff = model.mean() - scenario.t_delta
-    if abs(diff) < 1e-12:
+    if abs(diff) < TIE_TOL:
         return "indifferent"
     return "wait" if diff < 0.0 else "walk"
 
@@ -168,7 +168,7 @@ def classify_uniform(scenario: Scenario, headway: float) -> str:
     if not headway > 0.0:
         raise ValueError("headway must be positive")
     td = scenario.t_delta
-    if abs(headway - 2.0 * td) < 1e-12:
+    if abs(headway - 2.0 * td) < TIE_TOL:
         return "marginal"
     if headway < td:
         return "case1_wait"

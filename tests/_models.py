@@ -1,4 +1,7 @@
-"""Shared randomized scenario/model generators for the test suite."""
+"""Shared randomized scenario/model generators and exact oracles for the
+test suite."""
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -10,6 +13,7 @@ from walkwait import (
     Scenario,
     Uniform,
 )
+from walkwait.arrivals import _LinearDensity
 
 
 # twins that opt into the base-class quadrature for M1: the reference that
@@ -24,6 +28,16 @@ class QuadExponential(Exponential):
 
 class QuadLateBus(LateBusMixture):
     partial_mean = ArrivalModel.partial_mean
+
+
+class TablePiecewise(PiecewiseLinearDensity):
+    """The piecewise model with M1 and the roots of E' from its table, the
+    closed forms the other table models use.  The quadrature and the scan it
+    opts out of work to absolute tolerances, which knot times far above a
+    minute defeat."""
+
+    partial_mean = _LinearDensity.partial_mean
+    sign_changes = _LinearDensity.sign_changes
 
 
 class CountingUniform(Uniform):
@@ -99,3 +113,81 @@ def jumpy_knots(rng: np.random.Generator, t_delta: float) -> list:
         centre = rng.uniform(0.05, 0.9) * span
         knots += [(centre - width, 0.05), (centre, rng.uniform(5.0, 300.0)), (centre + width, 0.05)]
     return sorted(knots, key=lambda knot: knot[0])  # stable: jumps keep their order
+
+
+def exact_pieces(knots) -> list:
+    """The pieces of positive width of the knots normalized in exact
+    rationals: (t0, t1, y0, slope, F(t0), M1(t0)) each."""
+    knots = [(Fraction(t), Fraction(y)) for t, y in knots]
+    lines = [(t0, t1, y0, (y1 - y0) / (t1 - t0))
+             for (t0, y0), (t1, y1) in zip(knots, knots[1:]) if t1 > t0]
+    total = sum((y0 + s * (t1 - t0) / 2) * (t1 - t0) for t0, t1, y0, s in lines)
+    pieces, F, M1 = [], Fraction(0), Fraction(0)
+    for t0, t1, y0, s in lines:
+        piece = (t0, t1, y0 / total, s / total, F, M1)
+        pieces.append(piece)
+        F, M1 = exact_at(piece, t1)
+    return pieces
+
+
+def exact_at(piece, t):
+    """F(t) and M1(t) for a time t on the piece: with the density y0 + s x
+    at x = t - t0, F gains y0 x + s x^2/2 and M1 gains t0 times that plus
+    y0 x^2/2 + s x^3/3."""
+    t0, _, y0, s, F0, M0 = piece
+    x = t - t0
+    mass = x * (y0 + s * x / 2)
+    return F0 + mass, M0 + t0 * mass + x * x * (y0 / 2 + s * x / 3)
+
+
+def exact_piecewise(knots):
+    """F and M1 of the knots normalized in exact rationals."""
+    pieces = exact_pieces(knots)
+
+    def exact(t):
+        F = M1 = Fraction(0)
+        for piece in pieces:
+            if t <= piece[0]:
+                break
+            F, M1 = exact_at(piece, min(t, piece[1]))
+        return F, M1
+
+    return exact
+
+
+def exact_best_wait(scenario, knots, width=Fraction(1, 2**90)) -> Fraction:
+    """The minimum of E(W) = bus F(W) + M1(W) + R(W) (walk + W) over W in
+    [0, inf] for the knots' model, in exact rationals.
+
+    On a piece E' = R - t_delta p is a quadratic in x = W - t0, monotone on
+    each side of its vertex.  The minimum lies at walk-now, wait-forever, an
+    end of such a monotone stretch, or a root where E' goes from - to + on
+    one, which is bisected to the given width.
+    """
+    bus, walk = Fraction(scenario.bus_time), Fraction(scenario.walk_time)
+    td = walk - bus
+    pieces = exact_pieces(knots)
+
+    def tt(piece, t):
+        F, M1 = exact_at(piece, t)
+        return bus * F + M1 + (1 - F) * (walk + t)
+
+    best = min(walk, bus + exact_at(pieces[-1], pieces[-1][1])[1])
+    for piece in pieces:
+        t0, t1, y0, s, F0, _ = piece
+
+        def slope(t):  # E'(t) on this piece
+            x = t - t0
+            return 1 - F0 - x * (y0 + s * x / 2) - td * (y0 + s * x)
+
+        ends = [t0, t1]
+        if s != 0 and t0 < t0 - y0 / s - td < t1:  # the vertex of E'
+            ends.insert(1, t0 - y0 / s - td)
+        for a, b in zip(ends, ends[1:]):
+            best = min(best, tt(piece, a), tt(piece, b))
+            if slope(a) < 0 < slope(b):
+                while b - a > width:
+                    mid = (a + b) / 2
+                    a, b = (mid, b) if slope(mid) < 0 else (a, mid)
+                best = min(best, tt(piece, a))
+    return best

@@ -222,6 +222,12 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_scalar_draw_is_a_float_and_a_one_draw_array(self, model):
+        draw = model.sample(np.random.default_rng(3))
+        assert type(draw) is float
+        assert draw == model.sample(np.random.default_rng(3), 1)[0]
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
     def test_kolmogorov_smirnov(self, model):
         n = 10**5
         draws = np.sort(np.asarray(model.sample(np.random.default_rng(99), n)))

@@ -182,7 +182,10 @@ class TestSweep:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("field, start, stop", [("to", "0", "inf"), ("from", "nan", "3")])
+    # and a range with no width
+    @pytest.mark.parametrize(
+        "field, start, stop", [("to", "0", "inf"), ("from", "nan", "3"), ("to", "5", "5")]
+    )
     def test_non_finite_bound_rejected(self, config, tmp_path, capsys, field, start, stop):
         code = main(
             [
@@ -298,6 +301,12 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_single_journey_rejected(self, config, capsys):
+        argv = ["simulate", config({"kind": "uniform", "headway": 30}), "--strategy", "walk_now",
+                "--n", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: n: must be at least 2\n"
+
     def test_walk_and_wait_strategy_string(self, config, capsys):
         code, out = run(
             capsys,
@@ -320,6 +329,9 @@ class TestConfigValidation:
             ("bus_speed_kmh", math.inf),
             ("p_catch", True),
             ("p_catch", math.nan),
+            ("distance_km", 0),
+            ("bus_speed_kmh", 5),  # slower than the walk
+            ("p_catch", 1.5),
         ],
     )
     def test_top_level_field_rejected(self, config, capsys, field, value):
@@ -396,11 +408,43 @@ class TestConfigValidation:
                 },
                 "next_headway_offset",
             ),
+            (
+                {
+                    "kind": "late_bus_mixture",
+                    "still_coming_prob": 0.5,
+                    "late_window": 0,
+                    "next_headway_offset": 25,
+                },
+                "late_window",
+            ),
+            ({"kind": "piecewise", "knots": [[0, 1]]}, "knots"),
+            ({"kind": "piecewise", "knots": [[-1, 1], [5, 1]]}, "knot times"),
+            ({"kind": "piecewise", "knots": [[0, 1], [5, 1], [3, 1]]}, "knot times"),
+            ({"kind": "piecewise", "knots": [[0, 1], [5, -1]]}, "knot densities"),
+            (5, "model: model config must be an object"),
+            ({"kind": "uniform"}, "headway"),
+            ({"kind": "piecewise", "knots": 5}, "model: missing or bad parameter"),
         ],
     )
     def test_model_parameter_rejected(self, config, capsys, model, field):
         assert main(["analyze", config(model)]) == 2
         assert field in capsys.readouterr().err
+
+    def test_missing_model_rejected(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"distance_km": 3, "walk_speed_kmh": 6, "bus_speed_kmh": 30}))
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == "error: model: missing required field\n"
+
+    @pytest.mark.parametrize(
+        "text, message", [(None, "cannot read config"), ("[1, 2]", "config must be a JSON object")]
+    )
+    def test_unusable_config_rejected_naming_its_path(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        if text is not None:  # no file at the path
+            path.write_text(text)
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
     def test_unknown_top_level_field_rejected(self, config, capsys):
         # a misspelt p_catch would otherwise leave p_catch at 0

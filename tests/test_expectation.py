@@ -11,7 +11,9 @@ from walkwait import (
     LateBusMixture,
     Scenario,
     Uniform,
+    WalkAndWaitPlan,
     expected_tt,
+    expected_tt_curve,
     expected_tt_gradient,
     expected_tt_wait_forever,
 )
@@ -202,6 +204,33 @@ class TestInputValidation:
     def test_non_finite_scenario_rejected(self, args):
         with pytest.raises(ValueError):
             Scenario(*args)
+
+
+class TestOneWaitRule:
+    # a wait is a number >= 0, where inf waits forever: the scalars, a plan
+    # and every curve row check it alike
+    @pytest.mark.parametrize("wait", [True, "5"])
+    def test_scalars_reject_what_a_plan_rejects(self, wait):
+        with pytest.raises(ValueError, match="t_wait"):
+            WalkAndWaitPlan(0, wait, 0)
+        for function in (expected_tt, expected_tt_gradient):
+            with pytest.raises(ValueError, match="wait time"):
+                function(S0, Uniform(30.0), wait)
+
+    @pytest.mark.parametrize("wait", [True, "5", math.nan, -1.0])
+    def test_every_curve_row_is_checked(self, wait):
+        # a NaN row used to come back as the wait-forever row (nan, 21.0, 0.0)
+        with pytest.raises(ValueError, match="wait time"):
+            expected_tt_curve(S0, Uniform(30.0), [1.0, wait, 2.0])
+
+    @pytest.mark.parametrize(
+        "model", [Uniform(30.0), Exponential(0.05), LateBusMixture(0.25, 4.0, 56.0)]
+    )
+    def test_rows_in_any_order_are_the_scalars(self, model):
+        waits = [math.inf, 70.0, 30.0, 4.0, 2.5, 0.5, 0.0, 12.0]
+        assert expected_tt_curve(S0, model, waits) == [
+            (w, expected_tt(S0, model, w), expected_tt_gradient(S0, model, w).first) for w in waits
+        ]
 
 
 class TestRoutes:

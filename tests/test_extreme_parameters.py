@@ -11,13 +11,13 @@ import pytest
 from walkwait import (
     Exponential,
     LateBusMixture,
-    PiecewiseLinearDensity,
     Scenario,
     Uniform,
     expected_tt,
     optimal_policy,
 )
-from walkwait.arrivals import _LinearDensity
+
+from _models import TablePiecewise, exact_piecewise
 
 # walk 30 min, ride 6 min
 SCENARIO = Scenario(d=3.0, v_w=0.1, v_b=0.5)
@@ -27,16 +27,6 @@ REL = 1e-12
 # bound of _LinearDensity._tabulate), and its F may pass one by as much just
 # below the support end, where it then falls back to exactly one
 MASS_ROUNDING = 2e-13
-
-
-class TablePiecewise(PiecewiseLinearDensity):
-    """The piecewise model with M1 and the roots of E' from its table, the
-    closed forms the other table models use.  The quadrature and the scan it
-    opts out of work to absolute tolerances, which knot times far above a
-    minute defeat."""
-
-    partial_mean = _LinearDensity.partial_mean
-    sign_changes = _LinearDensity.sign_changes
 
 
 def log_uniform(rng, low=1e-300, high=1e300):
@@ -69,27 +59,6 @@ def exact_late_bus(w, L, H):
         F = 2 * w / L * (c - c * c / (2 * L)) + tail * (e - H)
         M1 = 2 * w / L * (c * c / 2 - c**3 / (3 * L)) + tail * (e * e - H * H) / 2
         return F, M1
-
-    return exact
-
-
-def exact_piecewise(knots):
-    """F and M1 of the knots normalized in exact rationals."""
-    knots = [(Fraction(t), Fraction(y)) for t, y in knots]
-    pieces = [(t0, t1, y0, y1) for (t0, y0), (t1, y1) in zip(knots, knots[1:]) if t1 > t0]
-    total = sum((y0 + y1) / 2 * (t1 - t0) for t0, t1, y0, y1 in pieces)
-
-    def exact(t):
-        F = M1 = Fraction(0)
-        for t0, t1, y0, y1 in pieces:
-            if t <= t0:
-                break
-            slope = (y1 - y0) / (t1 - t0)
-            a = y0 - slope * t0  # density a + slope tau on the piece
-            hi = min(t, t1)
-            F += a * (hi - t0) + slope / 2 * (hi * hi - t0 * t0)
-            M1 += a / 2 * (hi * hi - t0 * t0) + slope / 3 * (hi**3 - t0**3)
-        return F / total, M1 / total
 
     return exact
 

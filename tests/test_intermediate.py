@@ -7,6 +7,7 @@ import pytest
 
 from walkwait import (
     Exponential,
+    LateBusMixture,
     PiecewiseLinearDensity,
     Scenario,
     Uniform,
@@ -179,6 +180,50 @@ class TestPlanCurveD1:
     def test_every_rows_plan_checked(self, d1s, message):
         with pytest.raises(ValueError, match=message):
             plan_curve_d1(S0, Uniform(30.0), d1s, 0.0, 0.5)
+
+
+class TestPlanCurveRows:
+    # each row is checked as its plan is, with the plan's message
+    @pytest.mark.parametrize("d1", [math.nan, True, "1", math.inf])
+    def test_every_row_fails_as_its_plan_does(self, d1):
+        with pytest.raises(ValueError) as plan:
+            expected_tt_plan(S0, Uniform(30.0), WalkAndWaitPlan(d1, 4.0, 0.5))
+        with pytest.raises(ValueError, match="d1") as row:
+            plan_curve_d1(S0, Uniform(30.0), [1.0, d1, 2.0], 4.0, 0.5)
+        assert str(row.value) == str(plan.value)
+
+    @pytest.mark.parametrize("t_wait", [0.0, 2.5, math.inf])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            Uniform(30.0),
+            LateBusMixture(0.25, 4.0, 56.0),
+            PiecewiseLinearDensity([[0, 0], [10, 0], [10, 1], [12, 1], [12, 0.01], [200, 0.01]]),
+        ],
+    )
+    def test_rows_in_any_order_are_the_scalars(self, model, t_wait):
+        d1s = [3.0, 2.0, 1.25, 0.5, 0.0, 1.0]
+        rows = plan_curve_d1(S0, model, d1s, t_wait, 0.3)
+        assert [row[0] for row in rows] == d1s
+        for d1, (_, e, slope) in zip(d1s, rows):
+            plan = WalkAndWaitPlan(d1, t_wait, 0.3)
+            assert e == expected_tt_plan(S0, model, plan)
+            assert slope == plan_gradient_d1(S0, model, plan)
+
+    def test_slope_is_the_papers_expression_bit_for_bit(self):
+        # q^2 (d - d1) ((1 - p_catch) p(t1) - p(T)), from two density lookups
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            scenario, model = random_scenario(rng), random_model(rng)
+            d1 = float(rng.choice([0.0, scenario.d, rng.uniform(0.0, scenario.d)]))
+            t_wait = float(rng.choice([0.0, math.inf, rng.uniform(0.0, 60.0)]))
+            p_catch = float(rng.choice([0.0, 1.0, rng.uniform()]))
+            t1, q = d1 * scenario.q, scenario.q
+            want = q * q * (scenario.d - d1) * (
+                (1.0 - p_catch) * model.density(t1) - model.density(t1 + t_wait)
+            )
+            got = plan_gradient_d1(scenario, model, WalkAndWaitPlan(d1, t_wait, p_catch))
+            assert got.hex() == want.hex()
 
 
 class TestWalkVigilant:

@@ -2,6 +2,7 @@
 
 import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,14 @@ from walkwait import (
 )
 from walkwait.arrivals import FLAT_TOL, ArrivalModel, _LinearDensity
 from walkwait.optimizer import BISECT_WIDTH, SCAN_POINTS, _scan_sign_changes
-from _models import jumpy_knots, near_kink, random_model, random_scenario
+from _models import (
+    TablePiecewise,
+    exact_best_wait,
+    jumpy_knots,
+    near_kink,
+    random_model,
+    random_scenario,
+)
 
 S0 = Scenario(d=3.0, v_w=0.1, v_b=0.5)
 LATE_BUS = LateBusMixture(still_coming_prob=0.25, late_window=4.0, next_headway_offset=56.0)
@@ -412,6 +420,17 @@ class TestOptimalPolicy:
             if policy.t_wait is not None:
                 at_wait = piecewise_tt(scenario, knots, np.array([policy.t_wait]))[0]
                 assert policy.expected_tt == pytest.approx(at_wait, rel=1e-9)
+
+    def test_within_1e12_of_the_exact_minimum(self):
+        # a certificate in rationals, which no grid limits: a jump minimum
+        # or a narrow spike that the optimizer misses shows as a gap
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            knots = jumpy_knots(rng, S0.t_delta)
+            exact = exact_best_wait(S0, knots)
+            for model in (PiecewiseLinearDensity(knots), TablePiecewise(knots)):
+                found = Fraction(optimal_policy(S0, model).expected_tt)
+                assert abs(found - exact) <= Fraction(1e-12) * exact, (type(model), knots)
 
     def test_marginal_tie_prefers_walking(self):
         policy = optimal_policy(S0, Uniform(48.0))
