@@ -15,7 +15,9 @@ import sys
 
 from .arrivals import ArrivalModel, model_from_config
 from .expectation import Scenario, expected_tt_curve, expected_tt_wait_forever
-from .intermediate import WalkAndWaitPlan, expected_tt_plan, plan_curve_d1, vigilant_curve
+from .intermediate import (
+    WalkAndWaitPlan, _p_catch, expected_tt_plan, plan_curve_d1, vigilant_curve
+)
 from .mcsim import WaitForever, WaitThenWalk, WalkNow, estimate
 from .optimizer import _best_policy, compare_wait_walk, find_stationary_points
 from .quadrature import IntervalCapError
@@ -95,10 +97,10 @@ def load_config(path: str) -> tuple[Scenario, ArrivalModel, float]:
         raise ConfigError("model", f"missing or bad parameter: {exc}") from exc
     except ValueError as exc:
         raise ConfigError("model", str(exc)) from exc
-    p_catch = number("p_catch") if "p_catch" in raw else 0.0
-    if not 0.0 <= p_catch <= 1.0:
-        raise ConfigError("p_catch", "must be a number in [0, 1]")
-    return scenario, model, p_catch
+    try:
+        return scenario, model, _p_catch(raw.get("p_catch", 0.0))
+    except ValueError as exc:
+        raise ConfigError("p_catch", str(exc)) from exc
 
 
 def _analyze_payload(scenario: Scenario, model: ArrivalModel) -> dict:

@@ -10,10 +10,12 @@ On each piece of a linear density E' is a polynomial of degree at most 2.
 ``Uniform`` and ``LateBusMixture`` solve it, jump minima included, on their
 shared piece table, and ``Exponential``, whose rate is constant, has no root
 or is flat; all three through ``ArrivalModel.sign_changes``.
-``PiecewiseLinearDensity`` has the same table but, like user subclasses, is
-scanned on a grid and bisected, as a benchmark self-test pins the scan
-(ROADMAP items 1 and 2); the scan's cost is its ``appearance_rate`` calls,
-which a table model answers from one row of its piece table.
+``PiecewiseLinearDensity``, like user subclasses, is scanned on a grid and
+bisected while a benchmark self-test pins the scan (ROADMAP items 1 and 2).
+
+``optimal_policy`` prices only what it weighs, the minima and wait-forever.
+Walk-now's E is the walk time, as ``analyze`` reports it: a zero wait never
+boards.
 """
 
 from __future__ import annotations
@@ -51,15 +53,16 @@ def find_stationary_points(
     model: ArrivalModel,
     horizon: float | None = None,
 ) -> list[StationaryPoint]:
-    """Locate the sign changes of E'(W) in (0, horizon) and classify each by
-    its direction.
+    """The sign changes of E'(W) in (0, horizon), classified by their
+    direction (see ``_sign_changes``) and each priced by ``expected_tt``."""
+    return [StationaryPoint(t, kind, expected_tt(scenario, model, t))
+            for t, kind in _sign_changes(scenario, model, horizon)]
 
-    ``Uniform``, ``Exponential`` and ``LateBusMixture`` give them in closed
-    form through ``model.sign_changes``.  Other models, such as
-    ``PiecewiseLinearDensity`` and user subclasses, are scanned: see
-    ``_scan_sign_changes``.  A rate that is flat at exactly 1/t_delta yields
-    a single "flat" marker at t = 0.
-    """
+
+def _sign_changes(scenario: Scenario, model: ArrivalModel, horizon) -> list[tuple[float, str]]:
+    """(t, kind) for each sign change of E'(W) in (0, horizon), from
+    ``model.sign_changes`` or else ``_scan_sign_changes``; a rate flat at
+    exactly 1/t_delta gives one "flat" marker at t = 0."""
     horizon = model.quad_bound() if horizon is None else _number(horizon, "horizon")
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -67,7 +70,7 @@ def find_stationary_points(
     changes = model.sign_changes(scenario.t_delta, end)
     if changes is None:
         changes = _scan_sign_changes(model, 1.0 / scenario.t_delta, end)
-    return [StationaryPoint(t, kind, expected_tt(scenario, model, t)) for t, kind in changes]
+    return changes
 
 
 def _scan_sign_changes(model: ArrivalModel, target: float, end: float) -> list[tuple[float, str]]:
@@ -125,12 +128,13 @@ def optimal_policy(
     model: ArrivalModel,
     horizon: float | None = None,
 ) -> PolicyChoice:
-    """Best of walk-now, wait-forever, and every interior minimum.
-
-    Ties within 1e-12 min go to walk_now, then wait_forever, then the
-    smallest finite wait.
+    """Best of walk-now, wait-forever, and every interior minimum; only the
+    minima are priced.  Ties within 1e-12 min go to walk_now, then
+    wait_forever, then the smallest finite wait.
     """
-    return _best_policy(scenario, model, find_stationary_points(scenario, model, horizon))
+    minima = [StationaryPoint(t, kind, expected_tt(scenario, model, t))
+              for t, kind in _sign_changes(scenario, model, horizon) if kind == "minimum"]
+    return _best_policy(scenario, model, minima)
 
 
 def _best_policy(
@@ -138,21 +142,15 @@ def _best_policy(
     model: ArrivalModel,
     points: list[StationaryPoint],
 ) -> PolicyChoice:
-    """``optimal_policy`` given the stationary points it would find."""
-    candidates = [
-        PolicyChoice("walk_now", expected_tt(scenario, model, 0.0)),
-        PolicyChoice("wait_forever", expected_tt_wait_forever(scenario, model)),
-    ]
-    minima = [sp for sp in points if sp.kind == "minimum"]
-    for sp in sorted(minima, key=lambda sp: sp.t_wait):
-        candidates.append(
-            PolicyChoice("wait_then_walk", sp.expected_tt, t_wait=sp.t_wait)
-        )
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand.expected_tt < best.expected_tt - TIE_TOL:
+    """``optimal_policy`` given the stationary points it would find.  Walk-now's
+    E is the walk time: a zero wait never boards."""
+    best = ("walk_now", scenario.walk_time, None)  # (strategy, E, t_wait)
+    minima = sorted((sp for sp in points if sp.kind == "minimum"), key=lambda sp: sp.t_wait)
+    candidates = [("wait_forever", expected_tt_wait_forever(scenario, model), None)]
+    for cand in candidates + [("wait_then_walk", sp.expected_tt, sp.t_wait) for sp in minima]:
+        if cand[1] < best[1] - TIE_TOL:
             best = cand
-    return best
+    return PolicyChoice(*best)
 
 
 def compare_wait_walk(scenario: Scenario, model: ArrivalModel) -> str:

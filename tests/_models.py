@@ -40,6 +40,41 @@ class TablePiecewise(PiecewiseLinearDensity):
     sign_changes = _LinearDensity.sign_changes
 
 
+class FallbackPiecewise(PiecewiseLinearDensity):
+    """The piecewise model on the base class's routes, the grid scan for the
+    roots of E' and the quadrature for M1, which a model without closed
+    forms takes, whatever routes PiecewiseLinearDensity itself takes."""
+
+    sign_changes = ArrivalModel.sign_changes
+    partial_mean = ArrivalModel.partial_mean
+
+
+class FallbackLateBus(LateBusMixture):
+    sign_changes = ArrivalModel.sign_changes
+    partial_mean = ArrivalModel.partial_mean
+
+
+class Triangle(ArrivalModel):
+    """Density (10 - t) / 50 on [0, 10], with only the members a subclass
+    must implement."""
+
+    @property
+    def support_end(self):
+        return 10.0
+
+    def _at(self, t):
+        if t >= 10.0:
+            return 0.0, 0.0, 1.0, 0.0
+        F = t / 5.0 - t * t / 100.0
+        return (10.0 - t) / 50.0, -1.0 / 50.0, F, 1.0 - F
+
+    def mean(self):
+        return 10.0 / 3.0
+
+    def sample(self, rng, size=None):
+        return 10.0 * (1.0 - np.sqrt(1.0 - rng.random(size)))  # inverse CDF
+
+
 class CountingUniform(Uniform):
     """Uniform that counts its lookups on the class: the frozen instance's
     __dict__ is left alone."""
@@ -113,6 +148,20 @@ def jumpy_knots(rng: np.random.Generator, t_delta: float) -> list:
         centre = rng.uniform(0.05, 0.9) * span
         knots += [(centre - width, 0.05), (centre, rng.uniform(5.0, 300.0)), (centre + width, 0.05)]
     return sorted(knots, key=lambda knot: knot[0])  # stable: jumps keep their order
+
+
+def drop_knots(rng: np.random.Generator, t_delta: float) -> list:
+    """Random knots whose best wait is usually a density drop: a dense head
+    that ends in a drop before t_delta / 2, where E' goes from - to +
+    without vanishing, then a sparse tail of 2 to 6 t_delta that holds 5% to
+    100% of the head's mass, too long to be worth sitting out."""
+    drop = rng.uniform(0.05, 0.5) * t_delta
+    end = drop + rng.uniform(2.0, 6.0) * t_delta
+    head = np.sort(rng.uniform(0.0, drop, int(rng.integers(0, 3))))
+    tail = np.sort(rng.uniform(drop, end, int(rng.integers(0, 3))))
+    low = rng.uniform(0.05, 1.0) * drop / (end - drop)
+    knots = [(t, rng.uniform(0.5, 1.0)) for t in [0.0, *head, drop]]
+    return knots + [(t, low * rng.uniform(0.5, 1.0)) for t in [drop, *tail, end]]
 
 
 def exact_pieces(knots) -> list:

@@ -25,7 +25,7 @@ from walkwait import (
 
 from walkwait.arrivals import _LinearDensity
 
-from _models import jumpy_knots, near_kink, random_model
+from _models import Triangle, jumpy_knots, near_kink, random_model
 
 ALL_MODELS = [
     Uniform(headway=30.0),
@@ -567,27 +567,6 @@ class TestGuideTableSampler:
     def test_scalar_draw_is_a_float(self):
         draw = PiecewiseLinearDensity(DROP_KNOTS).sample(np.random.default_rng(0))
         assert isinstance(draw, float)
-
-
-class Triangle(ArrivalModel):
-    """Density (10 - t) / 50 on [0, 10], with only the members a subclass
-    must implement."""
-
-    @property
-    def support_end(self):
-        return 10.0
-
-    def _at(self, t):
-        if t >= 10.0:
-            return 0.0, 0.0, 1.0, 0.0
-        F = t / 5.0 - t * t / 100.0
-        return (10.0 - t) / 50.0, -1.0 / 50.0, F, 1.0 - F
-
-    def mean(self):
-        return 10.0 / 3.0
-
-    def sample(self, rng, size=None):
-        return 10.0 * (1.0 - np.sqrt(1.0 - rng.random(size)))  # inverse CDF
 
 
 class ExactTriangle(Triangle):

@@ -20,10 +20,16 @@ from walkwait import (
     model_from_config,
     plan_gradient_d1,
 )
-from walkwait import cli, optimizer, quadrature
+from walkwait import arrivals, cli, optimizer, quadrature
 from walkwait.cli import ANALYZE_SCHEMA, build_parser, main
 
-from _models import CountingLateBus, CountingUniform, jumpy_knots
+from _models import (
+    CountingLateBus,
+    CountingUniform,
+    FallbackLateBus,
+    FallbackPiecewise,
+    jumpy_knots,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -135,6 +141,28 @@ class TestOptimize:
 
         monkeypatch.setattr(optimizer, "_scan_sign_changes", counted)
         assert main(["optimize", str(CONFIG_DIR / "piecewise.json"), "--json"]) == 0
+        assert len(scans) == 1
+
+    @pytest.mark.parametrize(
+        "kind, twin, name",
+        [
+            ("piecewise", FallbackPiecewise, "piecewise.json"),
+            ("late_bus_mixture", FallbackLateBus, "late_bus.json"),
+        ],
+    )
+    def test_scanned_twin_scans_once(self, monkeypatch, kind, twin, name):
+        # the same through a twin on the scan, whatever route the bundled
+        # model takes
+        monkeypatch.setitem(arrivals.MODEL_KINDS, kind, (twin, arrivals.MODEL_KINDS[kind][1]))
+        scans = []
+        scan = optimizer._scan_sign_changes
+
+        def counted(*args):
+            scans.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(optimizer, "_scan_sign_changes", counted)
+        assert main(["optimize", str(CONFIG_DIR / name), "--json"]) == 0
         assert len(scans) == 1
 
 
@@ -640,6 +668,23 @@ class TestSweepErrors:
     def test_quadrature_interval_cap_is_an_error_line(self, config, tmp_path, capsys, monkeypatch):
         # M1 of this model near its time scale exhausts the quadrature's
         # interval cap after about 2 s; a lower cap reaches it in milliseconds
+        monkeypatch.setattr(quadrature, "adaptive_simpson",
+                            functools.partial(quadrature.adaptive_simpson, max_intervals=1000))
+        knots = [[0, 0.3], [52910052.91005291, 2.1], [142857142.85714287, 1.3]]
+        out = tmp_path / "tw.csv"
+        argv = ["sweep", config({"kind": "piecewise", "knots": knots}), "--var", "tw",
+                "--from", "0", "--to", "1.1e8", "--steps", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: model: adaptive quadrature exceeded the interval cap\n")
+        assert not out.exists()
+
+    def test_quadrature_twin_interval_cap_is_an_error_line(
+        self, config, tmp_path, capsys, monkeypatch
+    ):
+        # the same through a twin on the quadrature, whatever route the
+        # bundled piecewise model takes for M1
+        monkeypatch.setitem(arrivals.MODEL_KINDS, "piecewise", (FallbackPiecewise, ("knots",)))
         monkeypatch.setattr(quadrature, "adaptive_simpson",
                             functools.partial(quadrature.adaptive_simpson, max_intervals=1000))
         knots = [[0, 0.3], [52910052.91005291, 2.1], [142857142.85714287, 1.3]]

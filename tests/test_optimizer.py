@@ -22,9 +22,13 @@ from walkwait import (
     optimal_policy,
 )
 from walkwait.arrivals import FLAT_TOL, ArrivalModel, _LinearDensity
-from walkwait.optimizer import BISECT_WIDTH, SCAN_POINTS, _scan_sign_changes
+from walkwait.optimizer import BISECT_WIDTH, SCAN_POINTS, _best_policy, _scan_sign_changes
 from _models import (
+    FallbackLateBus,
+    FallbackPiecewise,
     TablePiecewise,
+    Triangle,
+    drop_knots,
     exact_best_wait,
     jumpy_knots,
     near_kink,
@@ -36,7 +40,8 @@ S0 = Scenario(d=3.0, v_w=0.1, v_b=0.5)
 LATE_BUS = LateBusMixture(still_coming_prob=0.25, late_window=4.0, next_headway_offset=56.0)
 # a spike narrower than one cell of the scan grid, and a density drop at t=4
 SPIKE = PiecewiseLinearDensity([[0, .001], [5, .001], [5.05, 320], [5.1, .001], [4000, .001]])
-DROP = PiecewiseLinearDensity([[0, 1], [4, 1], [4, .01], [100, .01]])
+DROP_KNOTS = [[0, 1], [4, 1], [4, .01], [100, .01]]
+DROP = PiecewiseLinearDensity(DROP_KNOTS)
 
 
 def piecewise_tt(scenario: Scenario, knots: list, ws: np.ndarray) -> np.ndarray:
@@ -212,6 +217,25 @@ class TestClosedFormSignChanges:
         model = counting(PiecewiseLinearDensity)([[0, 1], [4, 1], [4, .01], [100, .01]])
         assert find_stationary_points(S0, model) == find_stationary_points(S0, DROP)
         assert type(model).calls > SCAN_POINTS
+
+    @pytest.mark.parametrize(
+        "twin, args, exact",
+        [
+            (FallbackPiecewise, (DROP_KNOTS,), TablePiecewise(DROP_KNOTS)),
+            (FallbackLateBus, (0.25, 4.0, 56.0), LATE_BUS),
+        ],
+    )
+    def test_fallback_twins_are_scanned(self, twin, args, exact):
+        # the twins keep the scan and the quadrature reachable whatever
+        # routes the bundled models take: each finds the closed-form points
+        model = counting(twin)(*args)
+        points = find_stationary_points(S0, model)
+        assert type(model).calls > SCAN_POINTS
+        expected = find_stationary_points(S0, exact)
+        assert [sp.kind for sp in points] == [sp.kind for sp in expected]
+        for sp, closed in zip(points, expected):
+            assert sp.t_wait == pytest.approx(closed.t_wait, abs=1e-9)
+            assert sp.expected_tt == pytest.approx(closed.expected_tt, rel=1e-12)
 
     def test_late_bus_minimum_before_the_first_grid_point(self):
         scenario = Scenario(4.70919, 5.9643 / 60, 17.3726 / 60)
@@ -423,10 +447,12 @@ class TestOptimalPolicy:
 
     def test_within_1e12_of_the_exact_minimum(self):
         # a certificate in rationals, which no grid limits: a jump minimum
-        # or a narrow spike that the optimizer misses shows as a gap
+        # or a narrow spike that the optimizer misses shows as a gap; the
+        # drop_knots models mostly have their optimum at a density drop
         rng = np.random.default_rng(11)
-        for _ in range(100):
-            knots = jumpy_knots(rng, S0.t_delta)
+        cases = [jumpy_knots(rng, S0.t_delta) for _ in range(100)]
+        cases += [drop_knots(rng, S0.t_delta) for _ in range(50)]
+        for knots in cases:
             exact = exact_best_wait(S0, knots)
             for model in (PiecewiseLinearDensity(knots), TablePiecewise(knots)):
                 found = Fraction(optimal_policy(S0, model).expected_tt)
@@ -458,6 +484,59 @@ class TestOptimalPolicy:
             candidates.append(expected_tt_wait_forever(scenario, model))
             assert policy.expected_tt == pytest.approx(min(candidates), abs=1e-6)
             assert policy.expected_tt <= min(candidates) + 1e-6
+
+
+class Recording:
+    """Mixin that records, on the class, every time a model looks up."""
+
+    def _at(self, t):
+        type(self).times.append(t)
+        return super()._at(t)
+
+    def partial_mean(self, t):
+        type(self).times.append(t)
+        return super().partial_mean(t)
+
+
+class TestPricesOnlyWhatItWeighs:
+    @pytest.mark.parametrize(
+        "cls, args",
+        [(Uniform, (30.0,)), (LateBusMixture, (0.99, 60.0, 80.0))],
+    )
+    def test_no_lookup_at_a_maximum(self, cls, args):
+        model = type("Recorded", (Recording, cls), {"times": []})(*args)
+        points = find_stationary_points(S0, cls(*args))
+        assert "maximum" in [sp.kind for sp in points]
+        policy = optimal_policy(S0, model)
+        minima = {sp.t_wait for sp in points if sp.kind == "minimum"}
+        # the late-bus model waits for its minimum between two maxima
+        assert set(type(model).times) == minima
+        assert policy == optimal_policy(S0, cls(*args))
+
+    @pytest.mark.parametrize(
+        "model",
+        [Uniform(30.0), Exponential(1.0 / 24.0), LATE_BUS, DROP, SPIKE, Triangle()],
+        ids=["uniform", "exponential", "late_bus", "drop", "spike", "triangle"],
+    )
+    def test_walk_now_is_the_walk_time(self, model):
+        rng = np.random.default_rng(12)
+        slow_bus = Scenario(3.0, 0.1, 0.1 * (1.0 + 1e-6))  # walking now wins
+        assert optimal_policy(slow_bus, model).strategy == "walk_now"
+        for scenario in [slow_bus, S0, *(random_scenario(rng) for _ in range(20))]:
+            walk = scenario.walk_time.hex()
+            assert expected_tt(scenario, model, 0.0).hex() == walk
+            policy = optimal_policy(scenario, model)
+            if policy.strategy == "walk_now":
+                assert policy.expected_tt.hex() == walk
+
+    def test_same_choice_from_the_priced_points(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            scenario = random_scenario(rng)
+            knots = jumpy_knots(rng, scenario.t_delta)
+            for model in (PiecewiseLinearDensity(knots), TablePiecewise(knots)):
+                points = find_stationary_points(scenario, model)
+                assert optimal_policy(scenario, model) == _best_policy(scenario, model, points)
 
 
 class TestCompareWaitWalk:
