@@ -51,11 +51,31 @@ def _check_time(t: float, name: str = "time") -> float:
 
 
 def _number(value, name: str) -> float:
-    """value as a float; booleans and non-numbers are rejected."""
+    """value as a float; booleans and non-numbers are rejected, and an int
+    beyond the floats becomes +-inf, as float arithmetic rounds it."""
     # int and float first: the abstract numbers.Real check is slow
     if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _positive(value, name: str) -> float:
+    """value as a float greater than 0 and finite."""
+    x = _number(value, name)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x}")
+    return x
+
+
+def _probability(value, name: str) -> float:
+    """value as a float in [0, 1]."""
+    p = _number(value, name)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return p
 
 
 class ArrivalModel(ABC):
@@ -305,9 +325,7 @@ class Uniform(_LinearDensity):
     headway: float
 
     def __post_init__(self):
-        if not 0.0 < _number(self.headway, "headway") < math.inf:
-            raise ValueError("headway must be positive and finite")
-        h = float(self.headway)
+        h = _positive(self.headway, "headway")
         error = f"headway {h} is out of range: 1/headway or its sums leave the normal floats"
         self._tabulate([(0.0, h, 1.0 / h, 1.0 / h)], error, error)
 
@@ -323,8 +341,7 @@ class Exponential(ArrivalModel):
     rate: float
 
     def __post_init__(self):
-        if not 0.0 < _number(self.rate, "rate") < math.inf:
-            raise ValueError("rate must be positive and finite")
+        _positive(self.rate, "rate")
 
     @property
     def support_end(self) -> float:
@@ -385,14 +402,11 @@ class LateBusMixture(_LinearDensity):
     next_headway_offset: float
 
     def __post_init__(self):
-        if not 0.0 <= _number(self.still_coming_prob, "still_coming_prob") <= 1.0:
-            raise ValueError("still_coming_prob must lie in [0, 1]")
-        if not 0.0 < _number(self.late_window, "late_window") < math.inf:
-            raise ValueError("late_window must be positive and finite")
-        offset = _number(self.next_headway_offset, "next_headway_offset")
-        if not self.late_window < offset < math.inf:
+        w = _probability(self.still_coming_prob, "still_coming_prob")
+        L = _positive(self.late_window, "late_window")
+        H = _number(self.next_headway_offset, "next_headway_offset")
+        if not L < H < math.inf:
             raise ValueError("next_headway_offset must be finite and exceed late_window")
-        w, L, H = map(float, (self.still_coming_prob, self.late_window, offset))
         head, tail = 2.0 * w / L, (1.0 - w) / L
         error = (
             f"late_window {L} is out of range for still_coming_prob {w}: the density of the"

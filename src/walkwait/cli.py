@@ -1,8 +1,10 @@
 """Command-line front end: analyze, optimize, sweep, simulate.
 
 Configs are JSON with human-friendly units (km, km/h); everything internal
-runs in km and minutes.  Exit codes: 0 success, 2 bad input (including a
-model whose partial mean the quadrature cannot resolve), 3 I/O failure.
+runs in km and minutes, and each number is checked there by the library's
+rule for it, so a speed that underflows names its field.  Exit codes: 0
+success, 2 bad input, named by its field or option (a model whose partial
+mean the quadrature cannot resolve is bad input too), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -13,11 +15,9 @@ import json
 import math
 import sys
 
-from .arrivals import ArrivalModel, model_from_config
+from .arrivals import ArrivalModel, _number, _positive, _probability, model_from_config
 from .expectation import Scenario, expected_tt_curve, expected_tt_wait_forever
-from .intermediate import (
-    WalkAndWaitPlan, _p_catch, expected_tt_plan, plan_curve_d1, vigilant_curve
-)
+from .intermediate import WalkAndWaitPlan, expected_tt_plan, plan_curve_d1, vigilant_curve
 from .mcsim import WaitForever, WaitThenWalk, WalkNow, estimate
 from .optimizer import _best_policy, compare_wait_walk, find_stationary_points
 from .quadrature import IntervalCapError
@@ -70,25 +70,22 @@ def load_config(path: str) -> tuple[Scenario, ArrivalModel, float]:
         fields = ", ".join(CONFIG_FIELDS)
         raise ConfigError(", ".join(unknown), f"unknown field; a config takes only {fields}")
 
-    def number(field, minimum=None):
+    def number(field, name, per=1.0):
+        """The field in km and minutes, checked as Scenario checks its name."""
         if field not in raw:
             raise ConfigError(field, "missing required field")
-        value = raw[field]
-        if type(value) not in (int, float) or not math.isfinite(value):  # no booleans
-            raise ConfigError(field, "must be a finite number")
-        if minimum is not None and not value > minimum:
-            raise ConfigError(field, f"must be > {minimum}")
-        return float(value)
+        try:
+            return _positive(_number(raw[field], name) / per, name)
+        except ValueError as exc:
+            raise ConfigError(field, str(exc)) from exc
 
-    d = number("distance_km", 0.0)
-    v_w = number("walk_speed_kmh", 0.0) / 60.0
-    v_b = number("bus_speed_kmh", 0.0) / 60.0
-    if v_b <= v_w:
-        raise ConfigError("bus_speed_kmh", "must exceed walk_speed_kmh")
+    d = number("distance_km", "d")
+    v_w = number("walk_speed_kmh", "v_w", 60.0)
+    v_b = number("bus_speed_kmh", "v_b", 60.0)
     try:
         scenario = Scenario(d=d, v_w=v_w, v_b=v_b)
-    except ValueError as exc:
-        raise ConfigError("scenario", str(exc)) from exc
+    except ValueError as exc:  # each field passed: the journey rule failed
+        raise ConfigError("distance_km, walk_speed_kmh, bus_speed_kmh", str(exc)) from exc
     if "model" not in raw:
         raise ConfigError("model", "missing required field")
     try:
@@ -98,7 +95,7 @@ def load_config(path: str) -> tuple[Scenario, ArrivalModel, float]:
     except ValueError as exc:
         raise ConfigError("model", str(exc)) from exc
     try:
-        return scenario, model, _p_catch(raw.get("p_catch", 0.0))
+        return scenario, model, _probability(raw.get("p_catch", 0.0), "p_catch")
     except ValueError as exc:
         raise ConfigError("p_catch", str(exc)) from exc
 
@@ -218,10 +215,11 @@ def parse_strategy(text: str) -> WalkAndWaitPlan:
 def cmd_simulate(args) -> int:
     scenario, model, _ = load_config(args.config)
     strategy = parse_strategy(args.strategy)
-    if args.n < 2:
-        raise ConfigError("n", "must be at least 2")
-    result = estimate(scenario, model, strategy, args.n, args.seed)
-    analytic = expected_tt_plan(scenario, model, strategy)
+    analytic = expected_tt_plan(scenario, model, strategy)  # checks the plan's d1 first
+    try:
+        result = estimate(scenario, model, strategy, args.n, args.seed)
+    except ValueError as exc:  # with the plan checked, only n is left
+        raise ConfigError("n", str(exc)) from exc
     z = (result.mean - analytic) / result.stderr if result.stderr > 0 else 0.0
     if args.json:
         print(

@@ -4,6 +4,7 @@ The traveller waits up to ``t_wait`` minutes for a bus, boarding if it comes,
 and otherwise walks the whole way.  ``t_wait = math.inf`` means wait forever;
 ``t_wait = 0`` means walk immediately.  ``_wait`` checks every wait, a plan's
 and a curve row's too: NaN, negatives, booleans and strings are rejected.
+``Scenario`` works out and checks the journey times every expectation reads.
 
 Every expectation here and in :mod:`walkwait.intermediate` is one expression
 in the model's CDF F, its survival R = 1 - F and its partial mean M1.
@@ -12,44 +13,39 @@ in the model's CDF F, its survival R = 1 - F and its partial mean M1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .arrivals import ArrivalModel, _check_time, _number
+from .arrivals import ArrivalModel, _check_time, _number, _positive
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Journey distance (km) and the two speeds (km/min), bus faster than foot."""
+    """Journey distance d (km) and the two speeds v_w and v_b (km/min).
+
+    The journey is worked out once: ``walk_time`` d/v_w, ``bus_time`` d/v_b,
+    the break-even wait ``t_delta`` = walk_time - bus_time and the pace
+    difference ``q`` = 1/v_w - 1/v_b (min/km).  Each of d, v_w, v_b, t_delta
+    and q must lie in (0, inf): stated on t_delta and q rather than as
+    v_w < v_b, the rule also rejects what rounding makes 0, inf or NaN.
+    """
 
     d: float
     v_w: float
     v_b: float
+    walk_time: float = field(init=False, repr=False, compare=False)
+    bus_time: float = field(init=False, repr=False, compare=False)
+    t_delta: float = field(init=False, repr=False, compare=False)
+    q: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 < _number(self.d, "d") < math.inf:
-            raise ValueError("distance must be positive and finite")
-        if not 0.0 < _number(self.v_w, "v_w") < math.inf:
-            raise ValueError("walking speed must be positive and finite")
-        if not self.v_w < _number(self.v_b, "v_b") < math.inf:
-            raise ValueError("bus speed must be finite and exceed walking speed")
-
-    @property
-    def walk_time(self) -> float:
-        return self.d / self.v_w
-
-    @property
-    def bus_time(self) -> float:
-        return self.d / self.v_b
-
-    @property
-    def t_delta(self) -> float:
-        """Walking time minus bus time: the break-even expected wait."""
-        return self.d / self.v_w - self.d / self.v_b
-
-    @property
-    def q(self) -> float:
-        """Pace difference 1/v_w - 1/v_b (min/km)."""
-        return 1.0 / self.v_w - 1.0 / self.v_b
+        for name in ("d", "v_w", "v_b"):
+            _positive(getattr(self, name), name)
+        walk, bus = self.d / self.v_w, self.d / self.v_b
+        t_delta, q = walk - bus, 1.0 / self.v_w - 1.0 / self.v_b
+        _positive(q, "q = 1/v_w - 1/v_b")
+        _positive(t_delta, "t_delta = d/v_w - d/v_b")
+        # past the frozen __setattr__, as __init__ itself sets fields
+        self.__dict__.update(walk_time=walk, bus_time=bus, t_delta=t_delta, q=q)
 
 
 def _wait(value, name: str = "wait time") -> float:

@@ -10,7 +10,7 @@ point on the route.
 Every strategy is a plan: walking now is (0, 0, 0), waiting up to W minutes
 at the origin is (0, W, 0) and waiting forever is (0, inf, 0).  Each plan
 input has one rule, which the plan and every curve row apply in one order:
-``_d1``, ``_wait``, ``_p_catch``, then ``_reach`` (d1 lies in the journey).
+``_d1``, ``_wait``, ``_probability``, then ``_reach`` (d1 lies in the journey).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arrivals import ArrivalModel, _number
+from .arrivals import ArrivalModel, _number, _probability
 from .expectation import GradientPair, Scenario, _wait, _wait_gradient, _walk_and_wait
 
 
@@ -28,14 +28,6 @@ def _d1(value) -> float:
     if not 0.0 <= d1 < math.inf:
         raise ValueError("d1 must be nonnegative and finite")
     return d1
-
-
-def _p_catch(value) -> float:
-    """value as a catch probability; booleans and values outside [0, 1] are rejected."""
-    p = _number(value, "p_catch")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p_catch must lie in [0, 1]")
-    return p
 
 
 def _reach(scenario: Scenario, d1: float) -> None:
@@ -55,7 +47,7 @@ class WalkAndWaitPlan:
     def __post_init__(self):
         _d1(self.d1)
         _wait(self.t_wait, "t_wait")
-        _p_catch(self.p_catch)
+        _probability(self.p_catch, "p_catch")
 
     def t1(self, scenario: Scenario) -> float:
         """Head start eroded while walking to the stop (minutes)."""
@@ -120,7 +112,7 @@ def plan_curve_d1(
     for d1 in d1s:
         d1 = _d1(d1)
         if not rows:  # every row shares its wait and p_catch: check them once
-            t_wait, p_catch = _wait(t_wait, "t_wait"), _p_catch(p_catch)
+            t_wait, p_catch = _wait(t_wait, "t_wait"), _probability(p_catch, "p_catch")
         _reach(scenario, d1)
         t1 = d1 * q
         e, p, _, p1 = _walk_and_wait(scenario, model, t1, t_wait, p_catch)
@@ -163,7 +155,7 @@ def vigilant_curve(scenario: Scenario, model: ArrivalModel, p_catches) -> list[t
     advantage = model.mean() - td
     rows = []
     for p in p_catches:
-        s = _p_catch(p) * saving
+        s = _probability(p, "p_catch") * saving
         rows.append((p, walk - s, advantage + s))
     return rows
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import FLAT_TOL, SURVIVAL_FLOOR, ArrivalModel, _number
+from .arrivals import FLAT_TOL, SURVIVAL_FLOOR, ArrivalModel, _positive
 from .expectation import Scenario, expected_tt, expected_tt_wait_forever
 
 SCAN_POINTS = 4096
@@ -63,9 +63,7 @@ def _sign_changes(scenario: Scenario, model: ArrivalModel, horizon) -> list[tupl
     """(t, kind) for each sign change of E'(W) in (0, horizon), from
     ``model.sign_changes`` or else ``_scan_sign_changes``; a rate flat at
     exactly 1/t_delta gives one "flat" marker at t = 0."""
-    horizon = model.quad_bound() if horizon is None else _number(horizon, "horizon")
-    if not 0.0 < horizon < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    horizon = _positive(model.quad_bound() if horizon is None else horizon, "horizon")
     end = min(horizon, model.support_end)
     changes = model.sign_changes(scenario.t_delta, end)
     if changes is None:

@@ -200,6 +200,11 @@ class TestMassNormalization:
         with pytest.raises(ValueError):
             PiecewiseLinearDensity([(0.0, 0.0), (5.0, 0.0)])
 
+    def test_piecewise_repr_lists_the_normalized_knots(self):
+        assert repr(PiecewiseLinearDensity([[0, 2], [1, 2], [1, 0], [3, 0]])) == (
+            "PiecewiseLinearDensity([(0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (3.0, 0.0)])"
+        )
+
 
 class TestSampling:
     def test_uniform_mean_within_three_stderr(self):
@@ -402,6 +407,13 @@ class TestNonFiniteRejected:
     def test_smallest_spans_accepted(self):
         for model in (Uniform(1.7e-308), PiecewiseLinearDensity([[0, 1], [1.7e-308, 1]])):
             assert model.mean() == 8.5e-309 and model.cdf(1.7e-308) == 1.0
+
+    def test_ints_beyond_the_floats_read_as_inf(self):
+        # float() raises OverflowError on them; a JSON config can hold one
+        with pytest.raises(ValueError, match="headway must be positive and finite, got inf"):
+            Uniform(10**400)
+        with pytest.raises(ValueError, match="knot times and densities must be finite"):
+            PiecewiseLinearDensity([[0, 1], [-10**400, 1]])
 
     def test_ints_and_numpy_floats_accepted(self):
         assert Uniform(30).cdf(15) == Uniform(np.float64(30.0)).cdf(15) == 0.5

@@ -333,7 +333,7 @@ class TestSimulate:
         argv = ["simulate", config({"kind": "uniform", "headway": 30}), "--strategy", "walk_now",
                 "--n", "1"]
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: n: must be at least 2\n"
+        assert capsys.readouterr().err == "error: n: need at least two samples\n"
 
     def test_walk_and_wait_strategy_string(self, config, capsys):
         code, out = run(
@@ -446,6 +446,7 @@ class TestConfigValidation:
                 "late_window",
             ),
             ({"kind": "piecewise", "knots": [[0, 1]]}, "knots"),
+            ({"kind": "uniform", "headway": 10**400}, "headway must be positive and finite, got inf"),
             ({"kind": "piecewise", "knots": [[-1, 1], [5, 1]]}, "knot times"),
             ({"kind": "piecewise", "knots": [[0, 1], [5, 1], [3, 1]]}, "knot times"),
             ({"kind": "piecewise", "knots": [[0, 1], [5, -1]]}, "knot densities"),
@@ -457,6 +458,33 @@ class TestConfigValidation:
     def test_model_parameter_rejected(self, config, capsys, model, field):
         assert main(["analyze", config(model)]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "optimize"])
+    @pytest.mark.parametrize(
+        "journey, error",
+        [
+            # t_delta rounds to 0: optimize raised ZeroDivisionError
+            ({"distance_km": 5e-324, "walk_speed_kmh": 60, "bus_speed_kmh": 90},
+             "distance_km, walk_speed_kmh, bus_speed_kmh:"
+             " t_delta = d/v_w - d/v_b must be positive and finite, got 0.0"),
+            # t_delta is nan: analyze printed it with the verdict walk
+            ({"distance_km": 1e300, "walk_speed_kmh": 6e-9, "bus_speed_kmh": 6e-8},
+             "distance_km, walk_speed_kmh, bus_speed_kmh:"
+             " t_delta = d/v_w - d/v_b must be positive and finite, got nan"),
+            # a speed underflows to 0 km/min: the error named scenario
+            ({"walk_speed_kmh": 1e-323}, "walk_speed_kmh: v_w must be positive and finite, got 0.0"),
+            ({"bus_speed_kmh": 1e-323}, "bus_speed_kmh: v_b must be positive and finite, got 0.0"),
+            # a slower bus: q, checked first, is negative
+            ({"bus_speed_kmh": 5}, "distance_km, walk_speed_kmh, bus_speed_kmh:"
+             " q = 1/v_w - 1/v_b must be positive and finite, got -2.0"),
+            # a JSON int beyond the floats raised OverflowError
+            ({"distance_km": 10**400}, "distance_km: d must be positive and finite, got inf"),
+        ],
+        ids=["t_delta_0", "t_delta_nan", "walk_0", "bus_0", "slower_bus", "int_beyond_floats"],
+    )
+    def test_bad_journey_names_its_fields(self, config, capsys, command, journey, error):
+        assert main([command, config({"kind": "exponential", "rate": 0.1}, **journey)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_missing_model_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"

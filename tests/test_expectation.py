@@ -1,6 +1,7 @@
 """Expected travel time functional and its derivatives."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,30 @@ class TestScenario:
     def test_bus_must_be_faster(self):
         with pytest.raises(ValueError):
             Scenario(d=1.0, v_w=0.2, v_b=0.1)
+
+    @pytest.mark.parametrize(
+        "args, rule",
+        [
+            # d/v_b rounds to d/v_w, so t_delta is 0: optimal_policy divided by it
+            ((5e-324, 1.0, 1.5), "t_delta = d/v_w - d/v_b"),
+            # d/v_w and d/v_b overflow, so t_delta is inf - inf = nan
+            ((1e300, 1e-10, 1e-9), "t_delta = d/v_w - d/v_b"),
+            # 1/v_w overflows while t_delta is 1e10
+            ((1e-300, 1e-310, 1.0), "q = 1/v_w - 1/v_b"),
+        ],
+    )
+    def test_journey_rule_holds_where_v_w_below_v_b_does(self, args, rule):
+        with pytest.raises(ValueError, match=re.escape(f"{rule} must be positive and finite")):
+            Scenario(*args)
+
+    def test_journey_worked_out_once_and_left_out_of_repr_and_equality(self):
+        s = Scenario(d=3, v_w=0.1, v_b=0.5)
+        assert (s.walk_time, s.bus_time, s.t_delta, s.q) == (
+            3 / 0.1, 3 / 0.5, 3 / 0.1 - 3 / 0.5, 1.0 / 0.1 - 1.0 / 0.5)
+        assert repr(s) == "Scenario(d=3, v_w=0.1, v_b=0.5)"
+        assert s == S0 and hash(s) == hash(S0)
+        with pytest.raises(TypeError):
+            Scenario(3.0, 0.1, 0.5, 30.0)
 
 
 class TestExpectedTT:

@@ -341,6 +341,16 @@ class TestGridScan:
         assert type(counted).calls == calls
         assert points == _scan_sign_changes(model, 1.0 / S0.t_delta, scan_end(model))
 
+    def test_mass_below_the_first_grid_point(self):
+        # R reaches the floor at the float below the breakpoint 1, the first
+        # time the scan lists, so it has no grid and reads no rate
+        counted = counting(PiecewiseLinearDensity)([[0, 1], [1, 1], [1, 0], [5000, 0]])
+        assert _scan_sign_changes(counted, 1.0 / S0.t_delta, 5000.0) == []
+        assert type(counted).calls == 0
+        assert find_stationary_points(S0, counted) == []
+        assert optimal_policy(S0, counted).strategy == "wait_forever"
+        assert type(counted).calls == 0
+
     def test_flat_marker_from_the_scan(self):
         class ScannedExponential(Exponential):
             sign_changes = ArrivalModel.sign_changes

@@ -102,6 +102,12 @@ class TestPartialMeanFallback:
             assert model.lookups == 5 * pieces
 
 
+def test_empty_or_reversed_interval_is_zero():
+    f, calls = counted(math.exp)
+    assert adaptive_simpson(f, 1.0, 1.0) == adaptive_simpson(f, 2.0, 1.0) == 0.0
+    assert calls == []
+
+
 def test_interval_cap_raises():
     def wild(x):
         return math.sin(1.0 / x) if x > 0.0 else 0.0
