@@ -330,8 +330,11 @@ class Uniform(_LinearDensity):
         self._tabulate([(0.0, h, 1.0 / h, 1.0 / h)], error, error)
 
     def sample(self, rng, size=None):
-        # the draws of rng.uniform(0, headway, size), without its scaling loop
-        return rng.random(size) * self.headway
+        # the draws of rng.uniform(0, headway, size), without its scaling
+        # loop, scaled in place
+        u = rng.random(size)
+        u *= self.headway
+        return u
 
 
 @dataclass(frozen=True)
@@ -378,8 +381,11 @@ class Exponential(ArrivalModel):
         return 1.0 / self.rate
 
     def sample(self, rng, size=None):
-        # the draws of rng.exponential(1 / rate, size), without its scaling loop
-        return rng.standard_exponential(size) * (1.0 / self.rate)
+        # the draws of rng.exponential(1 / rate, size), without its scaling
+        # loop, scaled in place
+        e = rng.standard_exponential(size)
+        e *= 1.0 / self.rate
+        return e
 
     def quad_bound(self):
         # survival ~ 4e-18 here, far below every tolerance in use
@@ -432,11 +438,16 @@ class LateBusMixture(_LinearDensity):
         w, L, H = self.still_coming_prob, self.late_window, self.next_headway_offset
         coming = np.atleast_1d(rng.random(size)) < w
         u = np.atleast_1d(rng.random(size))
-        early = L * (1.0 - np.sqrt(1.0 - u))  # inverse triangular CDF
-        late = H + L * u
+        late = L * u
+        late += H
+        # early = L * (1 - sqrt(1 - u)), the inverse triangular CDF, in u's place
+        early = np.subtract(1.0, u, out=u)
+        np.sqrt(early, out=early)
+        np.subtract(1.0, early, out=early)
+        early *= L
         # early * coming + late * ~coming: an exact select without branches
         early *= coming
-        late *= ~coming
+        late *= np.logical_not(coming, out=coming)
         early += late
         if size is None:
             return float(early[0])

@@ -18,7 +18,7 @@ import sys
 from .arrivals import ArrivalModel, _number, _positive, _probability, model_from_config
 from .expectation import Scenario, expected_tt_curve, expected_tt_wait_forever
 from .intermediate import WalkAndWaitPlan, expected_tt_plan, plan_curve_d1, vigilant_curve
-from .mcsim import WaitForever, WaitThenWalk, WalkNow, estimate
+from .mcsim import WaitForever, WaitThenWalk, WalkNow, _sample_count, _seed, estimate
 from .optimizer import _best_policy, compare_wait_walk, find_stationary_points
 from .quadrature import IntervalCapError
 
@@ -216,10 +216,12 @@ def cmd_simulate(args) -> int:
     scenario, model, _ = load_config(args.config)
     strategy = parse_strategy(args.strategy)
     analytic = expected_tt_plan(scenario, model, strategy)  # checks the plan's d1 first
-    try:
-        result = estimate(scenario, model, strategy, args.n, args.seed)
-    except ValueError as exc:  # with the plan checked, only n is left
-        raise ConfigError("n", str(exc)) from exc
+    for name, rule in (("n", _sample_count), ("seed", _seed)):
+        try:
+            rule(getattr(args, name))
+        except ValueError as exc:
+            raise ConfigError(name, str(exc)) from exc
+    result = estimate(scenario, model, strategy, args.n, args.seed)
     z = (result.mean - analytic) / result.stderr if result.stderr > 0 else 0.0
     if args.json:
         print(

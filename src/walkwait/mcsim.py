@@ -4,11 +4,17 @@ expectation in the package.
 Estimates are chunked, with one RNG substream per chunk keyed by (seed,
 chunk index), so results are bit-identical for a fixed seed no matter how
 the chunks would be distributed across workers.
+
+Each chunk works in place, and only in arrays the kernel allocated: the
+arrival times a model's ``sample`` returns are read, never written, since a
+sampler may hand out a cached or read-only array.  The bundled samplers
+scale and blend their own fresh draws in place.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,23 +77,42 @@ def _travel_times(
     tau = np.asarray(model.sample(rng, size), dtype=float)
     t1 = strategy.t1(scenario)
     end = t1 + strategy.t_wait
-    # each select is x * keep + y * ~keep: exact, and without branches
     out = tau + scenario.bus_time
     if end < math.inf:
+        # boarded or not: out * board + (walk + wait) * ~board, an exact
+        # select without branches
         board = tau < end
         out *= board
-        out += (scenario.walk_time + strategy.t_wait) * ~board
+        out += (scenario.walk_time + strategy.t_wait) * np.logical_not(board, out=board)
     if t1 > 0.0:  # there is a walking leg
         # a bus passing it is ridden from the origin if caught; otherwise
         # the whole distance is walked
         legs = np.flatnonzero(tau < t1)
-        if legs.size:
-            caught = rng.random(legs.size) < strategy.p_catch
-            rides = out[legs]
-            rides *= caught
-            rides += scenario.walk_time * ~caught
-            out[legs] = rides
+        out[legs.compress(rng.random(legs.size) >= strategy.p_catch)] = scenario.walk_time
     return out
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; booleans and non-integers, 1000.0 too, are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _sample_count(n) -> int:
+    """n as an int of at least 2, the fewest journeys with a standard error."""
+    n = _integer(n, "n")
+    if n < 2:
+        raise ValueError("need at least two samples")
+    return n
+
+
+def _seed(seed) -> int:
+    """seed as an int of at least 0, as an RNG seed sequence takes it."""
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def estimate(
@@ -99,10 +124,11 @@ def estimate(
 ) -> SimEstimate:
     """Mean travel time over n independent journeys, with its standard error.
 
-    Deterministic for a fixed (n, seed).
+    Deterministic for a fixed (n, seed); n is an integer of at least 2 and
+    seed one of at least 0.
     """
-    if n < 2:
-        raise ValueError("need at least two samples")
+    n = _sample_count(n)
+    seed = _seed(seed)
     _reach(scenario, strategy.d1)
     total_n = 0
     mean = 0.0
@@ -112,7 +138,10 @@ def estimate(
         rng = np.random.default_rng([seed, chunk_idx])
         x = _travel_times(scenario, model, strategy, rng, size)
         c_mean = float(x.mean())
-        c_m2 = float(((x - c_mean) ** 2).sum())
+        # the squared deviations, in x's place
+        x -= c_mean
+        x *= x
+        c_m2 = float(x.sum())
         # Chan et al. pairwise merge
         delta = c_mean - mean
         new_n = total_n + size

@@ -335,6 +335,14 @@ class TestSimulate:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: n: need at least two samples\n"
 
+    def test_negative_seed_names_seed(self, config, capsys):
+        argv = ["simulate", config({"kind": "uniform", "headway": 30}), "--strategy",
+                "wait_forever", "--seed", "-1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed: seed must be nonnegative, got -1\n"
+
     def test_walk_and_wait_strategy_string(self, config, capsys):
         code, out = run(
             capsys,

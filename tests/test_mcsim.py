@@ -1,5 +1,6 @@
 """Monte Carlo simulator: trajectory semantics, determinism, oracle checks."""
 
+import functools
 import math
 
 import numpy as np
@@ -20,11 +21,18 @@ from walkwait import (
     estimate,
     simulate_once,
 )
-from walkwait.mcsim import _travel_times
+from walkwait.mcsim import CHUNK, _travel_times
 
 from _models import random_model, random_scenario
 
 S0 = Scenario(d=3.0, v_w=0.1, v_b=0.5)
+
+
+class NoDraws(Uniform):
+    """A uniform model whose sampler must not be reached."""
+
+    def sample(self, rng, size=None):
+        raise AssertionError("drew an arrival")
 
 
 class TestSimulateOnce:
@@ -77,6 +85,28 @@ class TestEstimate:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             estimate(S0, Uniform(30.0), WalkNow(), 1, 0)
+
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [
+            (1000.0, 0, "n must be an integer, got 1000.0"),
+            (True, 0, "n must be an integer, got True"),
+            (np.True_, 0, "n must be an integer, got "),
+            (1000, 1.5, "seed must be an integer, got 1.5"),
+            (1000, True, "seed must be an integer, got True"),
+            (1000, "7", "seed must be an integer, got '7'"),
+            (1000, -1, "seed must be nonnegative, got -1"),
+        ],
+    )
+    def test_n_and_seed_rules_name_their_field(self, n, seed, message):
+        with pytest.raises(ValueError) as info:
+            estimate(S0, NoDraws(30.0), WaitForever(), n, seed)
+        assert str(info.value).startswith(message)
+
+    def test_numpy_integers_count_as_integers(self):
+        a = estimate(S0, Uniform(30.0), WaitForever(), 10_000, 5)
+        b = estimate(S0, Uniform(30.0), WaitForever(), np.int64(10_000), np.uint32(5))
+        assert a == b and type(b.n) is int
 
     def test_bit_identical_reruns(self):
         a = estimate(S0, Uniform(30.0), WaitForever(), 200_000, 123)
@@ -216,13 +246,6 @@ class TestBranchFreeSelects:
         assert rng.random() == replay.random()  # the same number of draws
 
 
-class NoDraws(Uniform):
-    """A uniform model whose sampler must not be reached."""
-
-    def sample(self, rng, size=None):
-        raise AssertionError("drew an arrival")
-
-
 class TestImpossiblePlan:
     # S0 is 3 km long: a plan cannot walk 5 km of it
     PLAN = WalkAndWaitPlan(d1=5.0, t_wait=3.0, p_catch=0.5)
@@ -237,3 +260,127 @@ class TestImpossiblePlan:
         with pytest.raises(ValueError, match="d1"):
             simulate_once(S0, NoDraws(30.0), self.PLAN, rng)
         assert rng.bit_generator.state == state
+
+
+# the four strategy kinds of the kernel: no wait end and no walking leg, no
+# walking leg, a finite wait, and a walking leg with a chance of a catch
+STRATEGIES = [WalkNow(), WaitForever(), WaitThenWalk(5.0), WalkAndWaitPlan(1.0, 3.0, 0.5)]
+# float.hex of (mean, stderr) of estimate(S0, model, strategy, PINNED_N, 2024),
+# a row per model of MODELS and a column per strategy of STRATEGIES
+PINNED_N = 2 * CHUNK + 17  # two whole chunks and a partial one
+PINNED = [
+    [
+        ("0x1.e000000000000p+4", "0x0.0p+0"),
+        ("0x1.4f95b2f337373p+4", "0x1.86f29ff4008cfp-6"),
+        ("0x1.e9cef63148d4bp+4", "0x1.be7316114efcep-6"),
+        ("0x1.bc5ddc0df8c66p+4", "0x1.8aa1f01bdc461p-6"),
+    ],
+    [
+        ("0x1.e000000000000p+4", "0x0.0p+0"),
+        ("0x1.dfe1ea524cd70p+4", "0x1.10d5358fdec1cp-4"),
+        ("0x1.e0310af20b5e8p+4", "0x1.d6943e7a3e55bp-6"),
+        ("0x1.bcd171cf69ff0p+4", "0x1.8e31796cb2d32p-6"),
+    ],
+    [
+        ("0x1.e000000000000p+4", "0x0.0p+0"),
+        ("0x1.6b3b733a6cfbbp+4", "0x1.1db5d5713af0bp-5"),
+        ("0x1.7e68759d78bc3p+4", "0x1.33297a25cc3cfp-5"),
+        ("0x1.b3b54f089930fp+4", "0x1.c7ca1159307f2p-6"),
+    ],
+    [
+        ("0x1.e000000000000p+4", "0x0.0p+0"),
+        ("0x1.3f5b1460c9a68p+4", "0x1.587eed9f49f2cp-6"),
+        ("0x1.d6c29db02e49ap+4", "0x1.df83298e69097p-6"),
+        ("0x1.be5586df565a3p+4", "0x1.883d7804974fbp-6"),
+    ],
+]
+
+
+def pinned_cases(models=MODELS):
+    return [
+        pytest.param(model, strategy, PINNED[i][j], id=f"{type(model).__name__}-{j}")
+        for i, model in enumerate(models)
+        for j, strategy in enumerate(STRATEGIES)
+    ]
+
+
+class TestPinnedStream:
+    """Every estimate bit for bit: a change of one ulp anywhere in a
+    sampler or the kernel, or of one draw, shows here."""
+
+    @pytest.mark.parametrize("model, strategy, pinned", pinned_cases())
+    def test_estimate_is_bit_identical(self, model, strategy, pinned):
+        result = estimate(S0, model, strategy, PINNED_N, 2024)
+        assert (result.mean.hex(), result.stderr.hex()) == pinned
+        assert result.n == PINNED_N
+
+
+class ReadOnlyDraws(Uniform):
+    """Hands out its draws read-only."""
+
+    def sample(self, rng, size=None):
+        draws = super().sample(rng, size)
+        draws.flags.writeable = False
+        return draws
+
+
+class CachedDraws(Uniform):
+    """Draws into one array it keeps and hands out on every call, as a
+    sampler that reuses its buffer might."""
+
+    @functools.cached_property
+    def buffer(self):
+        return np.empty(CHUNK)
+
+    def sample(self, rng, size=None):
+        draws = self.buffer[:size]
+        rng.random(out=draws)
+        draws *= self.headway
+        return draws
+
+
+class TestSamplerArraysAreOnlyRead:
+    @pytest.mark.parametrize("model, strategy, pinned", pinned_cases([ReadOnlyDraws(30.0)]))
+    def test_read_only_draws(self, model, strategy, pinned):
+        result = estimate(S0, model, strategy, PINNED_N, 2024)
+        assert (result.mean.hex(), result.stderr.hex()) == pinned
+
+    @pytest.mark.parametrize("model, strategy, pinned", pinned_cases([CachedDraws(30.0)]))
+    def test_cached_draws(self, model, strategy, pinned):
+        result = estimate(S0, model, strategy, PINNED_N, 2024)
+        assert (result.mean.hex(), result.stderr.hex()) == pinned
+        # the buffer still holds the draws of the last two chunks, as drawn
+        tail = Uniform(30.0).sample(np.random.default_rng([2024, 2]), 17)
+        before = Uniform(30.0).sample(np.random.default_rng([2024, 1]), CHUNK)
+        assert np.array_equal(model.buffer[:17], tail)
+        assert np.array_equal(model.buffer[17:], before[17:])
+
+
+def by_hand(tau, plan, rng):
+    """One journey with arrival tau, in the documented draw order: one
+    uniform for the catch, only when the bus passes the walking leg."""
+    t1 = plan.t1(S0)
+    if tau < t1:
+        return tau + S0.bus_time if rng.random() < plan.p_catch else S0.walk_time
+    if tau < t1 + plan.t_wait:
+        return tau + S0.bus_time
+    return S0.walk_time + plan.t_wait
+
+
+class TestSimulateOnceEveryModel:
+    @pytest.mark.parametrize("model", MODELS[1:], ids=lambda model: type(model).__name__)
+    def test_one_journey_replays_the_scalar_draw(self, model):
+        # simulate_once draws an array of one; the sampler's scalar path
+        # (size None) must give the same arrival from the same stream
+        plan = WalkAndWaitPlan(d1=1.5, t_wait=5.0, p_catch=0.4)  # t1 = 12
+        outcomes = set()
+        for k in range(200):
+            rng, replay = np.random.default_rng(k), np.random.default_rng(k)
+            got = simulate_once(S0, model, plan, rng)
+            tau = model.sample(replay)
+            assert type(got) is float and isinstance(tau, float)
+            expected = by_hand(tau, plan, replay)
+            assert got == expected
+            assert rng.random() == replay.random()  # the same number of draws
+            outcomes.add("walked" if got == S0.walk_time else "rode" if got < 35.0 else "gave up")
+        assert len(outcomes) >= 2
