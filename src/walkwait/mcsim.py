@@ -77,6 +77,8 @@ def _travel_times(
     tau = np.asarray(model.sample(rng, size), dtype=float)
     t1 = strategy.t1(scenario)
     end = t1 + strategy.t_wait
+    # out is the one array written: tau may be the sampler's own, cached or
+    # read-only
     out = tau + scenario.bus_time
     if end < math.inf:
         # boarded or not: out * board + (walk + wait) * ~board, an exact
@@ -138,7 +140,7 @@ def estimate(
         rng = np.random.default_rng([seed, chunk_idx])
         x = _travel_times(scenario, model, strategy, rng, size)
         c_mean = float(x.mean())
-        # the squared deviations, in x's place
+        # the squared deviations, in place: x is _travel_times' own array
         x -= c_mean
         x *= x
         c_m2 = float(x.sum())

@@ -205,6 +205,17 @@ MODELS = [
 ]
 
 
+def by_hand(tau, plan, rng):
+    """One journey with arrival tau, in the documented draw order: one
+    uniform for the catch, only when the bus passes the walking leg."""
+    t1 = plan.t1(S0)
+    if tau < t1:
+        return tau + S0.bus_time if rng.random() < plan.p_catch else S0.walk_time
+    if tau < t1 + plan.t_wait:
+        return tau + S0.bus_time
+    return S0.walk_time + plan.t_wait
+
+
 class TestBranchFreeSelects:
     @pytest.mark.parametrize("w, lo, hi", [(0.0, 25.0, 29.0), (1.0, 0.0, 4.0)])
     def test_late_bus_windows(self, w, lo, hi):
@@ -229,19 +240,8 @@ class TestBranchFreeSelects:
         got = _travel_times(S0, model, plan, rng, 20_000)
         replay = np.random.default_rng(9)
         tau = model.sample(replay, 20_000)
-        t1 = plan.t1(S0)
-        passing = int((tau < t1).sum())
-        assert 0 < passing < tau.size
-        catches = iter(replay.random(passing))
-        expected = []
-        for t in tau:
-            if t < t1:
-                caught = next(catches) < plan.p_catch
-                expected.append(t + S0.bus_time if caught else S0.walk_time)
-            elif t < t1 + plan.t_wait:
-                expected.append(t + S0.bus_time)
-            else:
-                expected.append(S0.walk_time + plan.t_wait)
+        assert 0 < (tau < plan.t1(S0)).sum() < tau.size
+        expected = [by_hand(t, plan, replay) for t in tau]
         assert np.array_equal(got, np.array(expected))
         assert rng.random() == replay.random()  # the same number of draws
 
@@ -354,17 +354,6 @@ class TestSamplerArraysAreOnlyRead:
         before = Uniform(30.0).sample(np.random.default_rng([2024, 1]), CHUNK)
         assert np.array_equal(model.buffer[:17], tail)
         assert np.array_equal(model.buffer[17:], before[17:])
-
-
-def by_hand(tau, plan, rng):
-    """One journey with arrival tau, in the documented draw order: one
-    uniform for the catch, only when the bus passes the walking leg."""
-    t1 = plan.t1(S0)
-    if tau < t1:
-        return tau + S0.bus_time if rng.random() < plan.p_catch else S0.walk_time
-    if tau < t1 + plan.t_wait:
-        return tau + S0.bus_time
-    return S0.walk_time + plan.t_wait
 
 
 class TestSimulateOnceEveryModel:
