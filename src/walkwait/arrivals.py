@@ -28,11 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import integrate_piecewise
+from .quadrature import QUAD_TOL, integrate_piecewise  # noqa: F401 (QUAD_TOL re-exported)
 
-# absolute tolerance of the quadrature fallback for the partial mean
-QUAD_TOL = 1e-12
-# |1/t_delta - rate| below which E' counts as zero rather than as a sign
+# |1 - t_delta rate| below which E' counts as zero rather than as a sign
 FLAT_TOL = 1e-12
 # survival R at or below which a root of E' is dropped
 SURVIVAL_FLOOR = 1e-15
@@ -106,10 +104,11 @@ class ArrivalModel(ABC):
     def partial_mean(self, t: float) -> float:
         """M1(t) = integral of tau p(tau) over [0, t].
 
-        Default is adaptive quadrature split at the breakpoints, which reads
-        p from ``_at`` (every node lies in the checked range [0, t]) and each
-        piece's right end as its left limit, so a density jump costs no
-        refinement; models with a closed form override it.
+        Default is adaptive quadrature to ``QUAD_TOL`` relative, split at the
+        breakpoints, which reads p from ``_at`` (every node lies in the
+        checked range [0, t]) and each piece's right end as its left limit,
+        so a density jump costs no refinement; models with a closed form
+        override it.
         """
         t = _check_time(t)
         if t >= self.support_end:
@@ -120,7 +119,6 @@ class ArrivalModel(ABC):
             0.0,
             min(t, self.quad_bound()),
             self.breakpoints(),
-            QUAD_TOL,
         )
 
     def breakpoints(self) -> tuple[float, ...]:
@@ -366,7 +364,7 @@ class Exponential(ArrivalModel):
 
     def sign_changes(self, t_delta, end):
         # the rate is constant: E' keeps one sign or is zero throughout
-        return [(0.0, "flat")] if abs(1.0 / t_delta - self.rate) < FLAT_TOL else []
+        return [(0.0, "flat")] if abs(1.0 / t_delta - self.rate) < FLAT_TOL / t_delta else []
 
     def partial_mean(self, t):
         t = _check_time(t)

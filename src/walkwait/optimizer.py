@@ -12,6 +12,9 @@ shared piece table, and ``Exponential``, whose rate is constant, has no root
 or is flat; all three through ``ArrivalModel.sign_changes``.
 ``PiecewiseLinearDensity``, like user subclasses, is scanned on a grid and
 bisected while a benchmark self-test pins the scan (ROADMAP items 1 and 2).
+The scan's rules are relative, so they hold at every time scale: a rate
+counts as flat within FLAT_TOL of 1/t_delta, relative, and a bisection stops
+when no float lies between its ends.
 
 ``optimal_policy`` prices only what it weighs, the minima and wait-forever.
 Walk-now's E is the walk time, as ``analyze`` reports it: a zero wait never
@@ -30,7 +33,6 @@ from .arrivals import FLAT_TOL, SURVIVAL_FLOOR, ArrivalModel, _positive
 from .expectation import Scenario, expected_tt, expected_tt_wait_forever
 
 SCAN_POINTS = 4096
-BISECT_WIDTH = 1e-10
 TIE_TOL = 1e-12
 
 
@@ -76,11 +78,12 @@ def _scan_sign_changes(model: ArrivalModel, target: float, end: float) -> list[t
 
     Scans a fixed grid plus every breakpoint b and the float just below it,
     so no bracket spans a breakpoint, and bisects each crossing on a smooth
-    piece.  The one-ulp bracket below b is a density jump: a change from
-    negative to positive there is a minimum at exactly b, the other way is
-    dropped.  Two crossings inside one grid cell, or one before the first
-    grid point, are missed.  numpy finds the flips among the samples, so the
-    cost is one ``appearance_rate`` call per grid point and bisection step.
+    piece until no float lies between the bracket's ends.  The one-ulp
+    bracket below b is a density jump: a change from negative to positive
+    there is a minimum at exactly b, the other way is dropped.  Two
+    crossings inside one grid cell, or one before the first grid point, are
+    missed.  numpy finds the flips among the samples, so the cost is one
+    ``appearance_rate`` call per grid point and bisection step.
     """
     rate = model.appearance_rate  # E'(t) has the sign of target - rate(t)
     inner = [b for b in model.breakpoints() if 0.0 < b < end]
@@ -92,7 +95,7 @@ def _scan_sign_changes(model: ArrivalModel, target: float, end: float) -> list[t
     if not grid:
         return []
     gs = target - np.fromiter(map(rate, grid), float, len(grid))
-    if np.abs(gs).max() < FLAT_TOL:
+    if np.abs(gs).max() < FLAT_TOL * target:
         return [(0.0, "flat")]
 
     changes = []
@@ -106,13 +109,11 @@ def _scan_sign_changes(model: ArrivalModel, target: float, end: float) -> list[t
             root = b
         else:
             lo, hi = a, b
-            while hi - lo > BISECT_WIDTH:
-                mid = 0.5 * (lo + hi)
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
                 gm = target - rate(mid)
                 if gm == 0.0:
                     lo = hi = mid
-                    break
-                if (gm < 0.0) == a_neg:
+                elif (gm < 0.0) == a_neg:
                     lo = mid
                 else:
                     hi = mid

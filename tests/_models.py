@@ -32,9 +32,8 @@ class QuadLateBus(LateBusMixture):
 
 class TablePiecewise(PiecewiseLinearDensity):
     """The piecewise model with M1 and the roots of E' from its table, the
-    closed forms the other table models use.  The quadrature and the scan it
-    opts out of work to absolute tolerances, which knot times far above a
-    minute defeat."""
+    closed forms the other table models use, in place of the quadrature and
+    the scan that PiecewiseLinearDensity itself still takes."""
 
     partial_mean = _LinearDensity.partial_mean
     sign_changes = _LinearDensity.sign_changes

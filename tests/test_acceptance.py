@@ -222,7 +222,7 @@ def test_criterion_7_vigilant_walk_consistency():
         td = scenario.t_delta
         bound = model.quad_bound()
         cdf_area = integrate_piecewise(
-            model.cdf, 0.0, min(td, bound), model.breakpoints(), 1e-12
+            model.cdf, 0.0, min(td, bound), model.breakpoints()
         ) + max(0.0, td - bound)  # CDF is 1 past the support
         closed = scenario.walk_time - pc * cdf_area
         ok &= abs(plan_value - closed) < 1e-9

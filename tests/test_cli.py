@@ -1,6 +1,5 @@
 """Command-line interface: configs, reports, CSV sweeps, exit codes."""
 
-import functools
 import json
 import math
 from pathlib import Path
@@ -28,6 +27,8 @@ from _models import (
     CountingUniform,
     FallbackLateBus,
     FallbackPiecewise,
+    QuadExponential,
+    TablePiecewise,
     jumpy_knots,
 )
 
@@ -701,33 +702,36 @@ class TestSweepErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_quadrature_interval_cap_is_an_error_line(self, config, tmp_path, capsys, monkeypatch):
-        # M1 of this model near its time scale exhausts the quadrature's
-        # interval cap after about 2 s; a lower cap reaches it in milliseconds
-        monkeypatch.setattr(quadrature, "adaptive_simpson",
-                            functools.partial(quadrature.adaptive_simpson, max_intervals=1000))
-        knots = [[0, 0.3], [52910052.91005291, 2.1], [142857142.85714287, 1.3]]
+    def test_quadrature_twin_interval_cap_is_an_error_line(
+        self, config, tmp_path, capsys, monkeypatch
+    ):
+        # exponential's M1 through the quadrature refines to several hundred
+        # intervals to meet its tolerance, so a cap of 100 is exhausted
+        monkeypatch.setitem(arrivals.MODEL_KINDS, "exponential", (QuadExponential, ("rate",)))
+        monkeypatch.setattr(quadrature, "MAX_INTERVALS", 100)
         out = tmp_path / "tw.csv"
-        argv = ["sweep", config({"kind": "piecewise", "knots": knots}), "--var", "tw",
-                "--from", "0", "--to", "1.1e8", "--steps", "3", "--out", str(out)]
+        argv = ["sweep", config({"kind": "exponential", "rate": 0.1}), "--var", "tw",
+                "--from", "0", "--to", "30", "--steps", "3", "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             "error: model: adaptive quadrature exceeded the interval cap\n")
         assert not out.exists()
 
-    def test_quadrature_twin_interval_cap_is_an_error_line(
-        self, config, tmp_path, capsys, monkeypatch
-    ):
-        # the same through a twin on the quadrature, whatever route the
-        # bundled piecewise model takes for M1
-        monkeypatch.setitem(arrivals.MODEL_KINDS, "piecewise", (FallbackPiecewise, ("knots",)))
-        monkeypatch.setattr(quadrature, "adaptive_simpson",
-                            functools.partial(quadrature.adaptive_simpson, max_intervals=1000))
+    def test_quadrature_at_a_time_scale_of_1e8_minutes(self, config, tmp_path):
+        # the tolerance is relative: rounding noise near M1 = 5e7 once kept
+        # an absolute 1e-12 out of reach, and the sweep exited 2
         knots = [[0, 0.3], [52910052.91005291, 2.1], [142857142.85714287, 1.3]]
         out = tmp_path / "tw.csv"
         argv = ["sweep", config({"kind": "piecewise", "knots": knots}), "--var", "tw",
                 "--from", "0", "--to", "1.1e8", "--steps", "3", "--out", str(out)]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            "error: model: adaptive quadrature exceeded the interval cap\n")
-        assert not out.exists()
+        assert main(argv) == 0
+        table = TablePiecewise(knots)
+        rows = [
+            "%.12g,%.12g,%.12g" % (
+                x,
+                expected_tt(S_CONFIG, table, x),
+                expected_tt_gradient(S_CONFIG, table, x).first,
+            )
+            for x in sweep_xs(0.0, 1.1e8, 3)
+        ]
+        assert out.read_text() == "\n".join(["x,expected_tt,derivative"] + rows) + "\n"

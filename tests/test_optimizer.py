@@ -22,7 +22,7 @@ from walkwait import (
     optimal_policy,
 )
 from walkwait.arrivals import FLAT_TOL, ArrivalModel, _LinearDensity
-from walkwait.optimizer import BISECT_WIDTH, SCAN_POINTS, _best_policy, _scan_sign_changes
+from walkwait.optimizer import SCAN_POINTS, _best_policy, _scan_sign_changes
 from _models import (
     FallbackLateBus,
     FallbackPiecewise,
@@ -171,15 +171,22 @@ def piecewise_twin(model):
     )
 
 
-def counting(cls):
+class ScannedExponential(Exponential):
+    sign_changes = ArrivalModel.sign_changes
+
+
+def counting(cls, limit=math.inf):
     """A subclass of cls that counts appearance_rate calls on the class:
-    the frozen models take no instance attributes."""
+    the frozen models take no instance attributes.  It raises past limit
+    calls, so a scan that cannot end fails instead of hanging."""
 
     class Counting(cls):
         calls = 0
 
         def appearance_rate(self, t):
             type(self).calls += 1
+            if type(self).calls > limit:
+                raise RuntimeError(f"more than {limit} appearance_rate calls")
             return super().appearance_rate(t)
 
     return Counting
@@ -277,7 +284,7 @@ def reference_scan(model, target: float, end: float) -> list:
     if not grid:
         return []
     gs = [target - rate(t) for t in grid]
-    if max(map(abs, gs)) < FLAT_TOL:
+    if max(map(abs, gs)) < FLAT_TOL * target:
         return [(0.0, "flat")]
     changes = []
     signs = [(t, v < 0.0) for t, v in zip(grid, gs) if v != 0.0]
@@ -290,8 +297,7 @@ def reference_scan(model, target: float, end: float) -> list:
             root = b
         else:
             lo, hi = a, b
-            while hi - lo > BISECT_WIDTH:
-                mid = 0.5 * (lo + hi)
+            while lo < (mid := 0.5 * (lo + hi)) < hi:  # a float lies between them
                 gm = target - rate(mid)
                 if gm == 0.0:
                     lo = hi = mid
@@ -328,8 +334,8 @@ class TestGridScan:
     @pytest.mark.parametrize(
         "model, knots, calls",
         [
-            (DROP, [[0, 1], [4, 1], [4, .01], [100, .01]], 4126),
-            (SPIKE, [[0, .001], [5, .001], [5.05, 320], [5.1, .001], [4000, .001]], 4194),
+            (DROP, [[0, 1], [4, 1], [4, .01], [100, .01]], 4139),
+            (SPIKE, [[0, .001], [5, .001], [5.05, 320], [5.1, .001], [4000, .001]], 4234),
         ],
     )
     def test_one_rate_call_per_grid_point_and_bisection_step(self, model, knots, calls):
@@ -352,9 +358,6 @@ class TestGridScan:
         assert type(counted).calls == 0
 
     def test_flat_marker_from_the_scan(self):
-        class ScannedExponential(Exponential):
-            sign_changes = ArrivalModel.sign_changes
-
         for rate in (1.0 / 24.0, 0.1, 0.01):
             assert find_stationary_points(S0, ScannedExponential(rate)) == (
                 find_stationary_points(S0, Exponential(rate))
@@ -362,6 +365,35 @@ class TestGridScan:
         target = 1.0 / S0.t_delta
         assert _scan_sign_changes(ScannedExponential(target), target, 100.0) == [(0.0, "flat")]
         assert _scan_sign_changes(ScannedExponential(0.1), target, 100.0) == []
+
+    def test_flat_is_relative_to_one_over_t_delta(self):
+        # 1/t_delta = 1.25e-14 and the rate differ by less than an absolute
+        # 1e-12, but E' = R (1 - t_delta rate) = -7 R never vanishes
+        scenario = Scenario(1e13, 0.1, 0.5)
+        for model in (Exponential(1e-13), ScannedExponential(1e-13)):
+            assert expected_tt_gradient(scenario, model, 0.0).first == pytest.approx(-7.0)
+            assert find_stationary_points(scenario, model) == []
+        rate = 1.0 / scenario.t_delta
+        for model in (Exponential(rate), ScannedExponential(rate)):
+            assert [sp.kind for sp in find_stationary_points(scenario, model)] == ["flat"]
+
+
+class TestEveryTimeScale:
+    @pytest.mark.parametrize("k", [1e-6, 1.0, 1e3, 1e5, 1e6, 1e9, 1e12])
+    def test_scanned_late_bus_shape_matches_its_closed_form(self, k):
+        # the late-bus shape in minutes times k: where one ulp of the wait
+        # passed 1e-10 min, a bisection to that absolute width never ended,
+        # and at small k the width was a large part of the wait
+        knots = [[0, 0.25 / k], [6 * k, 0], [40 * k, 0], [40 * k, 0.25 / (6 * k)],
+                 [46 * k, 0.25 / (6 * k)]]
+        scenario = Scenario(3 * k, 0.1, 0.5)
+        scanned = counting(PiecewiseLinearDensity, limit=10**5)(knots)
+        policy = optimal_policy(scenario, scanned)
+        closed = optimal_policy(scenario, LateBusMixture(0.75, 6 * k, 40 * k))
+        assert type(scanned).calls > SCAN_POINTS  # the scan ran
+        assert policy.strategy == closed.strategy == "wait_then_walk"
+        assert policy.t_wait == pytest.approx(closed.t_wait, rel=1e-12, abs=0.0)
+        assert policy.expected_tt == pytest.approx(closed.expected_tt, rel=1e-12, abs=0.0)
 
 
 class TestTableJumpMinima:
