@@ -30,8 +30,9 @@ import numpy as np
 
 from .quadrature import QUAD_TOL, integrate_piecewise  # noqa: F401 (QUAD_TOL re-exported)
 
-# |1 - t_delta rate| below which E' counts as zero rather than as a sign
-FLAT_TOL = 1e-12
+# the one tie rule: a saving, or mean - t_delta, counts only beyond
+# TIE_TOL t_delta, and a rate only beyond TIE_TOL / t_delta
+TIE_TOL = 1e-12
 # survival R at or below which a root of E' is dropped
 SURVIVAL_FLOOR = 1e-15
 
@@ -363,8 +364,8 @@ class Exponential(ArrivalModel):
         return 0.0
 
     def sign_changes(self, t_delta, end):
-        # the rate is constant: E' keeps one sign or is zero throughout
-        return [(0.0, "flat")] if abs(1.0 / t_delta - self.rate) < FLAT_TOL / t_delta else []
+        # the rate is constant: E' keeps one sign, or is flat where the mean ties t_delta
+        return [(0.0, "flat")] if abs(self.mean() - t_delta) <= TIE_TOL * t_delta else []
 
     def partial_mean(self, t):
         t = _check_time(t)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arrivals import ArrivalModel, _number, _probability
+from .arrivals import ArrivalModel, _number, _positive, _probability
 from .expectation import GradientPair, Scenario, _wait, _wait_gradient, _walk_and_wait
 
 
@@ -166,8 +166,7 @@ def uniform_pc_threshold(headway_ratio: float) -> float | None:
 
     Returns None when no probability in [0, 1] suffices (ratio below 1).
     """
-    if not headway_ratio > 0.0:
-        raise ValueError("headway ratio must be positive")
+    headway_ratio = _positive(headway_ratio, "headway ratio")
     if headway_ratio < 1.0:
         return None
     if headway_ratio > 2.0:

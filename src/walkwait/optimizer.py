@@ -12,13 +12,13 @@ shared piece table, and ``Exponential``, whose rate is constant, has no root
 or is flat; all three through ``ArrivalModel.sign_changes``.
 ``PiecewiseLinearDensity``, like user subclasses, is scanned on a grid and
 bisected while a benchmark self-test pins the scan (ROADMAP items 1 and 2).
-The scan's rules are relative, so they hold at every time scale: a rate
-counts as flat within FLAT_TOL of 1/t_delta, relative, and a bisection stops
-when no float lies between its ends.
+The scan's rules are relative, so they hold at every time scale: a bisection
+stops when no float lies between its ends, and a flat E', like every tie,
+follows the one rule of ``arrivals.TIE_TOL``, relative to t_delta.
 
-``optimal_policy`` prices only what it weighs, the minima and wait-forever.
-Walk-now's E is the walk time, as ``analyze`` reports it: a zero wait never
-boards.
+``optimal_policy`` prices only what it weighs, the minima and wait-forever
+where ``compare_wait_walk`` says "wait".  Walk-now's E is the walk time, as
+``analyze`` reports it: a zero wait never boards.
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import FLAT_TOL, SURVIVAL_FLOOR, ArrivalModel, _positive
+from .arrivals import SURVIVAL_FLOOR, TIE_TOL, ArrivalModel, _positive
 from .expectation import Scenario, expected_tt, expected_tt_wait_forever
 
 SCAN_POINTS = 4096
-TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,9 @@ def find_stationary_points(
 
 def _sign_changes(scenario: Scenario, model: ArrivalModel, horizon) -> list[tuple[float, str]]:
     """(t, kind) for each sign change of E'(W) in (0, horizon), from
-    ``model.sign_changes`` or else ``_scan_sign_changes``; a rate flat at
-    exactly 1/t_delta gives one "flat" marker at t = 0."""
-    horizon = _positive(model.quad_bound() if horizon is None else horizon, "horizon")
+    ``model.sign_changes`` or else ``_scan_sign_changes``, or one "flat" at t = 0."""
+    horizon = (_positive(model.quad_bound(), "quad_bound()") if horizon is None
+               else _positive(horizon, "horizon"))
     end = min(horizon, model.support_end)
     changes = model.sign_changes(scenario.t_delta, end)
     if changes is None:
@@ -95,7 +94,7 @@ def _scan_sign_changes(model: ArrivalModel, target: float, end: float) -> list[t
     if not grid:
         return []
     gs = target - np.fromiter(map(rate, grid), float, len(grid))
-    if np.abs(gs).max() < FLAT_TOL * target:
+    if np.abs(gs).max() <= TIE_TOL * target:
         return [(0.0, "flat")]
 
     changes = []
@@ -128,8 +127,8 @@ def optimal_policy(
     horizon: float | None = None,
 ) -> PolicyChoice:
     """Best of walk-now, wait-forever, and every interior minimum; only the
-    minima are priced.  Ties within 1e-12 min go to walk_now, then
-    wait_forever, then the smallest finite wait.
+    minima are priced.  A minimum wins only by more than TIE_TOL t_delta, so
+    ties go to walk_now, then wait_forever, then the smallest finite wait.
     """
     minima = [StationaryPoint(t, kind, expected_tt(scenario, model, t))
               for t, kind in _sign_changes(scenario, model, horizon) if kind == "minimum"]
@@ -143,29 +142,29 @@ def _best_policy(
 ) -> PolicyChoice:
     """``optimal_policy`` given the stationary points it would find.  Walk-now's
     E is the walk time: a zero wait never boards."""
-    best = ("walk_now", scenario.walk_time, None)  # (strategy, E, t_wait)
-    minima = sorted((sp for sp in points if sp.kind == "minimum"), key=lambda sp: sp.t_wait)
-    candidates = [("wait_forever", expected_tt_wait_forever(scenario, model), None)]
-    for cand in candidates + [("wait_then_walk", sp.expected_tt, sp.t_wait) for sp in minima]:
-        if cand[1] < best[1] - TIE_TOL:
-            best = cand
-    return PolicyChoice(*best)
+    if compare_wait_walk(scenario, model) == "wait":
+        best = PolicyChoice("wait_forever", expected_tt_wait_forever(scenario, model))
+    else:
+        best = PolicyChoice("walk_now", scenario.walk_time)
+    for sp in sorted((sp for sp in points if sp.kind == "minimum"), key=lambda sp: sp.t_wait):
+        if sp.expected_tt < best.expected_tt - TIE_TOL * scenario.t_delta:
+            best = PolicyChoice("wait_then_walk", sp.expected_tt, sp.t_wait)
+    return best
 
 
 def compare_wait_walk(scenario: Scenario, model: ArrivalModel) -> str:
-    """"wait" if the mean arrival beats t_delta, "walk" if not, else tied."""
+    """"wait" if the mean arrival beats t_delta, "walk" if not, else tied (TIE_TOL)."""
     diff = model.mean() - scenario.t_delta
-    if abs(diff) < TIE_TOL:
+    if abs(diff) <= TIE_TOL * scenario.t_delta:
         return "indifferent"
     return "wait" if diff < 0.0 else "walk"
 
 
 def classify_uniform(scenario: Scenario, headway: float) -> str:
-    """The three uniform-headway regimes, plus the knife-edge between 2 and 3."""
-    if not headway > 0.0:
-        raise ValueError("headway must be positive")
+    """The three uniform-headway regimes, plus the knife-edge where ``compare_wait_walk`` ties."""
+    headway = _positive(headway, "headway")
     td = scenario.t_delta
-    if abs(headway - 2.0 * td) < TIE_TOL:
+    if abs(0.5 * headway - td) <= TIE_TOL * td:
         return "marginal"
     if headway < td:
         return "case1_wait"

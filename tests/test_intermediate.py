@@ -340,6 +340,11 @@ class TestPCThreshold:
         with pytest.raises(ValueError):
             uniform_pc_threshold(0.0)
 
+    @pytest.mark.parametrize("ratio", [True, "1.5", math.nan, math.inf])
+    def test_ratio_follows_the_positive_rule(self, ratio):
+        with pytest.raises(ValueError, match="^headway ratio must be"):
+            uniform_pc_threshold(ratio)
+
 
 class TestPlanValidation:
     def test_nan_wait_rejected(self):

@@ -21,7 +21,7 @@ from walkwait import (
     find_stationary_points,
     optimal_policy,
 )
-from walkwait.arrivals import FLAT_TOL, ArrivalModel, _LinearDensity
+from walkwait.arrivals import TIE_TOL, ArrivalModel, _LinearDensity
 from walkwait.optimizer import SCAN_POINTS, _best_policy, _scan_sign_changes
 from _models import (
     FallbackLateBus,
@@ -153,6 +153,15 @@ class TestFindStationaryPoints:
                 find_stationary_points(S0, model, horizon=model.quad_bound())
             )
 
+    def test_an_infinite_default_horizon_names_quad_bound(self):
+        # unbounded support with the base class's quad_bound: the default
+        # horizon is inf, and no horizon was passed
+        model = OpenEndedExponential(1.0 / 20.0)
+        for call in (find_stationary_points, optimal_policy):
+            with pytest.raises(ValueError, match=r"^quad_bound\(\) must be positive and finite"):
+                call(S0, model)
+        assert optimal_policy(S0, model, horizon=30.0).strategy == "wait_forever"
+
     def test_waits_are_python_floats(self):
         for model in (LATE_BUS, Uniform(30.0), SPIKE, DROP):
             for sp in find_stationary_points(S0, model):
@@ -173,6 +182,10 @@ def piecewise_twin(model):
 
 class ScannedExponential(Exponential):
     sign_changes = ArrivalModel.sign_changes
+
+
+class OpenEndedExponential(Exponential):
+    quad_bound = ArrivalModel.quad_bound
 
 
 def counting(cls, limit=math.inf):
@@ -284,7 +297,7 @@ def reference_scan(model, target: float, end: float) -> list:
     if not grid:
         return []
     gs = [target - rate(t) for t in grid]
-    if max(map(abs, gs)) < FLAT_TOL * target:
+    if max(map(abs, gs)) <= TIE_TOL * target:
         return [(0.0, "flat")]
     changes = []
     signs = [(t, v < 0.0) for t, v in zip(grid, gs) if v != 0.0]
@@ -608,6 +621,74 @@ class TestClassifyUniform:
     def test_bad_headway(self):
         with pytest.raises(ValueError):
             classify_uniform(S0, 0.0)
+
+    @pytest.mark.parametrize("headway", [True, "48", math.nan, math.inf])
+    def test_headway_follows_the_uniform_rule(self, headway):
+        with pytest.raises(ValueError, match="^headway must be"):
+            classify_uniform(S0, headway)
+        with pytest.raises(ValueError, match="^headway must be"):
+            Uniform(headway)
+
+
+# the scales of the tie tests: Scenario(3 k, 0.1, 0.5) has t_delta = 24 k min
+TIE_SCALES = [1e-9, 1e-6, 1.0, 1e5, 1e9]
+
+
+class TestOneTieRule:
+    """compare_wait_walk, the flat marker, _best_policy and classify_uniform
+    decide a tie by one rule, TIE_TOL relative to t_delta, at every scale."""
+
+    @pytest.mark.parametrize("k", TIE_SCALES)
+    @pytest.mark.parametrize(
+        "factor, expected",
+        [
+            (1.0, ("indifferent", "walk_now", "marginal")),
+            # waiting forever beats walking by 1e-6 relative
+            (1 - 1e-6, ("wait", "wait_forever", "case2_wait_with_interior_max")),
+        ],
+    )
+    def test_near_the_marginal_headway_every_scale_answers_as_k_1(self, k, factor, expected):
+        scenario = Scenario(3 * k, 0.1, 0.5)
+        headway = 2 * scenario.t_delta * factor
+        assert (
+            compare_wait_walk(scenario, Uniform(headway)),
+            optimal_policy(scenario, Uniform(headway)).strategy,
+            classify_uniform(scenario, headway),
+        ) == expected
+
+    @pytest.mark.parametrize("k", TIE_SCALES)
+    def test_flat_exactly_when_indifferent(self, k):
+        scenarios = [Scenario(3 * k, 0.1, 0.5),
+                     Scenario(4420.385489116159 * k, 0.11306303442254359, 0.35660298232657217)]
+        for scenario in scenarios:
+            for eps in [0.0, 5e-16, -5e-16, 2e-13, -2e-13, 9e-13, -9e-13, 2e-12, -2e-12]:
+                rate = 1.0 / (scenario.t_delta * (1 + eps))
+                for model in (Exponential(rate), ScannedExponential(rate)):
+                    verdict = compare_wait_walk(scenario, model)
+                    kinds = [sp.kind for sp in find_stationary_points(scenario, model)]
+                    assert ("flat" in kinds) == (verdict == "indifferent"), (eps, type(model))
+                    if verdict == "indifferent":
+                        assert optimal_policy(scenario, model).strategy == "walk_now"
+
+    def test_the_verdict_of_analyze_is_the_choice_of_optimize(self):
+        # analyze said "wait" here while optimize reported a flat rate and walked
+        scenario = Scenario(4420.385489116159, 0.11306303442254359, 0.35660298232657217)
+        model = Exponential(3.745202068439596e-05)
+        assert compare_wait_walk(scenario, model) == "indifferent"
+        assert [sp.kind for sp in find_stationary_points(scenario, model)] == ["flat"]
+        assert optimal_policy(scenario, model).strategy == "walk_now"
+
+    @pytest.mark.parametrize("k", [1e-9, 1e-3, 1.0, 1e3, 1e5, 1e9])
+    def test_wait_forever_over_walk_now_exactly_when_the_verdict_is_wait(self, k):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            scenario = Scenario(rng.uniform(0.5, 10) * k, 0.1, rng.uniform(0.15, 0.5))
+            td = scenario.t_delta
+            for eps in [0.0, 3e-13, -3e-13, 9e-13, -9e-13, 1.1e-12, -1.1e-12]:
+                for model in (Uniform(2 * td * (1 + eps)), Exponential(1.0 / (td * (1 + eps)))):
+                    wait = compare_wait_walk(scenario, model) == "wait"
+                    strategy = _best_policy(scenario, model, []).strategy
+                    assert strategy == ("wait_forever" if wait else "walk_now"), (eps, model)
 
 
 class TestMarginalCase:
