@@ -530,7 +530,7 @@ class PiecewiseLinearDensity(_LinearDensity):
         return edges, cells, guide
 
     def _piece_index(self, u):
-        """Piece holding each CDF value u in [0, 1):
+        """Piece holding each CDF value in the 1-D array u, each in [0, 1):
         searchsorted(edges, u, "right") - 1, clamped to the last piece."""
         edges, cells, guide = self._guide
         idx = np.take(guide, (u * cells).astype(np.intp))
@@ -544,29 +544,36 @@ class PiecewiseLinearDensity(_LinearDensity):
 
     def sample(self, rng, size=None):
         u = np.atleast_1d(rng.random(size))
+        shape = u.shape
+        # the piece search sets split draws by flat position: work on the flat view
+        u = u.ravel()
         idx = self._piece_index(u)
-        t0, width, y0, slope, cum = (np.take(column, idx) for column in self._columns)
+        t0, width, y0, slope, cum = self._columns
         # x in [0, width] solves y0*x + slope/2 * x^2 = m, in the form that
         # has no cancellation and no division by the slope:
         # x = 2m / (y0 + sqrt(y0^2 + 2*slope*m))
-        m = np.subtract(u, cum, out=u)
-        root = slope
+        # Each column is gathered at the line that reads it and dropped after,
+        # so at most four arrays of the draw's size are alive at once (u, idx,
+        # root and one column); y0^2 is squared per piece before its gather,
+        # which gives the same bits.
+        m = np.subtract(u, np.take(cum, idx), out=u)
+        root = np.take(slope, idx)
         root *= m
         root *= 2.0
-        root += y0 * y0
+        root += np.take(y0 * y0, idx)
         np.maximum(root, 0.0, out=root)
         np.sqrt(root, out=root)
-        root += y0
+        root += np.take(y0, idx)
         # zero only where m = 0 or on a zero-mass piece (reached through the
         # rounding of the cumulative mass); dividing by 1 there gives x = 2m
         root += root == 0.0
         m *= 2.0
         m /= root
-        np.minimum(m, width, out=m)
-        m += t0
+        np.minimum(m, np.take(width, idx), out=m)
+        m += np.take(t0, idx)
         if size is None:
             return float(m[0])
-        return m
+        return m.reshape(shape)
 
     def __repr__(self):
         return f"PiecewiseLinearDensity({list(zip(self._ts, self._ys))})"

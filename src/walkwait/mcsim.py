@@ -8,7 +8,14 @@ the chunks would be distributed across workers.
 Each chunk works in place, and only in arrays the kernel allocated: the
 arrival times a model's ``sample`` returns are read, never written, since a
 sampler may hand out a cached or read-only array.  The bundled samplers
-scale and blend their own fresh draws in place.
+scale and blend their own fresh draws in place, and the piecewise sampler
+gathers each per-piece column at the line that reads it, so a chunk's peak is
+about five chunk-sized arrays on a piecewise model and three to four and a
+quarter on the others, the previous chunk's journeys included.  Two cuts were
+measured and left out: ``np.putmask`` for the boarding blend made an
+estimate 1.1-1.4x slower, and releasing the previous chunk's journeys before
+the next draw more than tripled the page faults of an estimate without pinned
+malloc thresholds.
 """
 
 from __future__ import annotations

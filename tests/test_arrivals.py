@@ -232,6 +232,14 @@ class TestSampling:
         assert type(draw) is float
         assert draw == model.sample(np.random.default_rng(3), 1)[0]
 
+    @pytest.mark.parametrize("shape", [(3000, 2), (20, 20, 20)])
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_a_shaped_draw_is_the_flat_draw_reshaped(self, model, shape):
+        drawn = model.sample(np.random.default_rng(17), shape)
+        flat = model.sample(np.random.default_rng(17), math.prod(shape))
+        assert drawn.shape == shape
+        assert np.array_equal(drawn, flat.reshape(shape))
+
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_kolmogorov_smirnov(self, model):
         n = 10**5
@@ -513,6 +521,18 @@ def two_branch_inverse(t0, width, y0, slope, m):
     return t0 + np.clip(x, 0.0, width)
 
 
+def gather_first_draws(model, u):
+    """The sampler's arithmetic, step for step, with every per-piece column
+    gathered before it starts: the reference for the sampler's bits."""
+    edges, _, _ = model._guide
+    idx = np.minimum(np.searchsorted(edges, u, side="right") - 1, len(model._pieces) - 1)
+    t0, width, y0, slope, cum = (np.take(column, idx) for column in model._columns)
+    m = u - cum
+    root = np.sqrt(np.maximum(slope * m * 2.0 + y0 * y0, 0.0)) + y0
+    root = root + (root == 0.0)
+    return np.minimum(m * 2.0 / root, width) + t0
+
+
 def many_pieces(count, seed):
     rng = np.random.default_rng(seed)
     ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 2.0, count))])
@@ -564,6 +584,11 @@ class TestGuideTableSampler:
         assert (draws >= t0).all() and (draws <= t0 + width).all()
         reference = two_branch_inverse(t0, width, y0, slope, u - cum)
         assert (np.abs(draws - reference) <= 1e-9 * width).all()
+
+    def test_draws_are_the_gather_first_draws_bit_for_bit(self, model):
+        u = self.probes(model)
+        draws = model.sample(FixedUniforms(u), u.size)
+        assert (draws == gather_first_draws(model, u)).all()
 
     def test_zero_uniform_on_a_zero_density_knot(self):
         model = PiecewiseLinearDensity([(1.0, 0.0), (5.0, 1.0), (7.0, 0.0)])

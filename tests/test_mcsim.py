@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,3 +374,35 @@ class TestSimulateOnceEveryModel:
             assert rng.random() == replay.random()  # the same number of draws
             outcomes.add("walked" if got == S0.walk_time else "rode" if got < 35.0 else "gave up")
         assert len(outcomes) >= 2
+
+
+# the traced peak of one estimate in chunk-sized float arrays, a row per model
+# of MODELS and a column per strategy of STRATEGIES[1:]: the previous chunk's
+# journeys are alive while the next chunk's arrivals are drawn, and the
+# piecewise sampler gathers each per-piece column where it reads it
+WORKING_SET = [[3.0, 4.25, 4.25], [3.0, 4.25, 4.25], [3.25, 4.25, 4.25], [5.0, 5.0, 5.0]]
+# the estimate's small Python objects and numpy's bookkeeping
+WORKING_SET_SLACK = 0.05
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize(
+        "model, strategy, arrays",
+        [
+            pytest.param(model, strategy, WORKING_SET[i][j], id=f"{type(model).__name__}-{j + 1}")
+            for i, model in enumerate(MODELS)
+            for j, strategy in enumerate(STRATEGIES[1:])
+        ],
+    )
+    def test_estimate_peak_in_chunk_arrays(self, model, strategy, arrays):
+        estimate(S0, model, strategy, 1000, 0)  # builds the model's tables
+        tracemalloc.start()
+        try:
+            estimate(S0, model, strategy, PINNED_N, 2024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        chunks = peak / (8 * CHUNK)
+        # at least the draws and the journeys: numpy reports its arrays
+        assert chunks >= 2.0
+        assert chunks <= arrays + WORKING_SET_SLACK
