@@ -13,7 +13,9 @@ the rest, and ``at`` hands the expectation layer all four from one lookup.
 each of a few pieces and list them once; ``_LinearDensity`` builds one table
 from them, which gives ``_at``, the appearance rate from one row,
 the mean, the breakpoints and, in closed form, M1 and the roots of E' (the
-piecewise model still integrates M1 and scans for the roots).
+piecewise model still integrates M1 and scans for the roots); each draws
+through ``_draw``, which ``_LinearDensity.sample`` shapes.  ``_check_time``
+is the one rule for a time or a wait.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QUAD_TOL, integrate_piecewise  # noqa: F401 (QUAD_TOL re-exported)
+from .quadrature import integrate_piecewise
 
 # the one tie rule: a saving, or mean - t_delta, counts only beyond
 # TIE_TOL t_delta, and a rate only beyond TIE_TOL / t_delta
@@ -42,8 +44,10 @@ class UndefinedRateError(ValueError):
 
 
 def _check_time(t: float, name: str = "time") -> float:
-    """t as a float; NaN and negative values are rejected, inf is allowed."""
-    t = float(t)
+    """t as a time or a wait, a float >= 0 where inf is allowed; booleans,
+    non-numbers, NaN and negative values are rejected, naming the field."""
+    if t.__class__ is not float:  # a plain float skips the slower type rule
+        t = _number(t, name)
     if not t >= 0.0:
         raise ValueError(f"{name} must be nonnegative, got {t}")
     return t
@@ -231,6 +235,14 @@ class _LinearDensity(ArrivalModel):
         object.__setattr__(self, "_breakpoints", (*self._starts, pieces[-1][1]))
         object.__setattr__(self, "_moment", moment)
 
+    def sample(self, rng, size=None):
+        """Draws of ``_draw(rng, n)``, the model's n flat draws: one float for
+        size None, else the flat draw of the same stream, reshaped."""
+        if size is None:
+            return float(self._draw(rng, 1)[0])
+        n = size if isinstance(size, numbers.Integral) else math.prod(size)
+        return self._draw(rng, n).reshape(size)
+
     @property
     def support_end(self) -> float:
         return self._breakpoints[-1]
@@ -328,10 +340,10 @@ class Uniform(_LinearDensity):
         error = f"headway {h} is out of range: 1/headway or its sums leave the normal floats"
         self._tabulate([(0.0, h, 1.0 / h, 1.0 / h)], error, error)
 
-    def sample(self, rng, size=None):
-        # the draws of rng.uniform(0, headway, size), without its scaling
+    def _draw(self, rng, n):
+        # the draws of rng.uniform(0, headway, n), without its scaling
         # loop, scaled in place
-        u = rng.random(size)
+        u = rng.random(n)
         u *= self.headway
         return u
 
@@ -343,7 +355,9 @@ class Exponential(ArrivalModel):
     rate: float
 
     def __post_init__(self):
-        _positive(self.rate, "rate")
+        rate = _positive(self.rate, "rate")
+        if 40.0 / rate == math.inf:
+            raise ValueError(f"rate {rate} is out of range: quad_bound() 40/rate overflows")
 
     @property
     def support_end(self) -> float:
@@ -433,10 +447,10 @@ class LateBusMixture(_LinearDensity):
             [(0.0, L, head, 0.0), (L, H, 0.0, 0.0), (H, H + L, tail, tail)], error, too_large
         )
 
-    def sample(self, rng, size=None):
+    def _draw(self, rng, n):
         w, L, H = self.still_coming_prob, self.late_window, self.next_headway_offset
-        coming = np.atleast_1d(rng.random(size)) < w
-        u = np.atleast_1d(rng.random(size))
+        coming = rng.random(n) < w
+        u = rng.random(n)
         late = L * u
         late += H
         # early = L * (1 - sqrt(1 - u)), the inverse triangular CDF, in u's place
@@ -448,8 +462,6 @@ class LateBusMixture(_LinearDensity):
         early *= coming
         late *= np.logical_not(coming, out=coming)
         early += late
-        if size is None:
-            return float(early[0])
         return early
 
 
@@ -542,11 +554,8 @@ class PiecewiseLinearDensity(_LinearDensity):
             )
         return idx
 
-    def sample(self, rng, size=None):
-        u = np.atleast_1d(rng.random(size))
-        shape = u.shape
-        # the piece search sets split draws by flat position: work on the flat view
-        u = u.ravel()
+    def _draw(self, rng, n):
+        u = rng.random(n)
         idx = self._piece_index(u)
         t0, width, y0, slope, cum = self._columns
         # x in [0, width] solves y0*x + slope/2 * x^2 = m, in the form that
@@ -571,9 +580,7 @@ class PiecewiseLinearDensity(_LinearDensity):
         m /= root
         np.minimum(m, np.take(width, idx), out=m)
         m += np.take(t0, idx)
-        if size is None:
-            return float(m[0])
-        return m.reshape(shape)
+        return m
 
     def __repr__(self):
         return f"PiecewiseLinearDensity({list(zip(self._ts, self._ys))})"

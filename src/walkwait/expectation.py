@@ -2,8 +2,9 @@
 
 The traveller waits up to ``t_wait`` minutes for a bus, boarding if it comes,
 and otherwise walks the whole way.  ``t_wait = math.inf`` means wait forever;
-``t_wait = 0`` means walk immediately.  ``_wait`` checks every wait, a plan's
-and a curve row's too: NaN, negatives, booleans and strings are rejected.
+``t_wait = 0`` means walk immediately.  ``arrivals._check_time``, the one
+rule for a time, checks every wait, a plan's and a curve row's too: NaN,
+negatives, booleans and strings are rejected.
 ``Scenario`` works out and checks the journey times every expectation reads.
 
 Every expectation here and in :mod:`walkwait.intermediate` is one expression
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arrivals import ArrivalModel, _check_time, _number, _positive
+from .arrivals import ArrivalModel, _check_time, _positive
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,6 @@ class Scenario:
         _positive(t_delta, "t_delta = d/v_w - d/v_b")
         # past the frozen __setattr__, as __init__ itself sets fields
         self.__dict__.update(walk_time=walk, bus_time=bus, t_delta=t_delta, q=q)
-
-
-def _wait(value, name: str = "wait time") -> float:
-    """value as a wait: a number >= 0, where inf waits forever."""
-    return _check_time(_number(value, name), name)
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,7 @@ def expected_tt(scenario: Scenario, model: ArrivalModel, t_wait: float) -> float
     E(W) = bus F(W) + M1(W) + R(W) (walk + W), with M1 from the model's
     partial_mean.
     """
-    return _walk_and_wait(scenario, model, 0.0, _wait(t_wait), 0.0)[0]
+    return _walk_and_wait(scenario, model, 0.0, _check_time(t_wait, "wait time"), 0.0)[0]
 
 
 def expected_tt_curve(scenario: Scenario, model: ArrivalModel, waits) -> list[tuple]:
@@ -111,7 +107,7 @@ def expected_tt_curve(scenario: Scenario, model: ArrivalModel, waits) -> list[tu
     td = scenario.t_delta
     rows = []
     for w in waits:
-        w = _wait(w)
+        w = _check_time(w, "wait time")
         e, p, R, _ = _walk_and_wait(scenario, model, 0.0, w, 0.0)
         rows.append((w, e, R - td * p))
     return rows
@@ -138,4 +134,4 @@ def expected_tt_gradient(
     At a density kink the second component uses the right-hand density slope
     and the result is flagged one_sided.
     """
-    return _wait_gradient(model, _wait(t_wait), scenario.t_delta)
+    return _wait_gradient(model, _check_time(t_wait, "wait time"), scenario.t_delta)

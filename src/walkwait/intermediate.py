@@ -10,7 +10,8 @@ point on the route.
 Every strategy is a plan: walking now is (0, 0, 0), waiting up to W minutes
 at the origin is (0, W, 0) and waiting forever is (0, inf, 0).  Each plan
 input has one rule, which the plan and every curve row apply in one order:
-``_d1``, ``_wait``, ``_probability``, then ``_reach`` (d1 lies in the journey).
+``_d1``, ``arrivals._check_time`` (a wait is a time), ``_probability``, then
+``_reach`` (d1 lies in the journey).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arrivals import ArrivalModel, _number, _positive, _probability
-from .expectation import GradientPair, Scenario, _wait, _wait_gradient, _walk_and_wait
+from .arrivals import ArrivalModel, _check_time, _number, _positive, _probability
+from .expectation import GradientPair, Scenario, _wait_gradient, _walk_and_wait
 
 
 def _d1(value) -> float:
@@ -46,16 +47,12 @@ class WalkAndWaitPlan:
 
     def __post_init__(self):
         _d1(self.d1)
-        _wait(self.t_wait, "t_wait")
+        _check_time(self.t_wait, "t_wait")
         _probability(self.p_catch, "p_catch")
 
     def t1(self, scenario: Scenario) -> float:
         """Head start eroded while walking to the stop (minutes)."""
         return self.d1 * scenario.q
-
-    def t_delta1(self, scenario: Scenario) -> float:
-        """Break-even wait from the intermediate stop."""
-        return scenario.t_delta - self.t1(scenario)
 
 
 def prob_miss(
@@ -84,11 +81,12 @@ def plan_gradient_tw(
 ) -> GradientPair:
     """Derivatives of the plan's expected time in t_wait.
 
-    The origin-stop gradient, shifted by t1 and with the reduced break-even
-    wait t_delta1.
+    The origin-stop gradient, shifted by t1 and with the break-even wait
+    from the intermediate stop, t_delta - t1.
     """
     _reach(scenario, plan.d1)
-    return _wait_gradient(model, plan.t1(scenario) + plan.t_wait, plan.t_delta1(scenario))
+    t1 = plan.t1(scenario)
+    return _wait_gradient(model, t1 + plan.t_wait, scenario.t_delta - t1)
 
 
 def plan_gradient_d1(scenario: Scenario, model: ArrivalModel, plan: WalkAndWaitPlan) -> float:
@@ -112,7 +110,7 @@ def plan_curve_d1(
     for d1 in d1s:
         d1 = _d1(d1)
         if not rows:  # every row shares its wait and p_catch: check them once
-            t_wait, p_catch = _wait(t_wait, "t_wait"), _probability(p_catch, "p_catch")
+            t_wait, p_catch = _check_time(t_wait, "t_wait"), _probability(p_catch, "p_catch")
         _reach(scenario, d1)
         t1 = d1 * q
         e, p, _, p1 = _walk_and_wait(scenario, model, t1, t_wait, p_catch)

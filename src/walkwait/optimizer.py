@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import SURVIVAL_FLOOR, TIE_TOL, ArrivalModel, _positive
+from .arrivals import SURVIVAL_FLOOR, TIE_TOL, ArrivalModel, Uniform, _positive
 from .expectation import Scenario, expected_tt, expected_tt_wait_forever
 
 SCAN_POINTS = 4096
@@ -161,13 +161,9 @@ def compare_wait_walk(scenario: Scenario, model: ArrivalModel) -> str:
 
 
 def classify_uniform(scenario: Scenario, headway: float) -> str:
-    """The three uniform-headway regimes, plus the knife-edge where ``compare_wait_walk`` ties."""
-    headway = _positive(headway, "headway")
-    td = scenario.t_delta
-    if abs(0.5 * headway - td) <= TIE_TOL * td:
-        return "marginal"
-    if headway < td:
-        return "case1_wait"
-    if headway < 2.0 * td:
-        return "case2_wait_with_interior_max"
-    return "case3_walk"
+    """The three uniform-headway regimes, read from ``compare_wait_walk`` on
+    ``Uniform(headway)``, plus "marginal" where it ties."""
+    verdict = compare_wait_walk(scenario, Uniform(headway))
+    if verdict == "wait":
+        return "case1_wait" if headway < scenario.t_delta else "case2_wait_with_interior_max"
+    return "case3_walk" if verdict == "walk" else "marginal"

@@ -398,11 +398,22 @@ class TestNonFiniteRejected:
             # sides of a narrow normalized peak
             (lambda: LateBusMixture(0.5, 1e-300, 2e-300), "late_window"),
             (lambda: PiecewiseLinearDensity([[0, 0], [1e-300, 1], [2e-300, 0]]), "knot densities"),
+            # quad_bound() 40/rate overflows, with the mean 1/rate finite or not
+            (lambda: Exponential(1e-310), "rate"),
+            (lambda: Exponential(1e-308), "rate"),
+            (lambda: Exponential(2.2e-307), "rate"),
         ],
     )
     def test_overflow_rejected_naming_the_field(self, build, field):
         with pytest.raises(ValueError, match=field):
             build()
+
+    def test_smallest_rate_answers_optimize(self):
+        # just above 40 / DBL_MAX, where quad_bound() is the optimizer's horizon
+        model = Exponential(2.3e-307)
+        assert math.isfinite(model.quad_bound())
+        policy = optimal_policy(Scenario(3.0, 0.1, 0.5), model)
+        assert (policy.strategy, policy.expected_tt) == ("walk_now", 30.0)
 
     def test_rounded_tail_rejected_naming_the_offset(self):
         # H + L rounds to 16 past H, which moves the mean from 1002.53 to
@@ -428,6 +439,38 @@ class TestNonFiniteRejected:
         assert Exponential(np.float32(0.5)).mean() == 2.0
         assert LateBusMixture(np.float64(0.25), 4, np.int64(56)).cdf(4) == 0.25
         assert PiecewiseLinearDensity([[0, 1], [np.float64(2.0), np.int64(1)]]).cdf(1) == 0.5
+
+
+# every bundled kind and a subclass on the base-class routes, each with t = 5
+# inside its support, where every time method has a value
+TIME_MODELS = [
+    Uniform(30.0),
+    Exponential(1.0 / 24.0),
+    LateBusMixture(0.25, 4.0, 56.0),
+    PiecewiseLinearDensity([(0.0, 0.0), (5.0, 1.0), (12.0, 0.2), (20.0, 0.0)]),
+    Triangle(),
+]
+TIME_METHODS = ("at", "density", "density_slope", "cdf", "survival", "appearance_rate",
+                "appearance_rate_slope", "partial_mean")
+
+
+class TestOneTimeRule:
+    """Every public time method checks its time by the rule of a wait: a
+    number >= 0, where booleans, strings, bytes, None and NaN are rejected."""
+
+    @pytest.mark.parametrize("method", TIME_METHODS)
+    @pytest.mark.parametrize("t", [True, False, "5", b"5", None, math.nan, -1.0], ids=repr)
+    def test_rejected_naming_the_time(self, method, t):
+        for model in TIME_MODELS:
+            with pytest.raises(ValueError, match="^time must be"):
+                getattr(model, method)(t)
+
+    @pytest.mark.parametrize("method", TIME_METHODS)
+    def test_ints_and_numpy_numbers_give_the_float_value(self, method):
+        for model in TIME_MODELS:
+            value = getattr(model, method)(5.0)
+            for t in (5, np.int64(5), np.float32(5), np.float64(5)):
+                assert getattr(model, method)(t) == value, (model, t)
 
 
 class TestPiecewiseLookup:

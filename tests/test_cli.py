@@ -468,6 +468,15 @@ class TestConfigValidation:
         assert main(["analyze", config(model)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "optimize", "simulate"])
+    def test_rate_whose_quad_bound_overflows_rejected(self, config, capsys, command):
+        # analyze printed Infinity, optimize named quad_bound() and simulate
+        # printed a NaN mean on this rate
+        path = config({"kind": "exponential", "rate": 1e-310})
+        argv = [command, path] + (["--strategy", "wait_forever"] if command == "simulate" else [])
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: model: rate ")
+
     @pytest.mark.parametrize("command", ["analyze", "optimize"])
     @pytest.mark.parametrize(
         "journey, error",

@@ -629,6 +629,12 @@ class TestClassifyUniform:
         with pytest.raises(ValueError, match="^headway must be"):
             Uniform(headway)
 
+    def test_headway_whose_density_overflows_rejected(self):
+        # the regimes come from the verdict on Uniform(headway), so the
+        # headway meets Uniform's whole rule; 1e-310 read "case1_wait" before
+        with pytest.raises(ValueError, match="^headway 1e-310 is out of range"):
+            classify_uniform(S0, 1e-310)
+
 
 # the scales of the tie tests: Scenario(3 k, 0.1, 0.5) has t_delta = 24 k min
 TIE_SCALES = [1e-9, 1e-6, 1.0, 1e5, 1e9]

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from walkwait import PiecewiseLinearDensity
-from walkwait.arrivals import QUAD_TOL, ArrivalModel, _LinearDensity
+from walkwait.arrivals import ArrivalModel, _LinearDensity
 from walkwait import quadrature
-from walkwait.quadrature import adaptive_simpson, integrate_piecewise
+from walkwait.quadrature import QUAD_TOL, adaptive_simpson, integrate_piecewise
 
 from _models import jumpy_knots, random_scenario
 
