@@ -16,6 +16,14 @@ the mean, the breakpoints and, in closed form, M1 and the roots of E' (the
 piecewise model still integrates M1 and scans for the roots); each draws
 through ``_draw``, which ``_LinearDensity.sample`` shapes.  ``_check_time``
 is the one rule for a time or a wait.
+
+The model alone picks the route to the sign changes of E'(W) = R(W) -
+t_delta p(W), through ``_sign_changes``: the table solves E', a polynomial
+of degree at most 2 on each piece, jump minima included; ``Exponential``,
+whose rate is constant, has no root or is flat; the base class scans a grid
+and bisects each crossing.  The scan's rules are relative, so they hold at
+every time scale: a bisection stops when no float lies between its ends, and
+a flat E', like every tie, follows the one rule of ``TIE_TOL``.
 """
 
 from __future__ import annotations
@@ -37,6 +45,8 @@ from .quadrature import integrate_piecewise
 TIE_TOL = 1e-12
 # survival R at or below which a root of E' is dropped
 SURVIVAL_FLOOR = 1e-15
+# grid points of the scan that finds the roots of E' without a closed form
+SCAN_POINTS = 4096
 
 
 class UndefinedRateError(ValueError):
@@ -165,20 +175,69 @@ class ArrivalModel(ABC):
         rate = p / r
         return slope / r + rate * rate
 
-    def sign_changes(self, t_delta: float, end: float) -> list[tuple[float, str]] | None:
+    def _sign_changes(self, t_delta: float, end: float) -> list[tuple[float, str]]:
         """Where E'(t) = R(t) - t_delta p(t) changes sign in (0, end), as
-        (t, kind) pairs sorted by t; None when the model has no closed form,
-        and the optimizer scans instead.
+        (t, kind) pairs sorted by t.
 
         kind is "minimum" where E' goes from negative to positive, "maximum"
         the other way, and "flat" (alone, at t = 0) where E' is zero
-        throughout.
+        throughout.  Default is the grid scan, ``_scan_sign_changes``; models
+        with a closed form override it.
         """
-        return None
+        return _scan_sign_changes(self, 1.0 / t_delta, end)
 
     def quad_bound(self) -> float:
         """Finite time beyond which remaining mass is negligible."""
         return self.support_end
+
+
+def _scan_sign_changes(model: ArrivalModel, target: float, end: float) -> list[tuple[float, str]]:
+    """The sign changes of E' in (0, end) found by a grid scan.
+
+    Scans a fixed grid plus every breakpoint b and the float just below it,
+    so no bracket spans a breakpoint, and bisects each crossing on a smooth
+    piece until no float lies between the bracket's ends.  The one-ulp
+    bracket below b is a density jump: a change from negative to positive
+    there is a minimum at exactly b, the other way is dropped.  Two
+    crossings inside one grid cell, or one before the first grid point, are
+    missed.  numpy finds the flips among the samples, so the cost is one
+    ``appearance_rate`` call per grid point and bisection step.
+    """
+    rate = model.appearance_rate  # E'(t) has the sign of target - rate(t)
+    inner = [b for b in model.breakpoints() if 0.0 < b < end]
+    ts = np.linspace(0.0, end, SCAN_POINTS + 2)[1:-1].tolist()
+    # a time listed twice makes an empty bracket, skipped as it has no sign change
+    ts = sorted(ts + inner + [math.nextafter(b, 0.0) for b in inner])
+    # R never increases, so the scan ends at the first time where R <= SURVIVAL_FLOOR
+    grid = ts[: bisect.bisect_left(ts, True, key=lambda t: model.survival(t) <= SURVIVAL_FLOOR)]
+    if not grid:
+        return []
+    gs = target - np.fromiter(map(rate, grid), float, len(grid))
+    if np.abs(gs).max() <= TIE_TOL * target:
+        return [(0.0, "flat")]
+
+    changes = []
+    keep = np.flatnonzero(gs)  # a zero of E' lies inside the bracket of its neighbours
+    neg = gs[keep] < 0.0
+    for i in np.flatnonzero(neg[1:] != neg[:-1]).tolist():
+        a, b, a_neg = grid[keep[i]], grid[keep[i + 1]], bool(neg[i])
+        if a == math.nextafter(b, 0.0):  # a jump: E' never vanishes
+            if not a_neg:
+                continue
+            root = b
+        else:
+            lo, hi = a, b
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                gm = target - rate(mid)
+                if gm == 0.0:
+                    lo = hi = mid
+                elif (gm < 0.0) == a_neg:
+                    lo = mid
+                else:
+                    hi = mid
+            root = 0.5 * (lo + hi)
+        changes.append((root, "minimum" if a_neg else "maximum"))
+    return changes
 
 
 class _LinearDensity(ArrivalModel):
@@ -292,7 +351,7 @@ class _LinearDensity(ArrivalModel):
     def breakpoints(self):
         return self._breakpoints
 
-    def sign_changes(self, t_delta, end):
+    def _sign_changes(self, t_delta, end):
         """On a piece, in local x = t - t0, E' = R - t_delta p is the polynomial
         g(x) = (R0 - t_delta y0) - (y0 + t_delta s) x - (s/2) x^2.  A root
         where g rises is a minimum, one where it falls a maximum; a tangent
@@ -377,7 +436,7 @@ class Exponential(ArrivalModel):
         _check_time(t)
         return 0.0
 
-    def sign_changes(self, t_delta, end):
+    def _sign_changes(self, t_delta, end):
         # the rate is constant: E' keeps one sign, or is flat where the mean ties t_delta
         return [(0.0, "flat")] if abs(self.mean() - t_delta) <= TIE_TOL * t_delta else []
 
@@ -476,7 +535,7 @@ class PiecewiseLinearDensity(_LinearDensity):
     # M1 by quadrature and E' roots by the scan, not from the table, until a
     # benchmark self-test stops pinning both (ROADMAP item 1)
     partial_mean = ArrivalModel.partial_mean
-    sign_changes = ArrivalModel.sign_changes
+    _sign_changes = ArrivalModel._sign_changes
 
     def __init__(self, knots):
         knots = [(_number(t, "knot time"), _number(y, "knot density")) for t, y in knots]

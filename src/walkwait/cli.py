@@ -4,12 +4,14 @@ Configs are JSON with human-friendly units (km, km/h); everything internal
 runs in km and minutes, and each number is checked there by the library's
 rule for it, so a speed that underflows names its field.  Exit codes: 0
 success, 2 bad input, named by its field or option (a model whose partial
-mean the quadrature cannot resolve is bad input too), 3 I/O failure.
+mean the quadrature cannot resolve, or whose simulated journeys overflow the
+floats, is bad input too), 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -133,22 +135,11 @@ def cmd_optimize(args) -> int:
     points = find_stationary_points(scenario, model, args.horizon)
     policy = _best_policy(scenario, model, points)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "stationary_points": [
-                        {"t_wait": p.t_wait, "kind": p.kind, "expected_tt": p.expected_tt}
-                        for p in points
-                    ],
-                    "policy": {
-                        "strategy": policy.strategy,
-                        "t_wait": policy.t_wait,
-                        "expected_tt": policy.expected_tt,
-                    },
-                },
-                indent=2,
-            )
-        )
+        # PolicyChoice's JSON keys are not in its field order
+        policy_json = {"strategy": policy.strategy, "t_wait": policy.t_wait,
+                       "expected_tt": policy.expected_tt}
+        points_json = [dataclasses.asdict(p) for p in points]
+        print(json.dumps({"stationary_points": points_json, "policy": policy_json}, indent=2))
         return 0
     if points:
         for p in points:
@@ -221,21 +212,13 @@ def cmd_simulate(args) -> int:
             rule(getattr(args, name))
         except ValueError as exc:
             raise ConfigError(name, str(exc)) from exc
-    result = estimate(scenario, model, strategy, args.n, args.seed)
+    try:
+        result = estimate(scenario, model, strategy, args.n, args.seed)
+    except ValueError as exc:  # n and seed passed: the journeys overflow
+        raise ConfigError("model", str(exc)) from exc
     z = (result.mean - analytic) / result.stderr if result.stderr > 0 else 0.0
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "mean": result.mean,
-                    "stderr": result.stderr,
-                    "n": result.n,
-                    "analytic": analytic,
-                    "z": z,
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps({**dataclasses.asdict(result), "analytic": analytic, "z": z}, indent=2))
         return 0
     print(f"mean:     {result.mean:.12g} min")
     print(f"stderr:   {result.stderr:.12g} min")

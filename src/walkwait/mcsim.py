@@ -134,7 +134,9 @@ def estimate(
     """Mean travel time over n independent journeys, with its standard error.
 
     Deterministic for a fixed (n, seed); n is an integer of at least 2 and
-    seed one of at least 0.
+    seed one of at least 0.  Raises ValueError when the mean or its standard
+    error is not finite: the squared deviations of travel times past about
+    1.3e154 min, or the sums of times near the largest float, overflow.
     """
     n = _sample_count(n)
     seed = _seed(seed)
@@ -142,22 +144,30 @@ def estimate(
     total_n = 0
     mean = 0.0
     m2 = 0.0
-    for chunk_idx, start in enumerate(range(0, n, CHUNK)):
-        size = min(CHUNK, n - start)
-        rng = np.random.default_rng([seed, chunk_idx])
-        x = _travel_times(scenario, model, strategy, rng, size)
-        c_mean = float(x.mean())
-        # the squared deviations, in place: x is _travel_times' own array
-        x -= c_mean
-        x *= x
-        c_m2 = float(x.sum())
-        # Chan et al. pairwise merge
-        delta = c_mean - mean
-        new_n = total_n + size
-        m2 += c_m2 + delta * delta * total_n * size / new_n
-        mean += delta * size / new_n
-        total_n = new_n
+    # an overflow leaves inf or nan in the sums, which the check below
+    # rejects, rather than a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chunk_idx, start in enumerate(range(0, n, CHUNK)):
+            size = min(CHUNK, n - start)
+            rng = np.random.default_rng([seed, chunk_idx])
+            x = _travel_times(scenario, model, strategy, rng, size)
+            c_mean = float(x.mean())
+            # the squared deviations, in place: x is _travel_times' own array
+            x -= c_mean
+            x *= x
+            c_m2 = float(x.sum())
+            # Chan et al. pairwise merge
+            delta = c_mean - mean
+            new_n = total_n + size
+            m2 += c_m2 + delta * delta * total_n * size / new_n
+            mean += delta * size / new_n
+            total_n = new_n
     stderr = math.sqrt(m2 / (total_n - 1) / total_n)
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise ValueError(
+            f"the estimate overflows the floats (mean {mean}, stderr {stderr}):"
+            " the model's arrival times are too large to simulate"
+        )
     return SimEstimate(mean=mean, stderr=stderr, n=total_n)
 
 

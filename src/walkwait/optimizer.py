@@ -6,15 +6,10 @@ positive is a minimum, one where it goes from positive to negative a maximum.
 A minimum can also sit at a density jump, where E' changes sign without
 vanishing.
 
-On each piece of a linear density E' is a polynomial of degree at most 2.
-``Uniform`` and ``LateBusMixture`` solve it, jump minima included, on their
-shared piece table, and ``Exponential``, whose rate is constant, has no root
-or is flat; all three through ``ArrivalModel.sign_changes``.
-``PiecewiseLinearDensity``, like user subclasses, is scanned on a grid and
-bisected while a benchmark self-test pins the scan (ROADMAP items 1 and 2).
-The scan's rules are relative, so they hold at every time scale: a bisection
-stops when no float lies between its ends, and a flat E', like every tie,
-follows the one rule of ``arrivals.TIE_TOL``, relative to t_delta.
+Each model finds these sign changes by its own route, its
+``_sign_changes``: a closed form, or the grid scan that ``arrivals``
+describes.  This module holds only policy: the horizon, the pricing and the
+one tie rule of ``arrivals.TIE_TOL``, relative to t_delta.
 
 ``optimal_policy`` prices only what it weighs, the minima and wait-forever
 where ``compare_wait_walk`` says "wait".  Walk-now's E is the walk time, as
@@ -23,16 +18,10 @@ where ``compare_wait_walk`` says "wait".  Walk-now's E is the walk time, as
 
 from __future__ import annotations
 
-import bisect
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .arrivals import SURVIVAL_FLOOR, TIE_TOL, ArrivalModel, Uniform, _positive
+from .arrivals import TIE_TOL, ArrivalModel, Uniform, _positive
 from .expectation import Scenario, expected_tt, expected_tt_wait_forever
-
-SCAN_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -61,64 +50,11 @@ def find_stationary_points(
 
 
 def _sign_changes(scenario: Scenario, model: ArrivalModel, horizon) -> list[tuple[float, str]]:
-    """(t, kind) for each sign change of E'(W) in (0, horizon), from
-    ``model.sign_changes`` or else ``_scan_sign_changes``, or one "flat" at t = 0."""
+    """(t, kind) for each sign change of E'(W) in (0, horizon), from the
+    model's own route, ``ArrivalModel._sign_changes``."""
     horizon = (_positive(model.quad_bound(), "quad_bound()") if horizon is None
                else _positive(horizon, "horizon"))
-    end = min(horizon, model.support_end)
-    changes = model.sign_changes(scenario.t_delta, end)
-    if changes is None:
-        changes = _scan_sign_changes(model, 1.0 / scenario.t_delta, end)
-    return changes
-
-
-def _scan_sign_changes(model: ArrivalModel, target: float, end: float) -> list[tuple[float, str]]:
-    """The sign changes of E' in (0, end) found by a grid scan.
-
-    Scans a fixed grid plus every breakpoint b and the float just below it,
-    so no bracket spans a breakpoint, and bisects each crossing on a smooth
-    piece until no float lies between the bracket's ends.  The one-ulp
-    bracket below b is a density jump: a change from negative to positive
-    there is a minimum at exactly b, the other way is dropped.  Two
-    crossings inside one grid cell, or one before the first grid point, are
-    missed.  numpy finds the flips among the samples, so the cost is one
-    ``appearance_rate`` call per grid point and bisection step.
-    """
-    rate = model.appearance_rate  # E'(t) has the sign of target - rate(t)
-    inner = [b for b in model.breakpoints() if 0.0 < b < end]
-    ts = np.linspace(0.0, end, SCAN_POINTS + 2)[1:-1].tolist()
-    # a time listed twice makes an empty bracket, skipped as it has no sign change
-    ts = sorted(ts + inner + [math.nextafter(b, 0.0) for b in inner])
-    # R never increases, so the scan ends at the first time where R <= SURVIVAL_FLOOR
-    grid = ts[: bisect.bisect_left(ts, True, key=lambda t: model.survival(t) <= SURVIVAL_FLOOR)]
-    if not grid:
-        return []
-    gs = target - np.fromiter(map(rate, grid), float, len(grid))
-    if np.abs(gs).max() <= TIE_TOL * target:
-        return [(0.0, "flat")]
-
-    changes = []
-    keep = np.flatnonzero(gs)  # a zero of E' lies inside the bracket of its neighbours
-    neg = gs[keep] < 0.0
-    for i in np.flatnonzero(neg[1:] != neg[:-1]).tolist():
-        a, b, a_neg = grid[keep[i]], grid[keep[i + 1]], bool(neg[i])
-        if a == math.nextafter(b, 0.0):  # a jump: E' never vanishes
-            if not a_neg:
-                continue
-            root = b
-        else:
-            lo, hi = a, b
-            while lo < (mid := 0.5 * (lo + hi)) < hi:
-                gm = target - rate(mid)
-                if gm == 0.0:
-                    lo = hi = mid
-                elif (gm < 0.0) == a_neg:
-                    lo = mid
-                else:
-                    hi = mid
-            root = 0.5 * (lo + hi)
-        changes.append((root, "minimum" if a_neg else "maximum"))
-    return changes
+    return model._sign_changes(scenario.t_delta, min(horizon, model.support_end))
 
 
 def optimal_policy(

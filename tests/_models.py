@@ -36,7 +36,7 @@ class TablePiecewise(PiecewiseLinearDensity):
     the scan that PiecewiseLinearDensity itself still takes."""
 
     partial_mean = _LinearDensity.partial_mean
-    sign_changes = _LinearDensity.sign_changes
+    _sign_changes = _LinearDensity._sign_changes
 
 
 class FallbackPiecewise(PiecewiseLinearDensity):
@@ -44,12 +44,12 @@ class FallbackPiecewise(PiecewiseLinearDensity):
     roots of E' and the quadrature for M1, which a model without closed
     forms takes, whatever routes PiecewiseLinearDensity itself takes."""
 
-    sign_changes = ArrivalModel.sign_changes
+    _sign_changes = ArrivalModel._sign_changes
     partial_mean = ArrivalModel.partial_mean
 
 
 class FallbackLateBus(LateBusMixture):
-    sign_changes = ArrivalModel.sign_changes
+    _sign_changes = ArrivalModel._sign_changes
     partial_mean = ArrivalModel.partial_mean
 
 

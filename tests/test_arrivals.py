@@ -200,6 +200,13 @@ class TestMassNormalization:
         with pytest.raises(ValueError):
             PiecewiseLinearDensity([(0.0, 0.0), (5.0, 0.0)])
 
+    def test_subnormal_mass_fails_the_mass_rule(self):
+        # the knots' mass, 1e-320, is subnormal: its few significant bits
+        # leave the normalized table's mass off one by about 1e-5
+        with pytest.raises(ValueError) as info:
+            PiecewiseLinearDensity([(0, 1e-200), (2e-120, 0)])
+        assert str(info.value).startswith("knot densities do not normalize to a mass of one")
+
     def test_piecewise_repr_lists_the_normalized_knots(self):
         assert repr(PiecewiseLinearDensity([[0, 2], [1, 2], [1, 0], [3, 0]])) == (
             "PiecewiseLinearDensity([(0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (3.0, 0.0)])"

@@ -19,7 +19,7 @@ from walkwait import (
     model_from_config,
     plan_gradient_d1,
 )
-from walkwait import arrivals, cli, optimizer, quadrature
+from walkwait import arrivals, cli, quadrature
 from walkwait.cli import ANALYZE_SCHEMA, build_parser, main
 
 from _models import (
@@ -134,13 +134,13 @@ class TestOptimize:
     def test_piecewise_scans_once(self, monkeypatch):
         # the policy is picked from the points already found, not a second scan
         scans = []
-        scan = optimizer._scan_sign_changes
+        scan = arrivals._scan_sign_changes
 
         def counted(*args):
             scans.append(args)
             return scan(*args)
 
-        monkeypatch.setattr(optimizer, "_scan_sign_changes", counted)
+        monkeypatch.setattr(arrivals, "_scan_sign_changes", counted)
         assert main(["optimize", str(CONFIG_DIR / "piecewise.json"), "--json"]) == 0
         assert len(scans) == 1
 
@@ -156,13 +156,13 @@ class TestOptimize:
         # model takes
         monkeypatch.setitem(arrivals.MODEL_KINDS, kind, (twin, arrivals.MODEL_KINDS[kind][1]))
         scans = []
-        scan = optimizer._scan_sign_changes
+        scan = arrivals._scan_sign_changes
 
         def counted(*args):
             scans.append(args)
             return scan(*args)
 
-        monkeypatch.setattr(optimizer, "_scan_sign_changes", counted)
+        monkeypatch.setattr(arrivals, "_scan_sign_changes", counted)
         assert main(["optimize", str(CONFIG_DIR / name), "--json"]) == 0
         assert len(scans) == 1
 
@@ -343,6 +343,15 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: seed: seed must be nonnegative, got -1\n"
+
+    def test_overflowing_estimate_names_model(self, config, capsys):
+        # the squared deviations overflow: no NaN stderr and passing z
+        argv = ["simulate", config({"kind": "exponential", "rate": 1e-160}), "--strategy",
+                "wait_forever", "--n", "1000", "--json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: model: ") and captured.err.count("\n") == 1
 
     def test_walk_and_wait_strategy_string(self, config, capsys):
         code, out = run(

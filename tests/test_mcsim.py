@@ -104,6 +104,17 @@ class TestEstimate:
             estimate(S0, NoDraws(30.0), WaitForever(), n, seed)
         assert str(info.value).startswith(message)
 
+    @pytest.mark.parametrize("rate, n", [(1e-160, 1000), (2.3e-307, 10**5)])
+    def test_overflowing_estimate_rejected(self, rate, n):
+        # deviations past about 1.3e154 min square to inf, and near the
+        # largest float the chunk's sum overflows: a NaN is no estimate
+        with pytest.raises(ValueError, match="overflows the floats"):
+            estimate(S0, Exponential(rate), WaitForever(), n, 0)
+
+    def test_large_finite_estimate_accepted(self):
+        result = estimate(S0, Exponential(1e-150), WaitForever(), 1000, 0)
+        assert math.isfinite(result.mean) and 0.0 < result.stderr < math.inf
+
     def test_numpy_integers_count_as_integers(self):
         a = estimate(S0, Uniform(30.0), WaitForever(), 10_000, 5)
         b = estimate(S0, Uniform(30.0), WaitForever(), np.int64(10_000), np.uint32(5))

@@ -21,8 +21,14 @@ from walkwait import (
     find_stationary_points,
     optimal_policy,
 )
-from walkwait.arrivals import TIE_TOL, ArrivalModel, _LinearDensity
-from walkwait.optimizer import SCAN_POINTS, _best_policy, _scan_sign_changes
+from walkwait.arrivals import (
+    SCAN_POINTS,
+    TIE_TOL,
+    ArrivalModel,
+    _LinearDensity,
+    _scan_sign_changes,
+)
+from walkwait.optimizer import _best_policy
 from _models import (
     FallbackLateBus,
     FallbackPiecewise,
@@ -181,7 +187,7 @@ def piecewise_twin(model):
 
 
 class ScannedExponential(Exponential):
-    sign_changes = ArrivalModel.sign_changes
+    _sign_changes = ArrivalModel._sign_changes
 
 
 class OpenEndedExponential(Exponential):
@@ -353,7 +359,7 @@ class TestGridScan:
     )
     def test_one_rate_call_per_grid_point_and_bisection_step(self, model, knots, calls):
         class ScannedPiecewise(PiecewiseLinearDensity):
-            sign_changes = ArrivalModel.sign_changes
+            _sign_changes = ArrivalModel._sign_changes
 
         counted = counting(ScannedPiecewise)(knots)
         points = [(sp.t_wait, sp.kind) for sp in find_stationary_points(S0, counted)]
@@ -411,7 +417,7 @@ class TestEveryTimeScale:
 
 class TestTableJumpMinima:
     def test_minimum_at_a_density_drop(self):
-        changes = _LinearDensity.sign_changes(DROP, 24.0, 100.0)
+        changes = _LinearDensity._sign_changes(DROP, 24.0, 100.0)
         assert [kind for _, kind in changes] == ["minimum", "maximum"]
         assert changes[0][0] == 4.0
         assert changes[1][0] == pytest.approx(76.0, abs=1e-12)
@@ -419,7 +425,7 @@ class TestTableJumpMinima:
     def test_a_rise_at_a_jump_is_no_sign_change(self):
         # E' falls from + to - across the jump up at t = 4
         rise = PiecewiseLinearDensity([[0, .01], [4, .01], [4, 1], [8, 1]])
-        assert _LinearDensity.sign_changes(rise, 24.0, 8.0) == []
+        assert _LinearDensity._sign_changes(rise, 24.0, 8.0) == []
 
     def test_finds_every_root_the_scan_finds_and_the_best_wait(self):
         rng = np.random.default_rng(4)
@@ -427,7 +433,7 @@ class TestTableJumpMinima:
             scenario = random_scenario(rng)
             knots = jumpy_knots(rng, scenario.t_delta)
             model = PiecewiseLinearDensity(knots)
-            table = _LinearDensity.sign_changes(model, scenario.t_delta, scan_end(model))
+            table = _LinearDensity._sign_changes(model, scenario.t_delta, scan_end(model))
             for t_scan, kind_scan in _scan_sign_changes(
                 model, 1.0 / scenario.t_delta, scan_end(model)
             ):
