@@ -11,11 +11,13 @@ Each model states p, p', F and R once, in ``_at``; the base class derives
 the rest, and ``at`` hands the expectation layer all four from one lookup.
 ``Uniform``, ``LateBusMixture`` and ``PiecewiseLinearDensity`` are linear on
 each of a few pieces and list them once; ``_LinearDensity`` builds one table
-from them, which gives ``_at``, the appearance rate from one row,
-the mean, the breakpoints and, in closed form, M1 and the roots of E' (the
-piecewise model still integrates M1 and scans for the roots); each draws
-through ``_draw``, which ``_LinearDensity.sample`` shapes.  ``_check_time``
-is the one rule for a time or a wait.
+from them, which gives ``_at``, the mean, the breakpoints and, in closed
+form, M1 and the roots of E' (the piecewise model still integrates M1 and
+scans for the roots).  Next to it, a compact row per piece, with y1 - y0
+and slope / 2 formed once, gives the appearance rate, the scan's one call
+per grid point, with the bits of p / R from ``_at``.  Each draws through
+``_draw``, which ``_LinearDensity.sample`` shapes.  ``_check_time`` is the
+one rule for a time or a wait.
 
 The model alone picks the route to the sign changes of E'(W) = R(W) -
 t_delta p(W), through ``_sign_changes``: the table solves E', a polynomial
@@ -28,12 +30,12 @@ a flat E', like every tie, follows the one rule of ``TIE_TOL``.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import numbers
 import sys
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,7 +211,7 @@ def _scan_sign_changes(model: ArrivalModel, target: float, end: float) -> list[t
     # a time listed twice makes an empty bracket, skipped as it has no sign change
     ts = sorted(ts + inner + [math.nextafter(b, 0.0) for b in inner])
     # R never increases, so the scan ends at the first time where R <= SURVIVAL_FLOOR
-    grid = ts[: bisect.bisect_left(ts, True, key=lambda t: model.survival(t) <= SURVIVAL_FLOOR)]
+    grid = ts[: bisect_left(ts, True, key=lambda t: model.survival(t) <= SURVIVAL_FLOOR)]
     if not grid:
         return []
     gs = target - np.fromiter(map(rate, grid), float, len(grid))
@@ -243,7 +245,9 @@ def _scan_sign_changes(model: ArrivalModel, target: float, end: float) -> list[t
 class _LinearDensity(ArrivalModel):
     """A density that is linear on each piece of one table, built once by
     ``_tabulate``: a row (t0, t1, y0, y1, F(t0), width, slope, M1(t0)) per
-    piece of positive width, which every other member reads."""
+    piece of positive width, which every other member reads, save the
+    appearance rate, which reads the compact row (t0, t1, y0, y1 - y0, F(t0),
+    width, slope / 2) of the same piece."""
 
     def _tabulate(self, segments, range_error: str, mass_error: str) -> None:
         """Build the table from (t0, t1, y0, y1) segments that tile the
@@ -291,6 +295,10 @@ class _LinearDensity(ArrivalModel):
         # object.__setattr__ also sets them on frozen dataclasses
         object.__setattr__(self, "_pieces", pieces)
         object.__setattr__(self, "_starts", [piece[0] for piece in pieces])
+        object.__setattr__(self, "_rate_rows", [
+            (t0, t1, y0, y1 - y0, cum, width, 0.5 * slope)
+            for t0, t1, y0, y1, cum, width, slope, _ in pieces
+        ])
         object.__setattr__(self, "_breakpoints", (*self._starts, pieces[-1][1]))
         object.__setattr__(self, "_moment", moment)
 
@@ -308,7 +316,7 @@ class _LinearDensity(ArrivalModel):
 
     def _at(self, t):
         # the pieces tile [first start, support end) with no gap
-        i = bisect.bisect_right(self._starts, t) - 1
+        i = bisect_right(self._starts, t) - 1
         if i < 0:
             return 0.0, 0.0, 0.0, 1.0
         t0, t1, y0, y1, cum, width, slope, _ = self._pieces[i]
@@ -319,23 +327,26 @@ class _LinearDensity(ArrivalModel):
         return y0 + (y1 - y0) * x / width, slope, F, 1.0 - F
 
     def appearance_rate(self, t):
-        # p / R from one row, with the expressions of _at and without its
-        # slope: the base class's value and error, bit for bit
-        t = _check_time(t)
-        i = bisect.bisect_right(self._starts, t) - 1
+        # p / R from one compact row, with the operands of _at in its order
+        # (y1 - y0 and 0.5 * slope are the row's) and without its slope: the
+        # base class's value and error, bit for bit.  The scan calls it once
+        # per grid point, so a plain float >= 0 skips the call of the time rule.
+        if t.__class__ is not float or not t >= 0.0:
+            t = _check_time(t)
+        i = bisect_right(self._starts, t) - 1
         if i < 0:
             return 0.0
-        t0, t1, y0, y1, cum, width, slope, _ = self._pieces[i]
+        t0, t1, y0, dy, cum, width, half_slope = self._rate_rows[i]
         if t < t1:
             x = t - t0
-            r = 1.0 - (cum + y0 * x + 0.5 * slope * x * x)
+            r = 1.0 - (cum + y0 * x + half_slope * x * x)
             if r > 0.0:
-                return (y0 + (y1 - y0) * x / width) / r
+                return (y0 + dy * x / width) / r
         raise UndefinedRateError(f"survival is zero at t={t}")
 
     def partial_mean(self, t):
         t = _check_time(t)
-        i = bisect.bisect_right(self._starts, t) - 1
+        i = bisect_right(self._starts, t) - 1
         if i < 0:
             return 0.0
         t0, t1, y0, _, _, _, slope, moment = self._pieces[i]
@@ -538,7 +549,11 @@ class PiecewiseLinearDensity(_LinearDensity):
     _sign_changes = ArrivalModel._sign_changes
 
     def __init__(self, knots):
-        knots = [(_number(t, "knot time"), _number(y, "knot density")) for t, y in knots]
+        try:
+            pairs = [(t, y) for t, y in knots]
+        except (TypeError, ValueError):  # not iterable, or an item is not a pair
+            raise ValueError("knots must be a list of [time, density] pairs") from None
+        knots = [(_number(t, "knot time"), _number(y, "knot density")) for t, y in pairs]
         if len(knots) < 2:
             raise ValueError("need at least two knots")
         ts = [t for t, _ in knots]

@@ -303,6 +303,15 @@ class TestConstructionErrors:
         with pytest.raises(ValueError):
             LateBusMixture(still_coming_prob=1.5, late_window=4.0, next_headway_offset=25.0)
 
+    @pytest.mark.parametrize(
+        "knots", [None, 5, [[0, 1], 5], [[0, 1], [1]], [[0, 1], [1, 2, 3]], "ab"], ids=repr
+    )
+    def test_malformed_knots_rejected_naming_knots(self, knots):
+        # each raised a bare unpacking TypeError or ValueError
+        message = re.escape("knots must be a list of [time, density] pairs") + "$"
+        with pytest.raises(ValueError, match=message):
+            PiecewiseLinearDensity(knots)
+
 
 class TestPartialMean:
     @pytest.mark.parametrize("model", ALL_MODELS)
@@ -478,6 +487,12 @@ class TestOneTimeRule:
             value = getattr(model, method)(5.0)
             for t in (5, np.int64(5), np.float32(5), np.float64(5)):
                 assert getattr(model, method)(t) == value, (model, t)
+
+    @pytest.mark.parametrize("method", TIME_METHODS)
+    def test_negative_zero_is_time_zero(self, method):
+        # -0.0 >= 0.0, so a plain float -0.0 takes any fast path a time may have
+        for model in TIME_MODELS:
+            assert getattr(model, method)(-0.0) == getattr(model, method)(0.0), model
 
 
 class TestPiecewiseLookup:

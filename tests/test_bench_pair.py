@@ -89,3 +89,64 @@ def test_no_common_run_is_an_error(tmp_path, capsys):
                             "--out", str(tmp_path / "x.json")])
     assert code == 2 and "no run" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+def ten_pairs(tmp_path, p90s, ops):
+    """Ten decide pairs, seeds 1-10: p90s and ops are lists of (parent,
+    change) values, one a seed."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, ((p90_before, p90_after), (ops_before, ops_after)) in enumerate(zip(p90s, ops), 1):
+        write_result(parent, "decide", seed, ops_before, p90_before)
+        write_result(change, "decide", seed, ops_after, p90_after)
+    out = tmp_path / "BENCH.json"
+    assert bench_pair.main([str(parent), str(change), "--out", str(out)]) == 0
+    return json.loads(out.read_text())["summary"]["decide"]
+
+
+class TestVerdicts:
+    def test_gain_met_on_nine_of_ten_wins_beyond_the_parents_iqr(self, tmp_path):
+        # p90: the parent's runs are 4.0 to 4.9 (IQR 0.55), the change's 0.8
+        # lower but for one loss, its median 0.7 lower; ops_per_s: the
+        # change loses by 20%
+        p90s = [(4.0 + k / 10, 3.2 + k / 10) for k in range(10)]
+        p90s[0] = (4.0, 4.5)
+        summary = ten_pairs(tmp_path, p90s, [(100.0, 80.0)] * 10)
+        p90 = summary["latency_p90_ms"]
+        assert p90["change_wins"] == 9 and p90["parent_iqr"] == pytest.approx(0.55)
+        assert p90["parent_median"] - p90["change_median"] == pytest.approx(0.7)
+        assert p90["gain_met"] is True and p90["within_bound"] is True
+        # 20% worse is within the 25% bound of ops_per_s, and no gain
+        assert summary["ops_per_s"]["gain_met"] is False
+        assert summary["ops_per_s"]["within_bound"] is True
+
+    def test_eight_wins_are_no_gain(self, tmp_path):
+        p90s = [(4.0 + k / 10, 3.0 + k / 10) for k in range(10)]
+        p90s[0] = p90s[1] = (4.0, 4.1)
+        p90 = ten_pairs(tmp_path, p90s, [(100.0, 100.0)] * 10)["latency_p90_ms"]
+        assert p90["change_wins"] == 8 and p90["gain_met"] is False
+
+    def test_ten_wins_within_the_parents_iqr_are_no_gain(self, tmp_path):
+        # every pair 0.1 lower, against a parent IQR of 0.55
+        p90s = [(4.0 + k / 10, 3.9 + k / 10) for k in range(10)]
+        p90 = ten_pairs(tmp_path, p90s, [(100.0, 100.0)] * 10)["latency_p90_ms"]
+        assert p90["change_wins"] == 10 and p90["gain_met"] is False
+
+    def test_beyond_the_bound_relative_to_the_parents_median(self, tmp_path):
+        # ops_per_s 30% lower and p90 30% higher, past both 25% bounds
+        summary = ten_pairs(tmp_path, [(4.0, 5.2)] * 10, [(100.0, 70.0)] * 10)
+        assert summary["ops_per_s"]["within_bound"] is False
+        assert summary["latency_p90_ms"]["within_bound"] is False
+
+    def test_a_metric_without_a_direction_or_bound_has_null_verdicts(self):
+        entry = {"pairs": 10, "parent_median": 1.0, "change_median": 0.5,
+                 "parent_iqr": 0.1, "change_wins": 10, "better": None}
+        assert bench_pair.verdicts(entry, 0.25) == {"gain_met": None, "within_bound": None}
+        entry["better"] = "lower"
+        assert bench_pair.verdicts(entry, None) == {"gain_met": True, "within_bound": None}
+
+    def test_one_pair_shows_no_gain(self, runs, tmp_path):
+        out = tmp_path / "BENCH.json"
+        bench_pair.main([str(runs[0]), str(runs[1]), "--out", str(out)])
+        decide = json.loads(out.read_text())["summary"]["decide"]["latency_p90_ms"]
+        # one pair: no IQR, so no gain can be shown; 9.0 -> 9.5 is 5.6% worse
+        assert decide["gain_met"] is False and decide["within_bound"] is True

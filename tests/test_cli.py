@@ -365,6 +365,10 @@ class TestSimulate:
         assert abs(payload["z"]) < 3.5
 
 
+# a malformed knots field: not a list, or an item that is not a pair
+KNOTS_ERROR = "error: model: knots must be a list of [time, density] pairs\n"
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "field, value",
@@ -470,7 +474,11 @@ class TestConfigValidation:
             ({"kind": "piecewise", "knots": [[0, 1], [5, -1]]}, "knot densities"),
             (5, "model: model config must be an object"),
             ({"kind": "uniform"}, "headway"),
-            ({"kind": "piecewise", "knots": 5}, "model: missing or bad parameter"),
+            ({"kind": "piecewise", "knots": 5}, KNOTS_ERROR),
+            ({"kind": "piecewise", "knots": None}, KNOTS_ERROR),
+            ({"kind": "piecewise", "knots": [[0, 1], 5]}, KNOTS_ERROR),
+            ({"kind": "piecewise", "knots": [[0, 1], [1]]}, KNOTS_ERROR),
+            ({"kind": "piecewise", "knots": "ab"}, KNOTS_ERROR),
         ],
     )
     def test_model_parameter_rejected(self, config, capsys, model, field):

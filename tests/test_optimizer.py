@@ -45,7 +45,8 @@ from _models import (
 S0 = Scenario(d=3.0, v_w=0.1, v_b=0.5)
 LATE_BUS = LateBusMixture(still_coming_prob=0.25, late_window=4.0, next_headway_offset=56.0)
 # a spike narrower than one cell of the scan grid, and a density drop at t=4
-SPIKE = PiecewiseLinearDensity([[0, .001], [5, .001], [5.05, 320], [5.1, .001], [4000, .001]])
+SPIKE_KNOTS = [[0, .001], [5, .001], [5.05, 320], [5.1, .001], [4000, .001]]
+SPIKE = PiecewiseLinearDensity(SPIKE_KNOTS)
 DROP_KNOTS = [[0, 1], [4, 1], [4, .01], [100, .01]]
 DROP = PiecewiseLinearDensity(DROP_KNOTS)
 
@@ -395,6 +396,83 @@ class TestGridScan:
         rate = 1.0 / scenario.t_delta
         for model in (Exponential(rate), ScannedExponential(rate)):
             assert [sp.kind for sp in find_stationary_points(scenario, model)] == ["flat"]
+
+
+# the knots of TestPinnedScan: the drop, the spike and four seeded models,
+# whose policies are wait_then_walk, wait_forever and walk_now
+PINNED_KNOTS = {
+    "drop": DROP_KNOTS,
+    "spike": SPIKE_KNOTS,
+    **{f"jumpy-{k}": jumpy_knots(np.random.default_rng(k), S0.t_delta) for k in (1, 4)},
+    **{f"drop-{k}": drop_knots(np.random.default_rng(k), S0.t_delta) for k in (1, 2)},
+}
+# float.hex of (t_wait, kind, expected_tt) of every point of
+# find_stationary_points(S0, model), then (strategy, expected_tt, t_wait) of
+# optimal_policy(S0, model), for the model of each PINNED_KNOTS entry
+PINNED_SCAN = {
+    "drop": (
+        [
+            ("0x1.0000000000000p+2", "minimum", "0x1.a10842108420fp+3"),
+            ("0x1.2fffffffffffep+6", "maximum", "0x1.242108421083fp+4"),
+        ],
+        ("wait_then_walk", "0x1.a10842108420fp+3", "0x1.0000000000000p+2"),
+    ),
+    "spike": (
+        [
+            ("0x1.400221571dc72p+2", "maximum", "0x1.17f2909e21358p+5"),
+            ("0x1.4665f9f7b1f8ap+2", "minimum", "0x1.fb4dbc46fd214p+3"),
+            ("0x1.f0ffffffffffep+11", "maximum", "0x1.9a0e2e880cbd8p+8"),
+        ],
+        ("wait_then_walk", "0x1.fb4dbc46fd214p+3", "0x1.4665f9f7b1f8ap+2"),
+    ),
+    "jumpy-1": (
+        [
+            ("0x1.85cc1f7d37c28p+3", "maximum", "0x1.3c2769a740180p+5"),
+            ("0x1.8e65005151caep+3", "minimum", "0x1.b9167683ddae4p+4"),
+            ("0x1.a650f1a7ceb64p+3", "maximum", "0x1.bb5e9cde5f424p+4"),
+            ("0x1.17a02f566785fp+4", "minimum", "0x1.b8d70d4e6e05fp+4"),
+            ("0x1.63f09a8b4649ep+4", "maximum", "0x1.be009139f538ap+4"),
+        ],
+        ("wait_forever", "0x1.7b34549db6c38p+4", None),
+    ),
+    "jumpy-4": (
+        [
+            ("0x1.4b4983923ecbcp+5", "maximum", "0x1.6ec77f6cdbf40p+5"),
+            ("0x1.4d3c6e706defep+5", "minimum", "0x1.6ec5b0a82bd7cp+5"),
+            ("0x1.66d365e741cb0p+5", "maximum", "0x1.700541a6ac28ap+5"),
+        ],
+        ("walk_now", "0x1.e000000000000p+4", None),
+    ),
+    "drop-1": (
+        [
+            ("0x1.ae92341160ab0p+2", "minimum", "0x1.7e05a6f190900p+4"),
+            ("0x1.e56ef2411eea4p+6", "maximum", "0x1.7b79a5a9a0d32p+5"),
+        ],
+        ("wait_then_walk", "0x1.7e05a6f190900p+4", "0x1.ae92341160ab0p+2"),
+    ),
+    "drop-2": (
+        [
+            ("0x1.01a055ab0fbb7p+2", "minimum", "0x1.9ac3e50a92750p+3"),
+            ("0x1.d6f7c96e624bep+5", "maximum", "0x1.03f9f48b358eap+4"),
+        ],
+        ("wait_then_walk", "0x1.9ac3e50a92750p+3", "0x1.01a055ab0fbb7p+2"),
+    ),
+}
+
+
+class TestPinnedScan:
+    """Every point and policy of the scanned piecewise model bit for bit: a
+    change of one ulp in a rate, a grid point or a bisection step shows here."""
+
+    @pytest.mark.parametrize("name", PINNED_KNOTS)
+    def test_scan_is_bit_identical(self, name):
+        model = PiecewiseLinearDensity(PINNED_KNOTS[name])
+        points, policy = PINNED_SCAN[name]
+        found = find_stationary_points(S0, model)
+        assert [(p.t_wait.hex(), p.kind, p.expected_tt.hex()) for p in found] == points
+        choice = optimal_policy(S0, model)
+        t_wait = None if choice.t_wait is None else choice.t_wait.hex()
+        assert (choice.strategy, choice.expected_tt.hex(), t_wait) == policy
 
 
 class TestEveryTimeScale:

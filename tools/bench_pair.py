@@ -8,9 +8,14 @@ files that ``perfbench/run.py`` writes to ``.bench_out/``.  Runs are paired by
 workload, seed and trace flag.  The output lists every pair's end-to-end
 metrics, the seeds per workload, the machine of each run, the runs that found
 no partner, and per workload and metric the two medians, the two
-interquartile ranges (null with fewer than two pairs) and the number of
-pairs the change won (the direction comes from the repository's
-BENCHMARK.json).  Standard library only.
+interquartile ranges (null with fewer than two pairs), the number of
+pairs the change won and two verdicts.  ``gain_met``: the change won at
+least 9 of 10 pairs and its median is better than the parent's by more than
+the parent's interquartile range.  ``within_bound``: the change's median is
+worse than the parent's by no more than the metric's bound, relative to the
+parent's median.  Each metric's direction and bound come from the
+repository's BENCHMARK.json, which is only read; a metric it does not list
+has null verdicts.  Standard library only.
 """
 
 from __future__ import annotations
@@ -52,7 +57,21 @@ def iqr(values: list) -> float | None:
     return q3 - q1
 
 
-def pair(parent: dict, change: dict, better: dict) -> dict:
+def verdicts(entry: dict, bound: float | None) -> dict:
+    """gain_met and within_bound of one summary entry, null where the
+    metric has no direction, or no bound for within_bound."""
+    sign = {"higher": 1.0, "lower": -1.0}.get(entry["better"])
+    if sign is None:
+        return {"gain_met": None, "within_bound": None}
+    gain = sign * (entry["change_median"] - entry["parent_median"])
+    return {
+        "gain_met": (10 * entry["change_wins"] >= 9 * entry["pairs"]
+                     and entry["parent_iqr"] is not None and gain > entry["parent_iqr"]),
+        "within_bound": None if bound is None else -gain <= bound * abs(entry["parent_median"]),
+    }
+
+
+def pair(parent: dict, change: dict, better: dict, bounds: dict) -> dict:
     """The paired report of two {(workload, seed, trace): result} maps."""
     keys = sorted(parent.keys() & change.keys())
     pairs = [
@@ -83,6 +102,7 @@ def pair(parent: dict, change: dict, better: dict) -> dict:
                 "change_wins": entry["change_wins"],
                 "better": better.get(name),
             }
+            metrics[name].update(verdicts(metrics[name], bounds.get(name)))
     machines = []
     for result in [*parent.values(), *change.values()]:
         machine = result.get("detail", {}).get("machine")
@@ -113,12 +133,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     spec = json.loads(BENCHMARK.read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     parent, change = read_runs(args.parent), read_runs(args.change)
     if not parent.keys() & change.keys():
         print("error: no run of the same workload and seed in both directories",
               file=sys.stderr)
         return 2
-    report = pair(parent, change, better)
+    report = pair(parent, change, better, bounds)
     report["tier1_wall_s"] = args.tier1_s
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
