@@ -170,10 +170,11 @@ class ArrivalModel(ABC):
         return p / r
 
     def appearance_rate_slope(self, t: float) -> float:
-        """lambda'(t) = p'(t) / R(t) + lambda(t)^2, from one ``at`` lookup."""
-        p, slope, _, r = self.at(t)
+        """lambda'(t) = p'(t) / R(t) + lambda(t)^2, from one ``_at`` lookup."""
+        t = _check_time(t)
+        p, slope, _, r = self._at(t)
         if r <= 0.0:
-            raise UndefinedRateError(f"survival is zero at t={float(t)}")
+            raise UndefinedRateError(f"survival is zero at t={t}")
         rate = p / r
         return slope / r + rate * rate
 
@@ -406,7 +407,7 @@ class Uniform(_LinearDensity):
     headway: float
 
     def __post_init__(self):
-        h = _positive(self.headway, "headway")
+        self.__dict__["headway"] = h = _positive(self.headway, "headway")
         error = f"headway {h} is out of range: 1/headway or its sums leave the normal floats"
         self._tabulate([(0.0, h, 1.0 / h, 1.0 / h)], error, error)
 
@@ -425,7 +426,7 @@ class Exponential(ArrivalModel):
     rate: float
 
     def __post_init__(self):
-        rate = _positive(self.rate, "rate")
+        self.__dict__["rate"] = rate = _positive(self.rate, "rate")
         if 40.0 / rate == math.inf:
             raise ValueError(f"rate {rate} is out of range: quad_bound() 40/rate overflows")
 
@@ -494,6 +495,7 @@ class LateBusMixture(_LinearDensity):
         w = _probability(self.still_coming_prob, "still_coming_prob")
         L = _positive(self.late_window, "late_window")
         H = _number(self.next_headway_offset, "next_headway_offset")
+        self.__dict__.update(still_coming_prob=w, late_window=L, next_headway_offset=H)
         if not L < H < math.inf:
             raise ValueError("next_headway_offset must be finite and exceed late_window")
         head, tail = 2.0 * w / L, (1.0 - w) / L
@@ -674,9 +676,10 @@ MODEL_KINDS = {
 
 def model_from_config(config: dict) -> ArrivalModel:
     """Build a model from a dict with a `kind` discriminator and that kind's
-    fields; an unknown field is rejected, naming it.
+    fields; an unknown or a missing field is rejected, naming it.
 
-    The model constructors reject booleans, strings and non-finite values.
+    The model constructors reject booleans, strings and non-finite values,
+    and each stores the float its rule returns.
     """
     if not isinstance(config, dict):
         raise ValueError("model config must be an object")
@@ -684,9 +687,9 @@ def model_from_config(config: dict) -> ArrivalModel:
     if not isinstance(kind, str) or kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind: {kind!r}")
     cls, fields = MODEL_KINDS[kind]
-    unknown = sorted(set(config) - {"kind", *fields})
-    if unknown:
-        raise ValueError(
-            f"unknown {kind} field {', '.join(unknown)}; it takes only {', '.join(fields)}"
-        )
+    only = ", ".join(fields)
+    for problem, names in (("unknown", sorted(set(config) - {"kind", *fields})),
+                           ("missing", [f for f in fields if f not in config])):
+        if names:
+            raise ValueError(f"{problem} {kind} field {', '.join(names)}; it takes only {only}")
     return cls(**{f: config[f] for f in fields})

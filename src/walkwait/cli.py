@@ -92,8 +92,6 @@ def load_config(path: str) -> tuple[Scenario, ArrivalModel, float]:
         raise ConfigError("model", "missing required field")
     try:
         model = model_from_config(raw["model"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError("model", f"missing or bad parameter: {exc}") from exc
     except ValueError as exc:
         raise ConfigError("model", str(exc)) from exc
     try:

@@ -5,7 +5,7 @@ and otherwise walks the whole way.  ``t_wait = math.inf`` means wait forever;
 ``t_wait = 0`` means walk immediately.  ``arrivals._check_time``, the one
 rule for a time, checks every wait, a plan's and a curve row's too: NaN,
 negatives, booleans and strings are rejected.
-``Scenario`` works out and checks the journey times every expectation reads.
+``Scenario`` keeps its checked floats and the journey times worked from them.
 
 Every expectation here and in :mod:`walkwait.intermediate` is one expression
 in the model's CDF F, its survival R = 1 - F and its partial mean M1.
@@ -39,14 +39,14 @@ class Scenario:
     q: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("d", "v_w", "v_b"):
-            _positive(getattr(self, name), name)
-        walk, bus = self.d / self.v_w, self.d / self.v_b
-        t_delta, q = walk - bus, 1.0 / self.v_w - 1.0 / self.v_b
+        d, v_w, v_b = (_positive(getattr(self, name), name) for name in ("d", "v_w", "v_b"))
+        walk, bus = d / v_w, d / v_b
+        t_delta, q = walk - bus, 1.0 / v_w - 1.0 / v_b
         _positive(q, "q = 1/v_w - 1/v_b")
         _positive(t_delta, "t_delta = d/v_w - d/v_b")
         # past the frozen __setattr__, as __init__ itself sets fields
-        self.__dict__.update(walk_time=walk, bus_time=bus, t_delta=t_delta, q=q)
+        self.__dict__.update(d=d, v_w=v_w, v_b=v_b, walk_time=walk, bus_time=bus,
+                             t_delta=t_delta, q=q)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ Every strategy is a plan: walking now is (0, 0, 0), waiting up to W minutes
 at the origin is (0, W, 0) and waiting forever is (0, inf, 0).  Each plan
 input has one rule, which the plan and every curve row apply in one order:
 ``_d1``, ``arrivals._check_time`` (a wait is a time), ``_probability``, then
-``_reach`` (d1 lies in the journey).
+``_reach`` (d1 lies in the journey); the plan stores the floats they return.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ class WalkAndWaitPlan:
     p_catch: float
 
     def __post_init__(self):
-        _d1(self.d1)
-        _check_time(self.t_wait, "t_wait")
-        _probability(self.p_catch, "p_catch")
+        self.__dict__.update(d1=_d1(self.d1), t_wait=_check_time(self.t_wait, "t_wait"),
+                             p_catch=_probability(self.p_catch, "p_catch"))
 
     def t1(self, scenario: Scenario) -> float:
         """Head start eroded while walking to the stop (minutes)."""

@@ -1,5 +1,6 @@
 """Arrival-model contracts: densities, survival, appearance rates, sampling."""
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -17,10 +18,15 @@ from walkwait import (
     Uniform,
     WaitForever,
     WaitThenWalk,
+    WalkAndWaitPlan,
+    compare_wait_walk,
     estimate,
     expected_tt,
+    expected_tt_plan,
     find_stationary_points,
+    model_from_config,
     optimal_policy,
+    plan_gradient_tw,
 )
 
 from walkwait.arrivals import _LinearDensity
@@ -85,8 +91,16 @@ class TestSurvival:
     def test_matches_density_integral(self, model):
         rng = np.random.default_rng(5)
         end = min(model.quad_bound(), 120.0)
-        for t in rng.uniform(0.0, end, 100):
-            expected = 1.0 - grid_integral(model.density, 0.0, t, 40_001, model.breakpoints())
+        times = rng.uniform(0.0, end, 100)
+        # one cumulative trapezoid on a grid with steps of at most end/40,000
+        # that holds every test time and both sides of each breakpoint
+        inner = [b for b in model.breakpoints() if 0.0 < b < end]
+        xs = np.unique(np.concatenate(
+            [np.linspace(0.0, end, 40_001), times, inner, np.subtract(inner, 1e-9)]))
+        ys = np.array([model.density(x) for x in xs])
+        mass = np.concatenate([[0.0], np.cumsum(np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0)])
+        for t in times:
+            expected = 1.0 - mass[np.searchsorted(xs, t)]
             assert model.survival(t) == pytest.approx(expected, abs=1e-6)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
@@ -453,8 +467,100 @@ class TestNonFiniteRejected:
     def test_ints_and_numpy_floats_accepted(self):
         assert Uniform(30).cdf(15) == Uniform(np.float64(30.0)).cdf(15) == 0.5
         assert Exponential(np.float32(0.5)).mean() == 2.0
+        # float32 holds 0.5 exactly, but not 0.1: the mean is that of the
+        # float, compared as floats (a float32 compares in float32)
+        assert float(Exponential(np.float32(0.1)).mean()) == 1.0 / float(np.float32(0.1))
         assert LateBusMixture(np.float64(0.25), 4, np.int64(56)).cdf(4) == 0.25
         assert PiecewiseLinearDensity([[0, 1], [np.float64(2.0), np.int64(1)]]).cdf(1) == 0.5
+
+
+# each input type with a field rule, with inputs of whole and of fractional values
+RULED_TYPES = [
+    (Scenario, (3, 6, 30), (3.3, 0.1, 0.5)),
+    (WalkAndWaitPlan, (2, 5, 1), (0.7, 2.5, 0.3)),
+    (Uniform, (30,), (30.3,)),
+    (Exponential, (2,), (1.0 / 24.0,)),
+    (LateBusMixture, (1, 4, 56), (0.25, 4.1, 56.3)),
+]
+NUMBER_TYPES = [int, np.int64, np.float32, np.float64, Fraction]
+
+
+class TestOneValuePerInput:
+    """Each input type stores the float its rule returns, so an input's own
+    type never reaches the arithmetic: a float32, an int or a Fraction gives
+    the answers of the float it stands for, bit for bit."""
+
+    @pytest.mark.parametrize("number", NUMBER_TYPES, ids=lambda t: t.__name__)
+    @pytest.mark.parametrize("cls, whole, fractional", RULED_TYPES,
+                             ids=[c.__name__ for c, _, _ in RULED_TYPES])
+    def test_every_field_is_the_float_of_its_input(self, cls, whole, fractional, number):
+        for values in (whole,) if number in (int, np.int64) else (whole, fractional):
+            built = cls(*(number(v) for v in values))
+            stored = [getattr(built, f.name) for f in dataclasses.fields(built) if f.init]
+            assert [type(v) for v in stored] == [float] * len(values), (cls, number, values)
+            assert stored == [float(number(v)) for v in values]
+            # the derived values too: the tables and the journey times
+            assert vars(built) == vars(cls(*(float(number(v)) for v in values)))
+
+    def test_float32_rate_decides_as_its_float(self):
+        scenario, rate = Scenario(3, 0.1, 0.5), np.float32(1.0 / 24.0)
+        model, twin = Exponential(rate), Exponential(float(rate))
+        for decide in (compare_wait_walk, find_stationary_points, optimal_policy):
+            assert decide(scenario, model) == decide(scenario, twin), decide
+        # the mean 24.0000005 beats t_delta = 24 beyond the tie rule's 2.4e-11
+        assert compare_wait_walk(scenario, model) == "wait"
+        policy = optimal_policy(scenario, model)
+        assert (policy.strategy, policy.expected_tt) == ("wait_forever", 29.999999284744284)
+
+    def test_float32_journey_and_plan_price_as_their_floats(self):
+        model = LateBusMixture(0.25, 4.0, 56.0)
+        values = (3.3, 0.1, 0.5)
+        scenario = Scenario(*map(np.float32, values))
+        twin = Scenario(*(float(np.float32(v)) for v in values))
+        assert type(scenario.t_delta) is float
+        for w in (0.0, 2.5, 10.0, 60.0, math.inf):
+            assert expected_tt(scenario, model, w) == expected_tt(twin, model, w)
+        plan = WalkAndWaitPlan(*map(np.float32, (0.7, 2.5, 0.3)))
+        plan_twin = WalkAndWaitPlan(*(float(np.float32(v)) for v in (0.7, 2.5, 0.3)))
+        assert expected_tt_plan(twin, model, plan) == expected_tt_plan(twin, model, plan_twin)
+        assert estimate(twin, model, plan, 10_000, 3) == estimate(twin, model, plan_twin, 10_000, 3)
+
+    def test_wait_beyond_the_floats_waits_forever(self):
+        # 10**400 meets the time rule as inf: pricing it raised OverflowError
+        scenario, model = Scenario(3.0, 0.1, 0.5), Uniform(30.0)
+        plan = WalkAndWaitPlan(0, 10**400, 0)
+        assert plan == WaitForever()
+        assert expected_tt_plan(scenario, model, plan) == 21.0
+        assert plan_gradient_tw(scenario, model, plan) == plan_gradient_tw(
+            scenario, model, WaitForever())
+        assert estimate(scenario, model, plan, 1000, 0) == estimate(
+            scenario, model, WaitForever(), 1000, 0)
+
+    def test_rate_slope_names_a_time_beyond_the_floats(self):
+        # the time rule reads 10**400 as inf, where the error message's
+        # float(t) raised OverflowError
+        with pytest.raises(UndefinedRateError, match="survival is zero at t=inf"):
+            Uniform(30.0).appearance_rate_slope(10**400)
+
+
+class TestModelFromConfig:
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"kind": "uniform"}, "missing uniform field headway; it takes only headway"),
+            (
+                {"kind": "late_bus_mixture", "still_coming_prob": 0.5, "late_window": 4},
+                "missing late_bus_mixture field next_headway_offset; it takes only"
+                " still_coming_prob, late_window, next_headway_offset",
+            ),
+            # an unknown field is named first, by the same rule
+            ({"kind": "uniform", "head_way": 20},
+             "unknown uniform field head_way; it takes only headway"),
+        ],
+    )
+    def test_missing_or_unknown_field_named(self, config, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            model_from_config(config)
 
 
 # every bundled kind and a subclass on the base-class routes, each with t = 5

@@ -131,19 +131,6 @@ class TestOptimize:
         assert main(["optimize", config, "--horizon", "inf"]) == 2
         assert "horizon" in capsys.readouterr().err
 
-    def test_piecewise_scans_once(self, monkeypatch):
-        # the policy is picked from the points already found, not a second scan
-        scans = []
-        scan = arrivals._scan_sign_changes
-
-        def counted(*args):
-            scans.append(args)
-            return scan(*args)
-
-        monkeypatch.setattr(arrivals, "_scan_sign_changes", counted)
-        assert main(["optimize", str(CONFIG_DIR / "piecewise.json"), "--json"]) == 0
-        assert len(scans) == 1
-
     @pytest.mark.parametrize(
         "kind, twin, name",
         [
@@ -152,8 +139,8 @@ class TestOptimize:
         ],
     )
     def test_scanned_twin_scans_once(self, monkeypatch, kind, twin, name):
-        # the same through a twin on the scan, whatever route the bundled
-        # model takes
+        # the policy is picked from the points already found, not a second
+        # scan: through a twin on the scan, whatever route the bundled model takes
         monkeypatch.setitem(arrivals.MODEL_KINDS, kind, (twin, arrivals.MODEL_KINDS[kind][1]))
         scans = []
         scan = arrivals._scan_sign_changes
@@ -473,7 +460,13 @@ class TestConfigValidation:
             ({"kind": "piecewise", "knots": [[0, 1], [5, 1], [3, 1]]}, "knot times"),
             ({"kind": "piecewise", "knots": [[0, 1], [5, -1]]}, "knot densities"),
             (5, "model: model config must be an object"),
-            ({"kind": "uniform"}, "headway"),
+            # a missing field is named by the rule that names an unknown one
+            ({"kind": "uniform"}, "error: model: missing uniform field headway; it takes only"
+             " headway\n"),
+            (
+                {"kind": "late_bus_mixture", "still_coming_prob": 0.5, "late_window": 4},
+                "error: model: missing late_bus_mixture field next_headway_offset;",
+            ),
             ({"kind": "piecewise", "knots": 5}, KNOTS_ERROR),
             ({"kind": "piecewise", "knots": None}, KNOTS_ERROR),
             ({"kind": "piecewise", "knots": [[0, 1], 5]}, KNOTS_ERROR),

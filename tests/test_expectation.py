@@ -73,7 +73,7 @@ class TestScenario:
         s = Scenario(d=3, v_w=0.1, v_b=0.5)
         assert (s.walk_time, s.bus_time, s.t_delta, s.q) == (
             3 / 0.1, 3 / 0.5, 3 / 0.1 - 3 / 0.5, 1.0 / 0.1 - 1.0 / 0.5)
-        assert repr(s) == "Scenario(d=3, v_w=0.1, v_b=0.5)"
+        assert repr(s) == "Scenario(d=3.0, v_w=0.1, v_b=0.5)"
         assert s == S0 and hash(s) == hash(S0)
         with pytest.raises(TypeError):
             Scenario(3.0, 0.1, 0.5, 30.0)

@@ -233,17 +233,13 @@ class TestClosedFormSignChanges:
             (Exponential, (1.0 / 24.0,)),
             (Exponential, (0.1,)),
             (LateBusMixture, (0.25, 4.0, 56.0)),
+            (TablePiecewise, (DROP_KNOTS,)),
         ],
     )
     def test_parametric_models_make_no_rate_calls(self, cls, args):
         model = counting(cls)(*args)
         assert find_stationary_points(S0, model) == find_stationary_points(S0, cls(*args))
         assert type(model).calls == 0
-
-    def test_piecewise_models_are_scanned(self):
-        model = counting(PiecewiseLinearDensity)([[0, 1], [4, 1], [4, .01], [100, .01]])
-        assert find_stationary_points(S0, model) == find_stationary_points(S0, DROP)
-        assert type(model).calls > SCAN_POINTS
 
     @pytest.mark.parametrize(
         "twin, args, exact",
@@ -461,12 +457,13 @@ PINNED_SCAN = {
 
 
 class TestPinnedScan:
-    """Every point and policy of the scanned piecewise model bit for bit: a
-    change of one ulp in a rate, a grid point or a bisection step shows here."""
+    """Every point and policy of the scan on a piecewise model bit for bit: a
+    change of one ulp in a rate, a grid point or a bisection step shows here.
+    The twin on the scan keeps it pinned whatever route the bundled model takes."""
 
     @pytest.mark.parametrize("name", PINNED_KNOTS)
     def test_scan_is_bit_identical(self, name):
-        model = PiecewiseLinearDensity(PINNED_KNOTS[name])
+        model = FallbackPiecewise(PINNED_KNOTS[name])
         points, policy = PINNED_SCAN[name]
         found = find_stationary_points(S0, model)
         assert [(p.t_wait.hex(), p.kind, p.expected_tt.hex()) for p in found] == points
@@ -484,7 +481,7 @@ class TestEveryTimeScale:
         knots = [[0, 0.25 / k], [6 * k, 0], [40 * k, 0], [40 * k, 0.25 / (6 * k)],
                  [46 * k, 0.25 / (6 * k)]]
         scenario = Scenario(3 * k, 0.1, 0.5)
-        scanned = counting(PiecewiseLinearDensity, limit=10**5)(knots)
+        scanned = counting(FallbackPiecewise, limit=10**5)(knots)
         policy = optimal_policy(scenario, scanned)
         closed = optimal_policy(scenario, LateBusMixture(0.75, 6 * k, 40 * k))
         assert type(scanned).calls > SCAN_POINTS  # the scan ran
