@@ -203,15 +203,15 @@ def parse_strategy(text: str) -> WalkAndWaitPlan:
 
 def cmd_simulate(args) -> int:
     scenario, model, _ = load_config(args.config)
-    strategy = parse_strategy(args.strategy)
-    analytic = expected_tt_plan(scenario, model, strategy)  # checks the plan's d1 first
+    plan = parse_strategy(args.strategy)
+    analytic = expected_tt_plan(scenario, model, plan)  # checks the plan's d1 first
     for name, rule in (("n", _sample_count), ("seed", _seed)):
         try:
             rule(getattr(args, name))
         except ValueError as exc:
             raise ConfigError(name, str(exc)) from exc
     try:
-        result = estimate(scenario, model, strategy, args.n, args.seed)
+        result = estimate(scenario, model, plan, args.n, args.seed)
     except ValueError as exc:  # n and seed passed: the journeys overflow
         raise ConfigError("model", str(exc)) from exc
     z = (result.mean - analytic) / result.stderr if result.stderr > 0 else 0.0

@@ -152,8 +152,8 @@ def vigilant_curve(scenario: Scenario, model: ArrivalModel, p_catches) -> list[t
     advantage = model.mean() - td
     rows = []
     for p in p_catches:
-        s = _probability(p, "p_catch") * saving
-        rows.append((p, walk - s, advantage + s))
+        p = _probability(p, "p_catch")
+        rows.append((p, walk - p * saving, advantage + p * saving))
     return rows
 
 

@@ -60,7 +60,7 @@ class SimEstimate:
 def simulate_once(
     scenario: Scenario,
     model: ArrivalModel,
-    strategy: WalkAndWaitPlan,
+    plan: WalkAndWaitPlan,
     rng: np.random.Generator,
 ) -> float:
     """One journey's travel time in minutes.
@@ -68,22 +68,22 @@ def simulate_once(
     Draw order is fixed: the bus arrival first, then (only when a bus passes
     during the walking leg of the plan) one uniform for the catch.
     """
-    _reach(scenario, strategy.d1)
-    return float(_travel_times(scenario, model, strategy, rng, 1)[0])
+    _reach(scenario, plan.d1)
+    return float(_travel_times(scenario, model, plan, rng, 1)[0])
 
 
 def _travel_times(
     scenario: Scenario,
     model: ArrivalModel,
-    strategy: WalkAndWaitPlan,
+    plan: WalkAndWaitPlan,
     rng: np.random.Generator,
     size: int,
 ) -> np.ndarray:
     # the bus is boarded at the stop iff it arrives strictly before the wait
     # ends, so a zero wait never boards
     tau = np.asarray(model.sample(rng, size), dtype=float)
-    t1 = strategy.t1(scenario)
-    end = t1 + strategy.t_wait
+    t1 = plan.t1(scenario)
+    end = t1 + plan.t_wait
     # out is the one array written: tau may be the sampler's own, cached or
     # read-only
     out = tau + scenario.bus_time
@@ -92,12 +92,12 @@ def _travel_times(
         # select without branches
         board = tau < end
         out *= board
-        out += (scenario.walk_time + strategy.t_wait) * np.logical_not(board, out=board)
+        out += (scenario.walk_time + plan.t_wait) * np.logical_not(board, out=board)
     if t1 > 0.0:  # there is a walking leg
         # a bus passing it is ridden from the origin if caught; otherwise
         # the whole distance is walked
         legs = np.flatnonzero(tau < t1)
-        out[legs.compress(rng.random(legs.size) >= strategy.p_catch)] = scenario.walk_time
+        out[legs.compress(rng.random(legs.size) >= plan.p_catch)] = scenario.walk_time
     return out
 
 
@@ -127,7 +127,7 @@ def _seed(seed) -> int:
 def estimate(
     scenario: Scenario,
     model: ArrivalModel,
-    strategy: WalkAndWaitPlan,
+    plan: WalkAndWaitPlan,
     n: int,
     seed: int,
 ) -> SimEstimate:
@@ -140,7 +140,7 @@ def estimate(
     """
     n = _sample_count(n)
     seed = _seed(seed)
-    _reach(scenario, strategy.d1)
+    _reach(scenario, plan.d1)
     total_n = 0
     mean = 0.0
     m2 = 0.0
@@ -150,7 +150,7 @@ def estimate(
         for chunk_idx, start in enumerate(range(0, n, CHUNK)):
             size = min(CHUNK, n - start)
             rng = np.random.default_rng([seed, chunk_idx])
-            x = _travel_times(scenario, model, strategy, rng, size)
+            x = _travel_times(scenario, model, plan, rng, size)
             c_mean = float(x.mean())
             # the squared deviations, in place: x is _travel_times' own array
             x -= c_mean
@@ -171,8 +171,5 @@ def estimate(
     return SimEstimate(mean=mean, stderr=stderr, n=total_n)
 
 
-def analytic_expectation(
-    scenario: Scenario, model: ArrivalModel, strategy: WalkAndWaitPlan
-) -> float:
-    """The analytic expectation matching a simulated strategy."""
-    return expected_tt_plan(scenario, model, strategy)
+# the analytic value an estimate checks is the plan's own expectation
+analytic_expectation = expected_tt_plan

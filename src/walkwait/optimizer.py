@@ -99,7 +99,8 @@ def compare_wait_walk(scenario: Scenario, model: ArrivalModel) -> str:
 def classify_uniform(scenario: Scenario, headway: float) -> str:
     """The three uniform-headway regimes, read from ``compare_wait_walk`` on
     ``Uniform(headway)``, plus "marginal" where it ties."""
-    verdict = compare_wait_walk(scenario, Uniform(headway))
+    model = Uniform(headway)  # its headway is the checked float, whatever the input type
+    verdict = compare_wait_walk(scenario, model)
     if verdict == "wait":
-        return "case1_wait" if headway < scenario.t_delta else "case2_wait_with_interior_max"
+        return "case1_wait" if model.headway < scenario.t_delta else "case2_wait_with_interior_max"
     return "case3_walk" if verdict == "walk" else "marginal"

@@ -13,10 +13,8 @@ from walkwait import (
     Uniform,
     WaitForever,
     WaitThenWalk,
-    WalkAndWait,
     WalkAndWaitPlan,
     WalkNow,
-    analytic_expectation,
     estimate,
     expected_tt,
     expected_tt_gradient,
@@ -231,7 +229,7 @@ def test_criterion_7_vigilant_walk_consistency():
     plan = WalkAndWaitPlan(d1=3.0, t_wait=0.0, p_catch=0.8)
     value = expected_tt_plan(S0, Uniform(36.0), plan)
     ok &= abs(value - 23.6) < 1e-9
-    result = estimate(S0, Uniform(36.0), WalkAndWait(plan), 10**6, 701)
+    result = estimate(S0, Uniform(36.0), plan, 10**6, 701)
     ok &= abs(result.mean - 23.6) < 3.5 * result.stderr
     report(7, ok)
 
@@ -250,14 +248,12 @@ def test_criterion_8_oracle_battery():
         elif kind == 2:
             strategy = WaitThenWalk(float(rng.uniform(0.0, 40.0)))
         else:
-            strategy = WalkAndWait(
-                WalkAndWaitPlan(
-                    d1=float(rng.uniform(0.0, 1.0)) * scenario.d,
-                    t_wait=float(rng.uniform(0.0, 30.0)),
-                    p_catch=float(rng.uniform(0.0, 1.0)),
-                )
+            strategy = WalkAndWaitPlan(
+                d1=float(rng.uniform(0.0, 1.0)) * scenario.d,
+                t_wait=float(rng.uniform(0.0, 30.0)),
+                p_catch=float(rng.uniform(0.0, 1.0)),
             )
-        analytic = analytic_expectation(scenario, model, strategy)
+        analytic = expected_tt_plan(scenario, model, strategy)
         result = estimate(scenario, model, strategy, 10**6, 8000 + trial)
         rerun = estimate(scenario, model, strategy, 10**6, 8000 + trial)
         ok &= result == rerun

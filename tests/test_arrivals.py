@@ -19,6 +19,7 @@ from walkwait import (
     WaitForever,
     WaitThenWalk,
     WalkAndWaitPlan,
+    classify_uniform,
     compare_wait_walk,
     estimate,
     expected_tt,
@@ -511,6 +512,13 @@ class TestOneValuePerInput:
         assert compare_wait_walk(scenario, model) == "wait"
         policy = optimal_policy(scenario, model)
         assert (policy.strategy, policy.expected_tt) == ("wait_forever", 29.999999284744284)
+
+    def test_float32_headway_classifies_as_its_float(self):
+        # t_delta 24.000002: the float32 headway compared in float32 read as
+        # case 2, while its float is below t_delta, case 1
+        scenario, headway = Scenario(48.000004, 1.0, 2.0), np.float32(24.000002)
+        assert classify_uniform(scenario, headway) == classify_uniform(scenario, float(headway))
+        assert classify_uniform(scenario, headway) == "case1_wait"
 
     def test_float32_journey_and_plan_price_as_their_floats(self):
         model = LateBusMixture(0.25, 4.0, 56.0)

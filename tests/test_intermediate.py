@@ -1,6 +1,7 @@
 """Walk-and-wait plans, vigilant walking, and catch-probability thresholds."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from walkwait import (
     plan_gradient_tw,
     prob_miss,
     uniform_pc_threshold,
+    vigilant_curve,
     walk_vs_wait_advantage,
 )
 
@@ -408,3 +410,8 @@ class TestVigilantCatchProbability:
         for function in (expected_tt_walk_vigilant, walk_vs_wait_advantage):
             want = function(S0, Uniform(30.0), 1.0)
             assert function(S0, Uniform(30.0), 1) == function(S0, Uniform(30.0), np.float64(1.0)) == want
+        # a row holds the checked float, not the caller's object
+        for p in (1, np.float32(0.3), Fraction(3, 10)):
+            (row,) = vigilant_curve(S0, Uniform(30.0), [p])
+            assert [type(v) for v in row] == [float] * 3
+            assert row == vigilant_curve(S0, Uniform(30.0), [float(p)])[0]

@@ -20,6 +20,7 @@ from walkwait import (
     WalkNow,
     analytic_expectation,
     estimate,
+    expected_tt_plan,
     simulate_once,
 )
 from walkwait.mcsim import CHUNK, _travel_times
@@ -58,20 +59,18 @@ class TestSimulateOnce:
         # certain catch while walking the full distance: travel time is the
         # bus's arrival at the origin plus the full ride
         plan = WalkAndWaitPlan(d1=3.0, t_wait=0.0, p_catch=1.0)
-        strategy = WalkAndWait(plan)
         rng = np.random.default_rng(3)
         for _ in range(50):
-            t = simulate_once(S0, Uniform(30.0), strategy, rng)
+            t = simulate_once(S0, Uniform(30.0), plan, rng)
             if t != 30.0:  # caught: tau + 6 with tau < t_delta = 24
                 assert 6.0 <= t < 30.0
 
     def test_walk_and_wait_branches(self):
         plan = WalkAndWaitPlan(d1=1.5, t_wait=5.0, p_catch=0.0)  # t1 = 12
-        strategy = WalkAndWait(plan)
         rng = np.random.default_rng(4)
         seen = set()
         for _ in range(500):
-            t = simulate_once(S0, Uniform(30.0), strategy, rng)
+            t = simulate_once(S0, Uniform(30.0), plan, rng)
             if t == 30.0:
                 seen.add("missed")  # bus passed, not caught
             elif t == 35.0:
@@ -132,7 +131,7 @@ class TestEstimate:
 
     def test_constant_strategy_zero_stderr(self):
         plan = WalkAndWaitPlan(d1=3.0, t_wait=0.0, p_catch=0.0)
-        result = estimate(S0, Uniform(36.0), WalkAndWait(plan), 10_000, 0)
+        result = estimate(S0, Uniform(36.0), plan, 10_000, 0)
         assert result.mean == 30.0
         assert result.stderr == 0.0
 
@@ -146,7 +145,7 @@ class TestEstimate:
 
     def test_vigilant_walk(self):
         plan = WalkAndWaitPlan(d1=3.0, t_wait=0.0, p_catch=0.8)
-        result = estimate(S0, Uniform(36.0), WalkAndWait(plan), 10**6, 11)
+        result = estimate(S0, Uniform(36.0), plan, 10**6, 11)
         assert abs(result.mean - 23.6) < 3.0 * result.stderr
 
 
@@ -164,14 +163,12 @@ class TestAnalyticExpectation:
             elif kind == 2:
                 strategy = WaitThenWalk(float(rng.uniform(0.0, 40.0)))
             else:
-                strategy = WalkAndWait(
-                    WalkAndWaitPlan(
-                        d1=float(rng.uniform(0.0, 1.0)) * scenario.d,
-                        t_wait=float(rng.uniform(0.0, 30.0)),
-                        p_catch=float(rng.uniform(0.0, 1.0)),
-                    )
+                strategy = WalkAndWaitPlan(
+                    d1=float(rng.uniform(0.0, 1.0)) * scenario.d,
+                    t_wait=float(rng.uniform(0.0, 30.0)),
+                    p_catch=float(rng.uniform(0.0, 1.0)),
                 )
-            analytic = analytic_expectation(scenario, model, strategy)
+            analytic = expected_tt_plan(scenario, model, strategy)
             result = estimate(scenario, model, strategy, 200_000, 314)
             if result.stderr < 1e-9:  # effectively constant trajectories
                 assert result.mean == pytest.approx(analytic, abs=1e-9)
@@ -186,6 +183,7 @@ class TestStrategiesArePlans:
         assert WaitForever() == WalkAndWaitPlan(d1=0.0, t_wait=math.inf, p_catch=0.0)
         plan = WalkAndWaitPlan(d1=1.0, t_wait=2.0, p_catch=0.3)
         assert WalkAndWait(plan=plan) is plan
+        assert analytic_expectation is expected_tt_plan
 
     def test_nan_wait_rejected(self):
         # a NaN wait would otherwise simulate to a NaN mean
@@ -199,11 +197,11 @@ class TestStrategiesArePlans:
             result = estimate(S0, model, WalkNow(), 70_000, 3)
             assert result.mean == 30.0
             assert result.stderr == 0.0
-            assert analytic_expectation(S0, model, WalkNow()) == 30.0
+            assert expected_tt_plan(S0, model, WalkNow()) == 30.0
 
     def test_walk_then_wait_forever(self):
         plan = WalkAndWaitPlan(d1=1.5, t_wait=math.inf, p_catch=0.5)  # t1 = 12
-        analytic = analytic_expectation(S0, Uniform(30.0), plan)
+        analytic = expected_tt_plan(S0, Uniform(30.0), plan)
         assert analytic == pytest.approx(24.6, abs=1e-12)
         result = estimate(S0, Uniform(30.0), plan, 200_000, 17)
         assert abs(result.mean - analytic) < 4.0 * result.stderr
