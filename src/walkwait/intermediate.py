@@ -11,7 +11,8 @@ Every strategy is a plan: walking now is (0, 0, 0), waiting up to W minutes
 at the origin is (0, W, 0) and waiting forever is (0, inf, 0).  Each plan
 input has one rule, which the plan and every curve row apply in one order:
 ``_d1``, ``arrivals._check_time`` (a wait is a time), ``_probability``, then
-``_reach`` (d1 lies in the journey); the plan stores the floats they return.
+``_head_start`` (d1 lies in the journey), which forms every head start t1;
+the plan stores the floats the first three return.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ def _d1(value) -> float:
     return d1
 
 
-def _reach(scenario: Scenario, d1: float) -> None:
+def _head_start(scenario: Scenario, d1: float) -> float:
+    """t1 = d1 * q, for a d1 that lies in the journey."""
     if d1 > scenario.d:
         raise ValueError("d1 cannot exceed the journey distance")
+    return d1 * scenario.q
 
 
 @dataclass(frozen=True)
@@ -50,15 +53,14 @@ class WalkAndWaitPlan:
                              p_catch=_probability(self.p_catch, "p_catch"))
 
     def t1(self, scenario: Scenario) -> float:
-        """Head start eroded while walking to the stop (minutes)."""
-        return self.d1 * scenario.q
+        """Head start eroded while walking to the stop (minutes); d1 must lie in the journey."""
+        return _head_start(scenario, self.d1)
 
 
 def prob_miss(
     scenario: Scenario, model: ArrivalModel, plan: WalkAndWaitPlan
 ) -> float:
     """Probability a bus passes before the intermediate stop is reached."""
-    _reach(scenario, plan.d1)
     return model.cdf(plan.t1(scenario))
 
 
@@ -71,7 +73,6 @@ def expected_tt_plan(
     caught, missed and boarded legs sum to one expression in F and M1 at t1
     and t1 + t_wait; with d1 = 0 it is expected_tt.
     """
-    _reach(scenario, plan.d1)
     return _walk_and_wait(scenario, model, plan.t1(scenario), plan.t_wait, plan.p_catch)[0]
 
 
@@ -83,7 +84,6 @@ def plan_gradient_tw(
     The origin-stop gradient, shifted by t1 and with the break-even wait
     from the intermediate stop, t_delta - t1.
     """
-    _reach(scenario, plan.d1)
     t1 = plan.t1(scenario)
     return _wait_gradient(model, t1 + plan.t_wait, scenario.t_delta - t1)
 
@@ -110,8 +110,7 @@ def plan_curve_d1(
         d1 = _d1(d1)
         if not rows:  # every row shares its wait and p_catch: check them once
             t_wait, p_catch = _check_time(t_wait, "t_wait"), _probability(p_catch, "p_catch")
-        _reach(scenario, d1)
-        t1 = d1 * q
+        t1 = _head_start(scenario, d1)
         e, p, _, p1 = _walk_and_wait(scenario, model, t1, t_wait, p_catch)
         if p1 is None:  # t1 = 0 < T, where E reads nothing at t1
             p1 = model.density(t1)

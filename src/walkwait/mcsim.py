@@ -28,7 +28,7 @@ import numpy as np
 
 from .arrivals import ArrivalModel
 from .expectation import Scenario
-from .intermediate import WalkAndWaitPlan, _reach, expected_tt_plan
+from .intermediate import WalkAndWaitPlan, expected_tt_plan
 
 CHUNK = 1 << 16
 
@@ -68,7 +68,6 @@ def simulate_once(
     Draw order is fixed: the bus arrival first, then (only when a bus passes
     during the walking leg of the plan) one uniform for the catch.
     """
-    _reach(scenario, plan.d1)
     return float(_travel_times(scenario, model, plan, rng, 1)[0])
 
 
@@ -79,10 +78,10 @@ def _travel_times(
     rng: np.random.Generator,
     size: int,
 ) -> np.ndarray:
-    # the bus is boarded at the stop iff it arrives strictly before the wait
-    # ends, so a zero wait never boards
-    tau = np.asarray(model.sample(rng, size), dtype=float)
+    # t1 rejects a d1 past the journey before any draw; the bus is boarded at
+    # the stop iff it arrives strictly before the wait ends, so a zero wait never boards
     t1 = plan.t1(scenario)
+    tau = np.asarray(model.sample(rng, size), dtype=float)
     end = t1 + plan.t_wait
     # out is the one array written: tau may be the sampler's own, cached or
     # read-only
@@ -140,7 +139,6 @@ def estimate(
     """
     n = _sample_count(n)
     seed = _seed(seed)
-    _reach(scenario, plan.d1)
     total_n = 0
     mean = 0.0
     m2 = 0.0

@@ -78,8 +78,6 @@ def integrate_piecewise(
     Kinks of f must be listed in breakpoints so each adaptive pass sees a
     smooth integrand.
     """
-    if b <= a:
-        return 0.0
     cuts = sorted(t for t in breakpoints if a < t < b)
     edges = [a] + cuts + [b]
     return sum(adaptive_simpson(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))

@@ -52,10 +52,17 @@ class TestProbMiss:
             1.0 - math.exp(-1.0)
         )
 
-    def test_d1_beyond_journey_rejected(self):
+    # every entry that prices a plan meets the journey rule where t1 is formed
+    @pytest.mark.parametrize(
+        "price",
+        [lambda scenario, _, plan: plan.t1(scenario), prob_miss, expected_tt_plan,
+         plan_gradient_tw, plan_gradient_d1],
+        ids=["t1", "prob_miss", "expected_tt_plan", "plan_gradient_tw", "plan_gradient_d1"],
+    )
+    def test_d1_beyond_journey_rejected(self, price):
         plan = WalkAndWaitPlan(d1=4.0, t_wait=0.0, p_catch=0.0)
-        with pytest.raises(ValueError):
-            prob_miss(S0, Uniform(30.0), plan)
+        with pytest.raises(ValueError, match="^d1 cannot exceed the journey distance$"):
+            price(S0, Uniform(30.0), plan)
 
 
 class TestExpectedTTPlan:
@@ -186,7 +193,7 @@ class TestPlanCurveD1:
 
 class TestPlanCurveRows:
     # each row is checked as its plan is, with the plan's message
-    @pytest.mark.parametrize("d1", [math.nan, True, "1", math.inf])
+    @pytest.mark.parametrize("d1", [math.nan, True, "1", math.inf, 4.0])
     def test_every_row_fails_as_its_plan_does(self, d1):
         with pytest.raises(ValueError) as plan:
             expected_tt_plan(S0, Uniform(30.0), WalkAndWaitPlan(d1, 4.0, 0.5))
