@@ -435,10 +435,11 @@ class Exponential(ArrivalModel):
         return math.inf
 
     def _at(self, t):
-        # R is the exact e^-rt, not 1 - F
+        # R is the exact e^-rt, not 1 - F; p' is -r * p, as r * r overflows where e is 0
         r = self.rate
         e = math.exp(-r * t)
-        return r * e, -r * r * e, -math.expm1(-r * t), e
+        p = r * e
+        return p, -r * p, -math.expm1(-r * t), e
 
     def appearance_rate(self, t):
         _check_time(t)
@@ -453,12 +454,12 @@ class Exponential(ArrivalModel):
         return [(0.0, "flat")] if abs(self.mean() - t_delta) <= TIE_TOL * t_delta else []
 
     def partial_mean(self, t):
-        t = _check_time(t)
-        if math.isinf(t):
-            return self.mean()
         # (1 - e^-x (1 + x)) / rate with x = rate * t; expm1 keeps the
-        # leading 1 from cancelling when x is tiny
-        x = self.rate * t
+        # leading 1 from cancelling when x is tiny, and an x past the floats
+        # (t = inf among them) is the mean, not inf * 0
+        x = self.rate * _check_time(t)
+        if x == math.inf:
+            return self.mean()
         return (-math.expm1(-x) - x * math.exp(-x)) / self.rate
 
     def mean(self):

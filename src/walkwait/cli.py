@@ -24,30 +24,6 @@ from .mcsim import WaitForever, WaitThenWalk, WalkNow, _sample_count, _seed, est
 from .optimizer import _best_policy, compare_wait_walk, find_stationary_points
 from .quadrature import IntervalCapError
 
-ANALYZE_SCHEMA = {
-    "type": "object",
-    "required": [
-        "t_delta_min",
-        "walk_time_min",
-        "bus_time_min",
-        "mean_arrival_min",
-        "expected_wait_forever_min",
-        "expected_walk_now_min",
-        "verdict",
-    ],
-    "properties": {
-        "t_delta_min": {"type": "number"},
-        "walk_time_min": {"type": "number"},
-        "bus_time_min": {"type": "number"},
-        "mean_arrival_min": {"type": "number"},
-        "expected_wait_forever_min": {"type": "number"},
-        "expected_walk_now_min": {"type": "number"},
-        "verdict": {"enum": ["wait", "walk", "indifferent"]},
-    },
-    "additionalProperties": False,
-}
-
-
 CONFIG_FIELDS = ("distance_km", "walk_speed_kmh", "bus_speed_kmh", "model", "p_catch")
 
 

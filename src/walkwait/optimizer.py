@@ -76,14 +76,14 @@ def _best_policy(
     model: ArrivalModel,
     points: list[StationaryPoint],
 ) -> PolicyChoice:
-    """``optimal_policy`` given the stationary points it would find.  Walk-now's
-    E is the walk time: a zero wait never boards."""
+    """``optimal_policy`` given its stationary points in increasing t, the order
+    ``_sign_changes`` returns.  Walk-now's E is the walk time: a zero wait never boards."""
     if compare_wait_walk(scenario, model) == "wait":
         best = PolicyChoice("wait_forever", expected_tt_wait_forever(scenario, model))
     else:
         best = PolicyChoice("walk_now", scenario.walk_time)
-    for sp in sorted((sp for sp in points if sp.kind == "minimum"), key=lambda sp: sp.t_wait):
-        if sp.expected_tt < best.expected_tt - TIE_TOL * scenario.t_delta:
+    for sp in points:
+        if sp.kind == "minimum" and sp.expected_tt < best.expected_tt - TIE_TOL * scenario.t_delta:
             best = PolicyChoice("wait_then_walk", sp.expected_tt, sp.t_wait)
     return best
 

@@ -4,7 +4,6 @@ import json
 import math
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 
@@ -20,7 +19,7 @@ from walkwait import (
     plan_gradient_d1,
 )
 from walkwait import arrivals, cli, quadrature
-from walkwait.cli import ANALYZE_SCHEMA, build_parser, main
+from walkwait.cli import build_parser, main
 
 from _models import (
     CountingLateBus,
@@ -63,7 +62,6 @@ class TestAnalyze:
         code, out = run(capsys, "analyze", config({"kind": "uniform", "headway": 30}), "--json")
         assert code == 0
         payload = json.loads(out)
-        jsonschema.validate(payload, ANALYZE_SCHEMA)
         assert payload["t_delta_min"] == pytest.approx(24.0)
         assert payload["expected_wait_forever_min"] == pytest.approx(21.0)
         assert payload["verdict"] == "wait"
@@ -91,12 +89,6 @@ class TestAnalyze:
 
     def test_bad_model_kind(self, config):
         assert main(["analyze", config({"kind": "weibull"})]) == 2
-
-    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
-    def test_shipped_configs_round_trip(self, name, capsys):
-        code, out = run(capsys, "analyze", str(CONFIG_DIR / name), "--json")
-        assert code == 0
-        jsonschema.validate(json.loads(out), ANALYZE_SCHEMA)
 
 
 class TestOptimize:

@@ -91,12 +91,13 @@ def draw(kind, rng):
 
 
 def probe_times(model):
-    """Times across every piece of the model and on both sides of each
-    breakpoint, sorted."""
+    """Times across every piece of the model, on both sides of each
+    breakpoint and the largest float, sorted."""
     if isinstance(model, Exponential):
-        return sorted(t / model.rate for t in [0.0, *np.logspace(-20, 2, 45).tolist()])
+        scaled = (t / model.rate for t in [0.0, *np.logspace(-20, 2, 45).tolist()])
+        return sorted([*scaled, sys.float_info.max])
     cuts = model.breakpoints()
-    times = {0.0, model.support_end * 1.01}
+    times = {0.0, model.support_end * 1.01, sys.float_info.max}
     for b in cuts:
         times |= {b, math.nextafter(b, 0.0), math.nextafter(b, math.inf)}
     for t0, t1 in zip(cuts, cuts[1:]):

@@ -219,6 +219,8 @@ class TestClosedFormSignChanges:
             scenario = random_scenario(rng)
             model = random_model(rng, kinds=["uniform", "late_bus"])
             exact = find_stationary_points(scenario, model)
+            # _best_policy reads the points in this order
+            assert all(a.t_wait < b.t_wait for a, b in zip(exact, exact[1:])), (scenario, model)
             twin = piecewise_twin(model)
             for t, kind in _scan_sign_changes(twin, 1.0 / scenario.t_delta, scan_end(twin)):
                 assert any(
@@ -672,6 +674,7 @@ class TestPricesOnlyWhatItWeighs:
             knots = jumpy_knots(rng, scenario.t_delta)
             for model in (PiecewiseLinearDensity(knots), TablePiecewise(knots)):
                 points = find_stationary_points(scenario, model)
+                assert all(a.t_wait < b.t_wait for a, b in zip(points, points[1:])), (scenario, model)
                 assert optimal_policy(scenario, model) == _best_policy(scenario, model, points)
 
 
