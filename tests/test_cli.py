@@ -90,6 +90,27 @@ class TestAnalyze:
     def test_bad_model_kind(self, config):
         assert main(["analyze", config({"kind": "weibull"})]) == 2
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_shipped_configs_round_trip(self, name, capsys):
+        # the golden file pins these bytes; this states what they mean
+        code, out = run(capsys, "analyze", str(CONFIG_DIR / name), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {
+            "t_delta_min", "walk_time_min", "bus_time_min", "mean_arrival_min",
+            "expected_wait_forever_min", "expected_walk_now_min", "verdict",
+        }
+        model = model_from_config(json.loads((CONFIG_DIR / name).read_text())["model"])
+        assert payload["mean_arrival_min"] == model.mean()
+        assert payload["walk_time_min"] == pytest.approx(payload["t_delta_min"] + payload["bus_time_min"])
+        assert payload["expected_walk_now_min"] == payload["walk_time_min"]
+        assert payload["expected_wait_forever_min"] == payload["bus_time_min"] + payload["mean_arrival_min"]
+        gap = payload["mean_arrival_min"] - payload["t_delta_min"]
+        if payload["verdict"] == "indifferent":
+            assert gap == pytest.approx(0.0, abs=1e-12 * payload["t_delta_min"])
+        else:
+            assert payload["verdict"] == ("wait" if gap < 0.0 else "walk")
+
 
 class TestOptimize:
     def test_uniform_30_reports_interior_max(self, config, capsys):
