@@ -11,13 +11,12 @@ Each model states p, p', F and R once, in ``_at``; the base class derives
 the rest, and ``at`` hands the expectation layer all four from one lookup.
 ``Uniform``, ``LateBusMixture`` and ``PiecewiseLinearDensity`` are linear on
 each of a few pieces and list them once; ``_LinearDensity`` builds one table
-from them, which gives ``_at``, the mean, the breakpoints and, in closed
-form, M1 and the roots of E' (the piecewise model still integrates M1 and
-scans for the roots).  Next to it, a compact row per piece, with y1 - y0
-and slope / 2 formed once, gives the appearance rate, the scan's one call
-per grid point, with the bits of p / R from ``_at``.  Each draws through
-``_draw``, which ``_LinearDensity.sample`` shapes.  ``_check_time`` is the
-one rule for a time or a wait.
+from them, one row per piece, which gives ``_at``, the appearance rate (the
+scan's one call per grid point, with the bits of p / R from ``_at``), the
+mean, the breakpoints, the sampler's columns and, in closed form, M1 and the
+roots of E' (the piecewise model still integrates M1 and scans for the
+roots).  Each draws through ``_draw``, which ``_LinearDensity.sample``
+shapes.  ``_check_time`` is the one rule for a time or a wait.
 
 The model alone picks the route to the sign changes of E'(W) = R(W) -
 t_delta p(W), through ``_sign_changes``: the table solves E', a polynomial
@@ -245,10 +244,8 @@ def _scan_sign_changes(model: ArrivalModel, target: float, end: float) -> list[t
 
 class _LinearDensity(ArrivalModel):
     """A density that is linear on each piece of one table, built once by
-    ``_tabulate``: a row (t0, t1, y0, y1, F(t0), width, slope, M1(t0)) per
-    piece of positive width, which every other member reads, save the
-    appearance rate, which reads the compact row (t0, t1, y0, y1 - y0, F(t0),
-    width, slope / 2) of the same piece."""
+    ``_tabulate``: a row (t0, t1, y0, y1, y1 - y0, F(t0), width, slope,
+    slope / 2, M1(t0)) per piece of positive width, which every member reads."""
 
     def _tabulate(self, segments, range_error: str, mass_error: str) -> None:
         """Build the table from (t0, t1, y0, y1) segments that tile the
@@ -263,8 +260,9 @@ class _LinearDensity(ArrivalModel):
         cum = moment = 0.0
         for t0, t1, y0, y1 in segments:
             if t1 > t0:
-                width = t1 - t0
-                pieces.append((t0, t1, y0, y1, cum, width, (y1 - y0) / width, moment))
+                width, dy = t1 - t0, y1 - y0
+                slope = dy / width
+                pieces.append((t0, t1, y0, y1, dy, cum, width, slope, 0.5 * slope, moment))
                 cum += 0.5 * (y0 + y1) * width
                 # the piece's moment in local coordinates, t0 * mass + the
                 # integral of x p(t0 + x), so narrow pieces far from zero
@@ -279,7 +277,7 @@ class _LinearDensity(ArrivalModel):
                 and (y0 == y1 or abs(s) >= tiny)
                 and (y0 == 0.0 or y0 >= tiny)
                 and (y1 == 0.0 or y1 >= tiny)
-                for _, _, y0, y1, _, _, s, _ in pieces
+                for _, _, y0, y1, _, _, _, s, _, _ in pieces
             )
         ):
             raise ValueError(range_error)
@@ -296,10 +294,6 @@ class _LinearDensity(ArrivalModel):
         # object.__setattr__ also sets them on frozen dataclasses
         object.__setattr__(self, "_pieces", pieces)
         object.__setattr__(self, "_starts", [piece[0] for piece in pieces])
-        object.__setattr__(self, "_rate_rows", [
-            (t0, t1, y0, y1 - y0, cum, width, 0.5 * slope)
-            for t0, t1, y0, y1, cum, width, slope, _ in pieces
-        ])
         object.__setattr__(self, "_breakpoints", (*self._starts, pieces[-1][1]))
         object.__setattr__(self, "_moment", moment)
 
@@ -320,24 +314,24 @@ class _LinearDensity(ArrivalModel):
         i = bisect_right(self._starts, t) - 1
         if i < 0:
             return 0.0, 0.0, 0.0, 1.0
-        t0, t1, y0, y1, cum, width, slope, _ = self._pieces[i]
+        t0, t1, y0, _, dy, cum, width, slope, half_slope, _ = self._pieces[i]
         if t >= t1:
             return 0.0, 0.0, 1.0, 0.0
         x = t - t0
-        F = cum + y0 * x + 0.5 * slope * x * x
-        return y0 + (y1 - y0) * x / width, slope, F, 1.0 - F
+        F = cum + y0 * x + half_slope * x * x
+        return y0 + dy * x / width, slope, F, 1.0 - F
 
     def appearance_rate(self, t):
-        # p / R from one compact row, with the operands of _at in its order
-        # (y1 - y0 and 0.5 * slope are the row's) and without its slope: the
-        # base class's value and error, bit for bit.  The scan calls it once
-        # per grid point, so a plain float >= 0 skips the call of the time rule.
+        # p / R from the row _at reads, with its operands in its order and
+        # without its slope: the base class's value and error, bit for bit.
+        # The scan calls it once per grid point, so a plain float >= 0 skips
+        # the call of the time rule.
         if t.__class__ is not float or not t >= 0.0:
             t = _check_time(t)
         i = bisect_right(self._starts, t) - 1
         if i < 0:
             return 0.0
-        t0, t1, y0, dy, cum, width, half_slope = self._rate_rows[i]
+        t0, t1, y0, _, dy, cum, width, _, half_slope, _ = self._pieces[i]
         if t < t1:
             x = t - t0
             r = 1.0 - (cum + y0 * x + half_slope * x * x)
@@ -350,12 +344,12 @@ class _LinearDensity(ArrivalModel):
         i = bisect_right(self._starts, t) - 1
         if i < 0:
             return 0.0
-        t0, t1, y0, _, _, _, slope, moment = self._pieces[i]
+        t0, t1, y0, _, _, _, _, slope, half_slope, moment = self._pieces[i]
         if t >= t1:
             return self._moment
         x = t - t0
         # t0 * mass on [t0, t] + integral of x p(t0 + x), as in _tabulate
-        return moment + x * (t0 * (y0 + 0.5 * slope * x) + x * (0.5 * y0 + slope * x / 3.0))
+        return moment + x * (t0 * (y0 + half_slope * x) + x * (0.5 * y0 + slope * x / 3.0))
 
     def mean(self):
         return self._moment
@@ -373,7 +367,7 @@ class _LinearDensity(ArrivalModel):
         the scan drops it.  Roots where R <= SURVIVAL_FLOOR are dropped too."""
         changes = []
         y_below = 0.0  # the density just below the row start
-        for t0, t1, y0, y1, F0, _, s, _ in self._pieces:
+        for t0, t1, y0, y1, _, F0, _, s, half_s, _ in self._pieces:
             stop = min(t1, end)
             if not t0 < stop:
                 break
@@ -395,7 +389,7 @@ class _LinearDensity(ArrivalModel):
                 roots = zip(sorted((2.0 * q / s, -c / q)), kinds)
             for x, kind in roots:
                 t = t0 + x
-                if t0 < t < stop and 1.0 - (F0 + x * (y0 + 0.5 * s * x)) > SURVIVAL_FLOOR:
+                if t0 < t < stop and 1.0 - (F0 + x * (y0 + half_s * x)) > SURVIVAL_FLOOR:
                     changes.append((t, kind))
         return changes
 
@@ -595,7 +589,7 @@ class PiecewiseLinearDensity(_LinearDensity):
     def _columns(self):
         """Per-piece (t0, width, y0, slope, cdf at t0) as arrays, built on
         the first draw, so models that are never sampled skip the cost."""
-        t0, _, y0, _, cum, width, slope, _ = (np.array(column) for column in zip(*self._pieces))
+        t0, _, y0, _, _, cum, width, slope, _, _ = (np.array(c) for c in zip(*self._pieces))
         return t0, width, y0, slope, cum
 
     @functools.cached_property

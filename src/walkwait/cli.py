@@ -32,6 +32,14 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
+def _named(field: str, check, *args):
+    """check(*args), its ValueError raised as a ConfigError naming field."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from exc
+
+
 def load_config(path: str) -> tuple[Scenario, ArrivalModel, float]:
     """Read a scenario config; returns (scenario, model, p_catch)."""
     try:
@@ -52,28 +60,17 @@ def load_config(path: str) -> tuple[Scenario, ArrivalModel, float]:
         """The field in km and minutes, checked as Scenario checks its name."""
         if field not in raw:
             raise ConfigError(field, "missing required field")
-        try:
-            return _positive(_number(raw[field], name) / per, name)
-        except ValueError as exc:
-            raise ConfigError(field, str(exc)) from exc
+        return _named(field, lambda: _positive(_number(raw[field], name) / per, name))
 
     d = number("distance_km", "d")
     v_w = number("walk_speed_kmh", "v_w", 60.0)
     v_b = number("bus_speed_kmh", "v_b", 60.0)
-    try:
-        scenario = Scenario(d=d, v_w=v_w, v_b=v_b)
-    except ValueError as exc:  # each field passed: the journey rule failed
-        raise ConfigError("distance_km, walk_speed_kmh, bus_speed_kmh", str(exc)) from exc
+    # each field passed: only the journey rule can fail
+    scenario = _named("distance_km, walk_speed_kmh, bus_speed_kmh", Scenario, d, v_w, v_b)
     if "model" not in raw:
         raise ConfigError("model", "missing required field")
-    try:
-        model = model_from_config(raw["model"])
-    except ValueError as exc:
-        raise ConfigError("model", str(exc)) from exc
-    try:
-        return scenario, model, _probability(raw.get("p_catch", 0.0), "p_catch")
-    except ValueError as exc:
-        raise ConfigError("p_catch", str(exc)) from exc
+    model = _named("model", model_from_config, raw["model"])
+    return scenario, model, _named("p_catch", _probability, raw.get("p_catch", 0.0), "p_catch")
 
 
 def _analyze_payload(scenario: Scenario, model: ArrivalModel) -> dict:
@@ -182,14 +179,9 @@ def cmd_simulate(args) -> int:
     plan = parse_strategy(args.strategy)
     analytic = expected_tt_plan(scenario, model, plan)  # checks the plan's d1 first
     for name, rule in (("n", _sample_count), ("seed", _seed)):
-        try:
-            rule(getattr(args, name))
-        except ValueError as exc:
-            raise ConfigError(name, str(exc)) from exc
-    try:
-        result = estimate(scenario, model, plan, args.n, args.seed)
-    except ValueError as exc:  # n and seed passed: the journeys overflow
-        raise ConfigError("model", str(exc)) from exc
+        _named(name, rule, getattr(args, name))
+    # n and seed passed: only the journeys can fail, where they overflow
+    result = _named("model", estimate, scenario, model, plan, args.n, args.seed)
     z = (result.mean - analytic) / result.stderr if result.stderr > 0 else 0.0
     if args.json:
         print(json.dumps({**dataclasses.asdict(result), "analytic": analytic, "z": z}, indent=2))

@@ -1,6 +1,7 @@
 """Stationary-point search, classification, and policy selection."""
 
 import bisect
+import hashlib
 import math
 from fractions import Fraction
 
@@ -472,6 +473,120 @@ class TestPinnedScan:
         choice = optimal_policy(S0, model)
         t_wait = None if choice.t_wait is None else choice.t_wait.hex()
         assert (choice.strategy, choice.expected_tt.hex(), t_wait) == policy
+
+
+# the models of TestPinnedTable: both bundled table models and the table
+# twin of each PINNED_KNOTS entry
+TABLE_MODELS = {
+    "uniform": Uniform(30.0),
+    "late-bus": LateBusMixture(0.75, 6.0, 40.0),
+    **{name: TablePiecewise(knots) for name, knots in PINNED_KNOTS.items()},
+}
+# for each TABLE_MODELS entry: the points and policy as in PINNED_SCAN, then
+# the SHA-256 of table_values(model)
+PINNED_TABLE = {
+    "uniform": (
+        [
+            ("0x1.7ffffffffffffp+2", "maximum", "0x1.e99999999999ap+4"),
+        ],
+        ("wait_forever", "0x1.5000000000000p+4", None),
+        "287a8b90ffa953d2dce40f68c6ec51f6730a7bee6c4f1409415b547d5bf5d23a",
+    ),
+    "late-bus": (
+        [
+            ("0x1.6fea7106ac100p+2", "minimum", "0x1.deff1aa5de166p+3"),
+        ],
+        ("wait_then_walk", "0x1.deff1aa5de166p+3", "0x1.6fea7106ac100p+2"),
+        "358e13b68f0413b2783590656e0bce5411eb71f5c18a1061090915287318fd3a",
+    ),
+    "drop": (
+        [
+            ("0x1.0000000000000p+2", "minimum", "0x1.a108421084210p+3"),
+            ("0x1.2fffffffffffep+6", "maximum", "0x1.242108421083fp+4"),
+        ],
+        ("wait_then_walk", "0x1.a108421084210p+3", "0x1.0000000000000p+2"),
+        "9adeb27b72ffb783dc16d6f9cd7d1eee4acfbdbde11ec7ab6b290a9ae24f9930",
+    ),
+    "spike": (
+        [
+            ("0x1.400221571dc73p+2", "maximum", "0x1.17f2909e21358p+5"),
+            ("0x1.4665f9f7b1f8ap+2", "minimum", "0x1.fb4dbc46fd216p+3"),
+            ("0x1.f0fffffffffffp+11", "maximum", "0x1.9a0e2e880cbd4p+8"),
+        ],
+        ("wait_then_walk", "0x1.fb4dbc46fd216p+3", "0x1.4665f9f7b1f8ap+2"),
+        "24f95582ce719d0b76042e69d05faf400e5447060b0d83208fb84299a1b59d65",
+    ),
+    "jumpy-1": (
+        [
+            ("0x1.85cc1f7d37c29p+3", "maximum", "0x1.3c2769a74017fp+5"),
+            ("0x1.8e65005151caep+3", "minimum", "0x1.b9167683ddae0p+4"),
+            ("0x1.a650f1a7ceb64p+3", "maximum", "0x1.bb5e9cde5f41bp+4"),
+            ("0x1.17a02f566785fp+4", "minimum", "0x1.b8d70d4e6e056p+4"),
+            ("0x1.63f09a8b4649ep+4", "maximum", "0x1.be009139f5382p+4"),
+        ],
+        ("wait_forever", "0x1.7b34549db6c38p+4", None),
+        "a7e39c3b8df38e42d2da81fc038ea6bea04765e2fff1fa0b905d2056b9ce160a",
+    ),
+    "jumpy-4": (
+        [
+            ("0x1.4b4983923ecbbp+5", "maximum", "0x1.6ec77f6cdbf40p+5"),
+            ("0x1.4d3c6e706defep+5", "minimum", "0x1.6ec5b0a82bd7cp+5"),
+            ("0x1.66d365e741cb1p+5", "maximum", "0x1.700541a6ac28ap+5"),
+        ],
+        ("walk_now", "0x1.e000000000000p+4", None),
+        "936f2c7a6115d2c16d8d8ed4abbcfc9332841f2e820b2970d19de44e663172b6",
+    ),
+    "drop-1": (
+        [
+            ("0x1.ae92341160ab0p+2", "minimum", "0x1.7e05a6f190900p+4"),
+            ("0x1.e56ef2411eea6p+6", "maximum", "0x1.7b79a5a9a0d32p+5"),
+        ],
+        ("wait_then_walk", "0x1.7e05a6f190900p+4", "0x1.ae92341160ab0p+2"),
+        "722b37d18f1ba8dc669b5ccd35206d243e1cab0dd45aa5ff19a6f10400fdb38b",
+    ),
+    "drop-2": (
+        [
+            ("0x1.01a055ab0fbb7p+2", "minimum", "0x1.9ac3e50a92750p+3"),
+            ("0x1.d6f7c96e624bep+5", "maximum", "0x1.03f9f48b358eap+4"),
+        ],
+        ("wait_then_walk", "0x1.9ac3e50a92750p+3", "0x1.01a055ab0fbb7p+2"),
+        "dce6d49bcf4c16b37aae2370b30c3abaaf40ba4a5dd1d9357b31c64189b2da9f",
+    ),
+}
+
+
+def table_values(model):
+    """float.hex of at(t), appearance_rate(t) (or its error message) and
+    partial_mean(t), one line per t of a grid past the support end plus
+    every breakpoint and the float just below it."""
+    end = model.support_end
+    ts = [end * k / 64 for k in range(81)]
+    ts += [x for b in model.breakpoints() for x in (math.nextafter(b, 0.0), b)]
+    lines = []
+    for t in ts:
+        try:
+            rate = model.appearance_rate(t).hex()
+        except ValueError as exc:
+            rate = str(exc)
+        values = [v.hex() for v in model.at(t)] + [rate, model.partial_mean(t).hex()]
+        lines.append(" ".join([t.hex()] + values))
+    return "\n".join(lines)
+
+
+class TestPinnedTable:
+    """The closed forms of the piece table bit for bit: a change of one ulp in
+    a row, in _at, in the rate, in M1 or in a root of E' shows here."""
+
+    @pytest.mark.parametrize("name", TABLE_MODELS)
+    def test_table_is_bit_identical(self, name):
+        model = TABLE_MODELS[name]
+        points, policy, digest = PINNED_TABLE[name]
+        found = find_stationary_points(S0, model)
+        assert [(p.t_wait.hex(), p.kind, p.expected_tt.hex()) for p in found] == points
+        choice = optimal_policy(S0, model)
+        t_wait = None if choice.t_wait is None else choice.t_wait.hex()
+        assert (choice.strategy, choice.expected_tt.hex(), t_wait) == policy
+        assert hashlib.sha256(table_values(model).encode()).hexdigest() == digest
 
 
 class TestEveryTimeScale:
