@@ -18,6 +18,14 @@ roots of E' (the piecewise model still integrates M1 and scans for the
 roots).  Each draws through ``_draw``, which ``_LinearDensity.sample``
 shapes.  ``_check_time`` is the one rule for a time or a wait.
 
+The base class integrates M1 by adaptive quadrature split at the
+breakpoints.  A model keeps the running sums of its whole pieces, so a call
+integrates only its last, partial piece, with the bits of integrating from
+zero; its density must not change after its first ``partial_mean``.  The
+sums are read with getattr and stored with object.__setattr__, never
+through ``__dict__``, whose first read builds the instance's dict and slows
+every later attribute lookup on the model.
+
 The model alone picks the route to the sign changes of E'(W) = R(W) -
 t_delta p(W), through ``_sign_changes``: the table solves E', a polynomial
 of degree at most 2 on each piece, jump minima included; ``Exponential``,
@@ -39,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import integrate_piecewise
+from .quadrature import adaptive_simpson
 
 # the one tie rule: a saving, or mean - t_delta, counts only beyond
 # TIE_TOL t_delta, and a rate only beyond TIE_TOL / t_delta
@@ -125,17 +133,42 @@ class ArrivalModel(ABC):
         checked range [0, t]) and each piece's right end as its left limit,
         so a density jump costs no refinement; models with a closed form
         override it.
+
+        The model keeps the running sums of its whole pieces, the pieces
+        between the sorted breakpoints in (0, quad_bound()), each sum the
+        last plus one more piece, as ``integrate_piecewise`` adds them.  A
+        call adds its last, partial piece to the sum below it and integrates
+        a whole piece only the first time a call reaches past it, so every
+        answer has the bits of a fresh model's, and the density must not
+        change after the first call.  The sums are read with getattr and
+        stored with object.__setattr__, which frozen dataclasses allow:
+        reading ``self.__dict__`` would build the instance's dict, which
+        makes every later attribute lookup on the model slower.
         """
         t = _check_time(t)
         if t >= self.support_end:
             return self.mean()
         at = self._at
-        return integrate_piecewise(
-            lambda tau: tau * at(tau)[0],
-            0.0,
-            min(t, self.quad_bound()),
-            self.breakpoints(),
+
+        def f(tau):
+            return tau * at(tau)[0]
+
+        bound = self.quad_bound()
+        end = min(t, bound)
+        # edges: 0 and the cuts; sums[j]: the integral over [0, edges[j]]
+        edges, sums = getattr(self, "_m1_sums", None) or (
+            (0.0, *sorted(b for b in self.breakpoints() if 0.0 < b < bound)),
+            (0.0,),
         )
+        j = bisect_left(edges, end, 1) - 1  # the number of cuts below end
+        if j >= len(sums):
+            grown = list(sums)
+            for k in range(len(sums), j + 1):
+                grown.append(grown[-1] + adaptive_simpson(f, edges[k - 1], edges[k]))
+            sums = tuple(grown)
+            # a racing call may store fewer sums: it only repeats work
+            object.__setattr__(self, "_m1_sums", (edges, sums))
+        return sums[j] + adaptive_simpson(f, edges[j], end)
 
     def breakpoints(self) -> tuple[float, ...]:
         """Times where the density or its slope is discontinuous."""

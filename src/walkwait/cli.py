@@ -133,8 +133,13 @@ def cmd_sweep(args) -> int:
             raise ConfigError(field, "must be a finite number")
     if not args.stop > args.start:
         raise ConfigError("to", "must exceed --from")
-    span = args.stop - args.start
-    xs = [args.start + span * i / (args.steps - 1) for i in range(args.steps)]
+    span, last = args.stop - args.start, args.steps - 1
+    # x = start + span * i / last; where span * i overflows, span * (i / last)
+    # keeps x finite
+    xs = [
+        args.start + (span * i / last if span * i < math.inf else span * (i / last))
+        for i in range(args.steps)
+    ]
     if args.var == "tw":
         header = "x,expected_tt,derivative"
         rows = expected_tt_curve(scenario, model, xs)

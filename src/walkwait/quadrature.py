@@ -76,8 +76,13 @@ def integrate_piecewise(
     """Integrate f >= 0 over [a, b], splitting at the interior breakpoints.
 
     Kinks of f must be listed in breakpoints so each adaptive pass sees a
-    smooth integrand.
+    smooth integrand.  The pieces are added left to right, the order of the
+    running sums that ``ArrivalModel.partial_mean`` keeps; sum() would
+    compensate its additions from Python 3.12 on.
     """
     cuts = sorted(t for t in breakpoints if a < t < b)
     edges = [a] + cuts + [b]
-    return sum(adaptive_simpson(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        total += adaptive_simpson(f, lo, hi)
+    return total

@@ -226,6 +226,22 @@ class TestSweep:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {field}:")
 
+    def test_span_times_step_past_the_floats_ends_at_to(self, config, tmp_path):
+        # span * i overflowed on the last row, whose x read inf
+        out_path = tmp_path / "tw.csv"
+        code = main(
+            [
+                "sweep", config({"kind": "exponential", "rate": 10}),
+                "--var", "tw", "--from", "0", "--to", "1.7e308",
+                "--steps", "3", "--out", str(out_path),
+            ]
+        )
+        assert code == 0
+        lines = out_path.read_text().splitlines()[1:]
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+        assert len(rows) == 3 and rows[-1][0] == 1.7e308
+        assert all(math.isfinite(v) for row in rows for v in row)
+
     def test_wait_forever_d1_sweep_allowed(self, config, tmp_path):
         out_path = tmp_path / "d1.csv"
         code = main(

@@ -1,7 +1,10 @@
 """Adaptive Simpson quadrature: right-continuous integrands, the partial-mean
 fallback that rests on it, and the interval cap."""
 
+import functools
 import math
+import sys
+import threading
 import time
 
 import numpy as np
@@ -12,7 +15,15 @@ from walkwait.arrivals import ArrivalModel, _LinearDensity
 from walkwait import quadrature
 from walkwait.quadrature import QUAD_TOL, adaptive_simpson, integrate_piecewise
 
-from _models import jumpy_knots, random_scenario
+from _models import (
+    FallbackPiecewise,
+    QuadExponential,
+    QuadLateBus,
+    QuadUniform,
+    Triangle,
+    jumpy_knots,
+    random_scenario,
+)
 
 
 def counted(f):
@@ -94,14 +105,93 @@ class TestPartialMeanFallback:
         assert spike_free >= 100
         assert lookups <= 5 * pieces_total
 
+    DROP = [[0, 1], [4, 1], [4, .01], [100, .01]]
+
     def test_drop_costs_five_lookups_per_piece(self):
-        model = CountingLookup([[0, 1], [4, 1], [4, .01], [100, .01]])
+        # on a fresh model, which has integrated no piece yet
         for t, pieces in ((3.0, 1), (4.0, 1), (10.0, 2), (50.0, 2)):
-            model.lookups = 0
+            model = CountingLookup(self.DROP)
             assert model.partial_mean(t) == pytest.approx(
                 _LinearDensity.partial_mean(model, t), abs=1e-12
             )
             assert model.lookups == 5 * pieces
+
+    def test_a_reused_model_integrates_each_whole_piece_once(self):
+        # t = 10 integrates the whole piece [0, 4] and keeps it, so t = 50
+        # integrates only its last piece
+        model = CountingLookup(self.DROP)
+        for t, lookups in ((3.0, 5), (4.0, 5), (10.0, 10), (50.0, 5)):
+            model.lookups = 0
+            model.partial_mean(t)
+            assert model.lookups == lookups, t
+
+
+# each a way to build a fresh model on the quadrature fallback
+FRESH_FALLBACKS = [
+    *(functools.partial(FallbackPiecewise, jumpy_knots(np.random.default_rng(seed), 24.0))
+      for seed in range(4)),
+    functools.partial(QuadUniform, 30.0),
+    functools.partial(QuadLateBus, 0.25, 4.0, 56.0),
+    functools.partial(QuadExponential, 0.05),
+    Triangle,
+]
+
+
+def from_zero(model, t):
+    """M1(t) integrated from zero over every piece, with no sums kept."""
+    if t >= model.support_end:
+        return model.mean()
+    return integrate_piecewise(
+        lambda tau: tau * model._at(tau)[0], 0.0, min(t, model.quad_bound()), model.breakpoints()
+    )
+
+
+def query_times(model, seed):
+    """0, each breakpoint and the float below it, random times and times
+    past the support, shuffled."""
+    rng = np.random.default_rng(seed)
+    end = model.quad_bound()
+    times = [0.0, 1.5 * end, math.inf] + rng.uniform(0.0, 1.1 * end, 12).tolist()
+    for b in model.breakpoints():
+        times += [b, math.nextafter(b, 0.0)]
+    rng.shuffle(times)
+    return times
+
+
+class TestReusedModelKeepsItsBits:
+    @pytest.mark.parametrize("fresh", FRESH_FALLBACKS)
+    def test_each_answer_is_a_fresh_models(self, fresh):
+        model = fresh()
+        for t in query_times(model, 7):
+            want = from_zero(model, t).hex()
+            assert model.partial_mean(t).hex() == fresh().partial_mean(t).hex() == want, t
+
+    @pytest.mark.parametrize("fresh", FRESH_FALLBACKS)
+    def test_threads_racing_on_one_model(self, fresh):
+        # a call that loses the race may only integrate a piece again
+        model = fresh()
+        times = [query_times(model, seed) for seed in range(4)]
+        want = [[fresh().partial_mean(t).hex() for t in ts] for ts in times]
+        assert want == [[from_zero(model, t).hex() for t in ts] for ts in times]
+        got = [None] * len(times)
+        start = threading.Barrier(len(times))
+
+        def query(k):
+            start.wait(60.0)
+            got[k] = [model.partial_mean(t).hex() for t in times[k]]
+
+        threads = [threading.Thread(target=query, args=(k,)) for k in range(len(times))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
 
 
 class TestRelativeTolerance:
