@@ -222,7 +222,8 @@ class ArrivalModel(ABC):
         return _scan_sign_changes(self, 1.0 / t_delta, end)
 
     def quad_bound(self) -> float:
-        """Finite time beyond which remaining mass is negligible."""
+        """Finite time beyond which remaining mass is negligible; the
+        optimizer's search for the roots of E' ends here or at support_end."""
         return self.support_end
 
 

@@ -103,7 +103,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_optimize(args) -> int:
     scenario, model, _ = load_config(args.config)
-    points = find_stationary_points(scenario, model, args.horizon)
+    points = find_stationary_points(scenario, model)
     policy = _best_policy(scenario, model, points)
     if args.json:
         # PolicyChoice's JSON keys are not in its field order
@@ -204,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after.
 
     Reuse is safe while it holds no mutable defaults and no append actions:
-    parse_args returns a fresh Namespace each time.  Each subcommand names
-    its handler, which main looks up per call.
+    parse_args returns a fresh Namespace each time.  It holds no handler:
+    main looks up ``cmd_<subcommand>`` per call.
     """
     parser = argparse.ArgumentParser(
         prog="walkwait",
@@ -216,13 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="break-even summary and wait/walk verdict")
     p.add_argument("config")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler="cmd_analyze")
 
     p = sub.add_parser("optimize", help="stationary waiting times and best policy")
     p.add_argument("config")
-    p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler="cmd_optimize")
 
     p = sub.add_parser("sweep", help="tabulate a curve to CSV")
     p.add_argument("config")
@@ -232,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--tw", type=float, help="wait time for d1 sweeps (default 0)")
-    p.set_defaults(handler="cmd_sweep")
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate vs analytic value")
     p.add_argument("config")
@@ -240,15 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler="cmd_simulate")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # by name, so the parser holds no reference to a handler that a wrapper
-    # (a profiler, a tracer) may since have replaced
-    handler = globals()[args.handler]
+    # by name, so a wrapper (a profiler, a tracer) that has since replaced a
+    # handler is the one called
+    handler = globals()["cmd_" + args.command]
     try:
         return handler(args)
     except ValueError as exc:

@@ -102,7 +102,8 @@ def plan_curve_d1(
         dE/dd1 = q^2 (d - d1) ((1 - p_catch) p(t1) - p(T))
 
     is formed from the lookups of E, so each row reads t1 and T = t1 + t_wait
-    once.  Each row is checked as its plan is, and fails with the same message.
+    once.  Each row is checked as its plan is, and fails with the same message;
+    with no rows, the shared t_wait and p_catch are still checked.
     """
     q = scenario.q
     rows = []
@@ -115,6 +116,9 @@ def plan_curve_d1(
         if p1 is None:  # t1 = 0 < T, where E reads nothing at t1
             p1 = model.density(t1)
         rows.append((d1, e, q * q * (scenario.d - d1) * ((1.0 - p_catch) * p1 - p)))
+    if not rows:  # no row checked the shared wait and p_catch
+        _check_time(t_wait, "t_wait")
+        _probability(p_catch, "p_catch")
     return rows
 
 

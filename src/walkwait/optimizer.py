@@ -8,8 +8,8 @@ vanishing.
 
 Each model finds these sign changes by its own route, its
 ``_sign_changes``: a closed form, or the grid scan that ``arrivals``
-describes.  This module holds only policy: the horizon, the pricing and the
-one tie rule of ``arrivals.TIE_TOL``, relative to t_delta.
+describes.  This module holds only policy: the search end, the pricing and
+the one tie rule of ``arrivals.TIE_TOL``, relative to t_delta.
 
 ``optimal_policy`` prices only what it weighs, the minima and wait-forever
 where ``compare_wait_walk`` says "wait".  Walk-now's E is the walk time, as
@@ -38,36 +38,29 @@ class PolicyChoice:
     t_wait: float | None = None
 
 
-def find_stationary_points(
-    scenario: Scenario,
-    model: ArrivalModel,
-    horizon: float | None = None,
-) -> list[StationaryPoint]:
-    """The sign changes of E'(W) in (0, horizon), classified by their
+def find_stationary_points(scenario: Scenario, model: ArrivalModel) -> list[StationaryPoint]:
+    """The sign changes of E'(W) in (0, end), where end is the model's
+    ``quad_bound()`` or its support end if sooner, classified by their
     direction (see ``_sign_changes``) and each priced by ``expected_tt``."""
     return [StationaryPoint(t, kind, expected_tt(scenario, model, t))
-            for t, kind in _sign_changes(scenario, model, horizon)]
+            for t, kind in _sign_changes(scenario, model)]
 
 
-def _sign_changes(scenario: Scenario, model: ArrivalModel, horizon) -> list[tuple[float, str]]:
-    """(t, kind) for each sign change of E'(W) in (0, horizon), from the
-    model's own route, ``ArrivalModel._sign_changes``."""
-    horizon = (_positive(model.quad_bound(), "quad_bound()") if horizon is None
-               else _positive(horizon, "horizon"))
-    return model._sign_changes(scenario.t_delta, min(horizon, model.support_end))
+def _sign_changes(scenario: Scenario, model: ArrivalModel) -> list[tuple[float, str]]:
+    """(t, kind) for each sign change of E'(W) in (0, end), from the model's
+    own route, ``ArrivalModel._sign_changes``.  ``quad_bound()`` states where
+    the search ends: a model with an open support overrides it."""
+    end = min(_positive(model.quad_bound(), "quad_bound()"), model.support_end)
+    return model._sign_changes(scenario.t_delta, end)
 
 
-def optimal_policy(
-    scenario: Scenario,
-    model: ArrivalModel,
-    horizon: float | None = None,
-) -> PolicyChoice:
+def optimal_policy(scenario: Scenario, model: ArrivalModel) -> PolicyChoice:
     """Best of walk-now, wait-forever, and every interior minimum; only the
     minima are priced.  A minimum wins only by more than TIE_TOL t_delta, so
     ties go to walk_now, then wait_forever, then the smallest finite wait.
     """
     minima = [StationaryPoint(t, kind, expected_tt(scenario, model, t))
-              for t, kind in _sign_changes(scenario, model, horizon) if kind == "minimum"]
+              for t, kind in _sign_changes(scenario, model) if kind == "minimum"]
     return _best_policy(scenario, model, minima)
 
 

@@ -440,7 +440,7 @@ class TestNonFiniteRejected:
             build()
 
     def test_smallest_rate_answers_optimize(self):
-        # just above 40 / DBL_MAX, where quad_bound() is the optimizer's horizon
+        # just above 40 / DBL_MAX, where quad_bound(), the optimizer's search end, is finite
         model = Exponential(2.3e-307)
         assert math.isfinite(model.quad_bound())
         policy = optimal_policy(Scenario(3.0, 0.1, 0.5), model)

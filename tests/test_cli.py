@@ -139,10 +139,13 @@ class TestOptimize:
         assert payload["policy"]["strategy"] == "wait_then_walk"
         assert 0.0 < payload["policy"]["t_wait"] <= 4.0
 
-    def test_infinite_horizon_rejected(self, capsys):
+    def test_horizon_is_not_an_option(self, capsys):
+        # the search ends where the model's quad_bound() says
         config = str(CONFIG_DIR / "exponential24.json")
-        assert main(["optimize", config, "--horizon", "inf"]) == 2
-        assert "horizon" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:  # argparse: unknown option
+            main(["optimize", config, "--horizon", "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --horizon 10" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "kind, twin, name",

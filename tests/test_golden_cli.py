@@ -24,8 +24,6 @@ COMMANDS = [
     ["analyze", "--json"],
     ["optimize"],
     ["optimize", "--json"],
-    ["optimize", "--horizon", "10"],
-    ["optimize", "--horizon", "10", "--json"],
     ["sweep", "--var", "tw", "--from", "0", "--to", "60", "--steps", "61"],
     ["sweep", "--var", "d1", "--tw", "4", "--from", "0", "--to", "3", "--steps", "21"],
     ["sweep", "--var", "pc", "--from", "0", "--to", "1", "--steps", "21"],

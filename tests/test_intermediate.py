@@ -190,6 +190,29 @@ class TestPlanCurveD1:
         with pytest.raises(ValueError, match=message):
             plan_curve_d1(S0, Uniform(30.0), d1s, 0.0, 0.5)
 
+    # a sweep with no rows still fails as its plan would
+    @pytest.mark.parametrize(
+        "t_wait, p_catch, message",
+        [
+            (math.nan, 5.0, "t_wait must be nonnegative"),
+            (-1.0, 0.5, "t_wait must be nonnegative"),
+            (4.0, 5.0, r"p_catch must lie in \[0, 1\]"),
+            (4.0, True, "p_catch"),
+        ],
+    )
+    def test_no_rows_checks_the_shared_inputs(self, t_wait, p_catch, message):
+        with pytest.raises(ValueError, match=message):
+            plan_curve_d1(S0, Uniform(30.0), [], t_wait, p_catch)
+        with pytest.raises(ValueError, match=message):
+            expected_tt_plan(S0, Uniform(30.0), WalkAndWaitPlan(1.0, t_wait, p_catch))
+
+    def test_no_rows_with_good_inputs_is_empty(self):
+        assert plan_curve_d1(S0, Uniform(30.0), [], math.inf, 0.5) == []
+
+    def test_a_rows_d1_is_checked_before_the_shared_inputs(self):
+        with pytest.raises(ValueError, match="d1 must be nonnegative"):
+            plan_curve_d1(S0, Uniform(30.0), [-1.0], math.nan, 5.0)
+
 
 class TestPlanCurveRows:
     # each row is checked as its plan is, with the plan's message

@@ -121,15 +121,6 @@ class TestFindStationaryPoints:
                 else:
                     assert second < 0.0
 
-    def test_bad_horizon(self):
-        with pytest.raises(ValueError):
-            find_stationary_points(S0, Uniform(30.0), horizon=0.0)
-
-    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
-    def test_non_finite_horizon_rejected(self, horizon):
-        with pytest.raises(ValueError, match="horizon"):
-            find_stationary_points(S0, Exponential(1.0 / 24.0), horizon=horizon)
-
     def test_minimum_at_density_drop(self):
         # E' jumps from negative to positive at t=4 without vanishing
         minima = [sp for sp in find_stationary_points(S0, DROP) if sp.kind == "minimum"]
@@ -141,34 +132,15 @@ class TestFindStationaryPoints:
         # the float just below the drop is on the smooth piece before it
         assert not expected_tt_gradient(S0, DROP, math.nextafter(4.0, 0.0)).one_sided
 
-    @pytest.mark.parametrize("horizon", [True, False, "5"])
-    def test_non_number_horizon_rejected(self, horizon):
-        with pytest.raises(ValueError, match="horizon"):
-            find_stationary_points(S0, Uniform(30.0), horizon=horizon)
-        with pytest.raises(ValueError, match="horizon"):
-            optimal_policy(S0, Uniform(30.0), horizon=horizon)
-
-    @pytest.mark.parametrize("horizon", [10, np.float64(10.0), np.float32(10.0)])
-    def test_number_horizon_accepted(self, horizon):
-        assert find_stationary_points(S0, LATE_BUS, horizon=horizon) == (
-            find_stationary_points(S0, LATE_BUS, horizon=10.0)
-        )
-        assert optimal_policy(S0, DROP, horizon=horizon) == optimal_policy(S0, DROP, horizon=10.0)
-
-    def test_no_horizon_is_the_models_default(self):
-        for model in (LATE_BUS, Uniform(30.0), DROP):
-            assert find_stationary_points(S0, model, horizon=None) == (
-                find_stationary_points(S0, model, horizon=model.quad_bound())
-            )
-
-    def test_an_infinite_default_horizon_names_quad_bound(self):
-        # unbounded support with the base class's quad_bound: the default
-        # horizon is inf, and no horizon was passed
+    def test_an_infinite_quad_bound_is_named(self):
+        # unbounded support with the base class's quad_bound: the search has
+        # no finite end
         model = OpenEndedExponential(1.0 / 20.0)
         for call in (find_stationary_points, optimal_policy):
             with pytest.raises(ValueError, match=r"^quad_bound\(\) must be positive and finite"):
                 call(S0, model)
-        assert optimal_policy(S0, model, horizon=30.0).strategy == "wait_forever"
+        # a subclass that states a finite quad_bound once gets its answer
+        assert optimal_policy(S0, BoundedExponential(1.0 / 20.0)).strategy == "wait_forever"
 
     def test_waits_are_python_floats(self):
         for model in (LATE_BUS, Uniform(30.0), SPIKE, DROP):
@@ -194,6 +166,11 @@ class ScannedExponential(Exponential):
 
 class OpenEndedExponential(Exponential):
     quad_bound = ArrivalModel.quad_bound
+
+
+class BoundedExponential(OpenEndedExponential):
+    def quad_bound(self):
+        return 30.0
 
 
 def counting(cls, limit=math.inf):
@@ -286,10 +263,13 @@ class TestClosedFormSignChanges:
         assert points[0].t_wait < 59.944 / (SCAN_POINTS + 1)
 
     @pytest.mark.parametrize("model", [LATE_BUS, Uniform(30.0)])
-    def test_roots_do_not_depend_on_the_horizon(self, model):
+    def test_roots_do_not_depend_on_the_end(self, model):
+        # the table's roots below an earlier end are those found up to the full one
         points = find_stationary_points(S0, model)
-        assert len(points) == 1
-        assert find_stationary_points(S0, model, horizon=10.0) == points
+        assert len(points) == 1 and points[0].t_wait < 10.0
+        full = model._sign_changes(S0.t_delta, min(model.quad_bound(), model.support_end))
+        assert model._sign_changes(S0.t_delta, 10.0) == full
+        assert full == [(sp.t_wait, sp.kind) for sp in points]
 
 
 def reference_scan(model, target: float, end: float) -> list:
@@ -657,7 +637,7 @@ class TestOptimalPolicy:
         policy = optimal_policy(S0, LATE_BUS)
         assert policy.strategy == "wait_then_walk"
         assert policy.t_wait <= 4.0
-        # grid-search oracle over the same horizon
+        # grid-search oracle over the late bus's support
         grid = np.arange(0.0, 60.0, 1e-3)
         best = min(expected_tt(S0, LATE_BUS, w) for w in grid)
         assert policy.expected_tt == pytest.approx(best, abs=1e-6)
@@ -728,11 +708,11 @@ class TestOptimalPolicy:
         for _ in range(50):
             scenario = random_scenario(rng)
             model = random_model(rng)
-            horizon = model.quad_bound()
+            end = model.quad_bound()
             policy = optimal_policy(scenario, model)
             candidates = [
                 expected_tt(scenario, model, w)
-                for w in np.linspace(0.0, horizon, 10_000)
+                for w in np.linspace(0.0, end, 10_000)
             ]
             candidates.append(expected_tt_wait_forever(scenario, model))
             assert policy.expected_tt == pytest.approx(min(candidates), abs=1e-6)
