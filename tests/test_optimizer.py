@@ -142,6 +142,48 @@ class TestFindStationaryPoints:
         # a subclass that states a finite quad_bound once gets its answer
         assert optimal_policy(S0, BoundedExponential(1.0 / 20.0)).strategy == "wait_forever"
 
+    # quad_bound() is the search end, checked as every positive time is
+    @pytest.mark.parametrize("bound", [0.0, -1.0, math.inf, math.nan])
+    def test_a_bad_quad_bound_is_named(self, bound):
+        model = ending_at(Uniform, bound)(30.0)
+        for call in (find_stationary_points, optimal_policy):
+            with pytest.raises(ValueError, match=r"^quad_bound\(\) must be positive and finite"):
+                call(S0, model)
+
+    @pytest.mark.parametrize("bound", [True, False, "5"])
+    def test_a_non_number_quad_bound_is_named(self, bound):
+        model = ending_at(Uniform, bound)(30.0)
+        for call in (find_stationary_points, optimal_policy):
+            with pytest.raises(ValueError, match=r"^quad_bound\(\) must be a number"):
+                call(S0, model)
+
+    @pytest.mark.parametrize("bound", [10, np.float64(10.0), np.float32(10.0)])
+    def test_a_number_quad_bound_is_accepted(self, bound):
+        late_bus = (0.25, 4.0, 56.0)
+        assert find_stationary_points(S0, ending_at(LateBusMixture, bound)(*late_bus)) == (
+            find_stationary_points(S0, ending_at(LateBusMixture, 10.0)(*late_bus))
+        )
+        assert optimal_policy(S0, ending_at(PiecewiseLinearDensity, bound)(DROP_KNOTS)) == (
+            optimal_policy(S0, ending_at(PiecewiseLinearDensity, 10.0)(DROP_KNOTS))
+        )
+
+    @pytest.mark.parametrize(
+        "cls, args",
+        [(LateBusMixture, (0.25, 4.0, 56.0)), (Uniform, (30.0,)), (PiecewiseLinearDensity, (DROP_KNOTS,))],
+    )
+    def test_the_support_end_ends_a_later_search(self, cls, args):
+        model = cls(*args)
+        later = ending_at(cls, 2.0 * model.support_end)(*args)
+        assert find_stationary_points(S0, later) == find_stationary_points(S0, model)
+        assert optimal_policy(S0, later) == optimal_policy(S0, model)
+
+    def test_an_earlier_quad_bound_ends_the_search(self):
+        # the late bus's one minimum, near 2.98, lies past an end of 2
+        assert [sp.kind for sp in find_stationary_points(S0, LATE_BUS)] == ["minimum"]
+        early = ending_at(LateBusMixture, 2.0)(0.25, 4.0, 56.0)
+        assert find_stationary_points(S0, early) == []
+        assert optimal_policy(S0, early).strategy != "wait_then_walk"
+
     def test_waits_are_python_floats(self):
         for model in (LATE_BUS, Uniform(30.0), SPIKE, DROP):
             for sp in find_stationary_points(S0, model):
@@ -171,6 +213,16 @@ class OpenEndedExponential(Exponential):
 class BoundedExponential(OpenEndedExponential):
     def quad_bound(self):
         return 30.0
+
+
+def ending_at(cls, bound):
+    """A subclass of cls whose quad_bound(), the optimizer's search end, is bound."""
+
+    class Ending(cls):
+        def quad_bound(self):
+            return bound
+
+    return Ending
 
 
 def counting(cls, limit=math.inf):
