@@ -30,8 +30,8 @@ from .intermediate import (
     plan_gradient_d1,
     plan_gradient_tw,
     prob_miss,
-    uniform_pc_threshold,
     vigilant_curve,
+    vigilant_threshold,
     walk_vs_wait_advantage,
 )
 from .mcsim import (
@@ -88,8 +88,8 @@ __all__ = [
     "plan_gradient_tw",
     "prob_miss",
     "simulate_once",
-    "uniform_pc_threshold",
     "vigilant_curve",
+    "vigilant_threshold",
     "walk_vs_wait_advantage",
 ]
 

@@ -30,9 +30,9 @@ The model alone picks the route to the sign changes of E'(W) = R(W) -
 t_delta p(W), through ``_sign_changes``: the table solves E', a polynomial
 of degree at most 2 on each piece, jump minima included; ``Exponential``,
 whose rate is constant, has no root or is flat; the base class scans a grid
-and bisects each crossing.  The scan's rules are relative, so they hold at
-every time scale: a bisection stops when no float lies between its ends, and
-a flat E', like every tie, follows the one rule of ``TIE_TOL``.
+and bisects each crossing until no float lies between its ends, at every
+time scale.  Every tie, a flat E' and the walk-or-wait verdict among them,
+is the one rule of ``_tie`` on a saving of walking over waiting.
 """
 
 from __future__ import annotations
@@ -49,13 +49,20 @@ import numpy as np
 
 from .quadrature import adaptive_simpson
 
-# the one tie rule: a saving, or mean - t_delta, counts only beyond
-# TIE_TOL t_delta, and a rate only beyond TIE_TOL / t_delta
+# the relative tolerance of _tie, the one tie rule
 TIE_TOL = 1e-12
 # survival R at or below which a root of E' is dropped
 SURVIVAL_FLOOR = 1e-15
 # grid points of the scan that finds the roots of E' without a closed form
 SCAN_POINTS = 4096
+
+
+def _tie(saving: float, scale: float) -> str:
+    """"indifferent" if a saving of walking over waiting is within TIE_TOL scale (t_delta,
+    or 1/t_delta for the scan's 1/t_delta - lambda), else "wait" if negative, "walk" if not."""
+    if abs(saving) <= TIE_TOL * scale:
+        return "indifferent"
+    return "wait" if saving < 0.0 else "walk"
 
 
 class UndefinedRateError(ValueError):
@@ -249,7 +256,7 @@ def _scan_sign_changes(model: ArrivalModel, target: float, end: float) -> list[t
     if not grid:
         return []
     gs = target - np.fromiter(map(rate, grid), float, len(grid))
-    if np.abs(gs).max() <= TIE_TOL * target:
+    if _tie(np.abs(gs).max(), target) == "indifferent":
         return [(0.0, "flat")]
 
     changes = []
@@ -479,7 +486,7 @@ class Exponential(ArrivalModel):
 
     def _sign_changes(self, t_delta, end):
         # the rate is constant: E' keeps one sign, or is flat where the mean ties t_delta
-        return [(0.0, "flat")] if abs(self.mean() - t_delta) <= TIE_TOL * t_delta else []
+        return [(0.0, "flat")] if _tie(self.mean() - t_delta, t_delta) == "indifferent" else []
 
     def partial_mean(self, t):
         # (1 - e^-x (1 + x)) / rate with x = rate * t; expm1 keeps the

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arrivals import ArrivalModel, _check_time, _number, _positive, _probability
+from .arrivals import ArrivalModel, _check_time, _number, _probability, _tie
 from .expectation import GradientPair, Scenario, _wait_gradient, _walk_and_wait
 
 
@@ -160,15 +160,10 @@ def vigilant_curve(scenario: Scenario, model: ArrivalModel, p_catches) -> list[t
     return rows
 
 
-def uniform_pc_threshold(headway_ratio: float) -> float | None:
-    """Minimum catch probability for vigilant walking to beat waiting, for a
-    uniform headway with ratio = headway / t_delta.
-
-    Returns None when no probability in [0, 1] suffices (ratio below 1).
-    """
-    headway_ratio = _positive(headway_ratio, "headway ratio")
-    if headway_ratio < 1.0:
-        return None
-    if headway_ratio > 2.0:
+def vigilant_threshold(scenario: Scenario, model: ArrivalModel) -> float | None:
+    """Least p_catch at which a vigilant walk beats waiting at the origin: 0.0 if it ties
+    or wins at 0, None if it does not win at 1 (both by ``_tie``), else the line's root."""
+    (_, _, a0), (_, _, a1) = vigilant_curve(scenario, model, [0.0, 1.0])
+    if _tie(a0, scenario.t_delta) != "wait":
         return 0.0
-    return 2.0 * headway_ratio - headway_ratio * headway_ratio
+    return a0 / (a0 - a1) if _tie(a1, scenario.t_delta) == "walk" else None

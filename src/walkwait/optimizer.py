@@ -8,8 +8,8 @@ vanishing.
 
 Each model finds these sign changes by its own route, its
 ``_sign_changes``: a closed form, or the grid scan that ``arrivals``
-describes.  This module holds only policy: the search end, the pricing and
-the one tie rule of ``arrivals.TIE_TOL``, relative to t_delta.
+describes.  This module holds only policy, the search end and the pricing;
+its verdict, mean - t_delta, is judged by the one tie rule, ``arrivals._tie``.
 
 ``optimal_policy`` prices only what it weighs, the minima and wait-forever
 where ``compare_wait_walk`` says "wait".  Walk-now's E is the walk time, as
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrivals import TIE_TOL, ArrivalModel, Uniform, _positive
+from .arrivals import TIE_TOL, ArrivalModel, Uniform, _positive, _tie
 from .expectation import Scenario, expected_tt, expected_tt_wait_forever
 
 
@@ -82,11 +82,8 @@ def _best_policy(
 
 
 def compare_wait_walk(scenario: Scenario, model: ArrivalModel) -> str:
-    """"wait" if the mean arrival beats t_delta, "walk" if not, else tied (TIE_TOL)."""
-    diff = model.mean() - scenario.t_delta
-    if abs(diff) <= TIE_TOL * scenario.t_delta:
-        return "indifferent"
-    return "wait" if diff < 0.0 else "walk"
+    """"wait" if the mean arrival beats t_delta, "walk" if not, else "indifferent" (``_tie``)."""
+    return _tie(model.mean() - scenario.t_delta, scenario.t_delta)
 
 
 def classify_uniform(scenario: Scenario, headway: float) -> str:
@@ -95,5 +92,5 @@ def classify_uniform(scenario: Scenario, headway: float) -> str:
     model = Uniform(headway)  # its headway is the checked float, whatever the input type
     verdict = compare_wait_walk(scenario, model)
     if verdict == "wait":
-        return "case1_wait" if model.headway < scenario.t_delta else "case2_wait_with_interior_max"
+        return "case1_wait" if model.headway <= scenario.t_delta else "case2_wait_with_interior_max"
     return "case3_walk" if verdict == "walk" else "marginal"

@@ -118,6 +118,17 @@ def random_model(rng: np.random.Generator, kinds=None):
     return PiecewiseLinearDensity(list(zip(ts, ys)))
 
 
+def uniform_pc_threshold(headway_ratio: float) -> float | None:
+    """The least catch probability at which vigilant walking beats waiting
+    for Uniform(headway_ratio * t_delta), derived by hand: 2r - r^2 for r in
+    [1, 2], 0 above 2, and None below 1, where no probability suffices."""
+    if headway_ratio < 1.0:
+        return None
+    if headway_ratio > 2.0:
+        return 0.0
+    return 2.0 * headway_ratio - headway_ratio * headway_ratio
+
+
 def near_kink(model, t: float, tol: float) -> bool:
     """Whether t lies within tol of one of the model's breakpoints."""
     return any(abs(t - k) <= tol for k in model.breakpoints())

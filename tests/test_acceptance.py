@@ -24,12 +24,18 @@ from walkwait import (
     optimal_policy,
     plan_gradient_d1,
     plan_gradient_tw,
-    uniform_pc_threshold,
     walk_vs_wait_advantage,
 )
 from walkwait.quadrature import integrate_piecewise
 
-from _models import QuadExponential, near_kink, random_model, random_scenario, smooth_time
+from _models import (
+    QuadExponential,
+    near_kink,
+    random_model,
+    random_scenario,
+    smooth_time,
+    uniform_pc_threshold,
+)
 
 S0 = Scenario(d=3.0, v_w=0.1, v_b=0.5)  # t_delta = 24 min
 

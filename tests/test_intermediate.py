@@ -22,12 +22,13 @@ from walkwait import (
     plan_gradient_d1,
     plan_gradient_tw,
     prob_miss,
-    uniform_pc_threshold,
     vigilant_curve,
+    vigilant_threshold,
     walk_vs_wait_advantage,
 )
+from walkwait.arrivals import TIE_TOL
 
-from _models import near_kink, random_model, random_scenario
+from _models import Triangle, near_kink, random_model, random_scenario, uniform_pc_threshold
 
 S0 = Scenario(d=3.0, v_w=0.1, v_b=0.5)
 
@@ -355,27 +356,60 @@ class TestAdvantage:
         )
 
 
-class TestPCThreshold:
-    def test_midpoint(self):
-        assert uniform_pc_threshold(1.5) == pytest.approx(0.75)
+class TestVigilantThreshold:
+    """vigilant_threshold, the root of the line walk_vs_wait_advantage(p_catch),
+    with each end judged by the one tie rule."""
 
-    def test_boundary_two(self):
-        assert uniform_pc_threshold(2.0) == pytest.approx(0.0)
+    def test_uniform_is_the_closed_form(self):
+        rng = np.random.default_rng(34)
+        for scenario in [S0] + [random_scenario(rng) for _ in range(20)]:
+            td = scenario.t_delta
+            for r in np.linspace(1.0, 2.0, 101)[1:-1]:
+                threshold = vigilant_threshold(scenario, Uniform(r * td))
+                assert abs(threshold - uniform_pc_threshold(r)) <= 1e-12, (scenario, r)
+            for r in (2.0, 2.5, 10.0):
+                assert vigilant_threshold(scenario, Uniform(r * td)) == 0.0, (scenario, r)
+            for r in (0.1, 0.5, 0.8, 1.0):
+                assert vigilant_threshold(scenario, Uniform(r * td)) is None, (scenario, r)
 
-    def test_long_headways_always_walk(self):
-        assert uniform_pc_threshold(2.5) == 0.0
+    def test_every_model_kind_is_the_root_of_the_advantage_line(self):
+        rng = np.random.default_rng(35)
+        kinds = ["uniform", "exponential", "late_bus", "piecewise"]
+        interior = 0
+        for i in range(400):
+            scenario = random_scenario(rng)
+            model = Triangle() if i % 5 == 0 else random_model(rng, [kinds[i % 4]])
+            td = scenario.t_delta
+            threshold = vigilant_threshold(scenario, model)
+            if walk_vs_wait_advantage(scenario, model, 0.0) >= -TIE_TOL * td:
+                assert threshold == 0.0, (scenario, model)
+            elif walk_vs_wait_advantage(scenario, model, 1.0) <= TIE_TOL * td:
+                assert threshold is None, (scenario, model)
+            else:
+                lo, hi = 0.0, 1.0
+                while hi - lo > 1e-11:
+                    mid = 0.5 * (lo + hi)
+                    if walk_vs_wait_advantage(scenario, model, mid) < 0.0:
+                        lo = mid
+                    else:
+                        hi = mid
+                assert abs(threshold - 0.5 * (lo + hi)) <= 1e-9, (scenario, model)
+                interior += 1
+        assert interior >= 80
 
-    def test_short_headways_infeasible(self):
-        assert uniform_pc_threshold(0.8) is None
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            uniform_pc_threshold(0.0)
-
-    @pytest.mark.parametrize("ratio", [True, "1.5", math.nan, math.inf])
-    def test_ratio_follows_the_positive_rule(self, ratio):
-        with pytest.raises(ValueError, match="^headway ratio must be"):
-            uniform_pc_threshold(ratio)
+    def test_walking_that_only_ties_at_full_catch_is_none(self):
+        # Uniform(t_delta): the advantage at p_catch 1 is 0.0, a tie, as at
+        # ratio 0.8; the closed form answers 1.0 there
+        assert walk_vs_wait_advantage(S0, Uniform(24.0), 1.0) == 0.0
+        assert vigilant_threshold(S0, Uniform(24.0)) is None
+        assert uniform_pc_threshold(1.0) == 1.0
+        # just above it walking wins at p_catch 1 by t_delta (r - 1)^2 / 2r:
+        # within TIE_TOL t_delta that is still a tie, beyond it a root near 1
+        for r, tied in [(1 + 1e-7, True), (1 + 1e-6, True), (1 + 1e-5, False)]:
+            advantage = walk_vs_wait_advantage(S0, Uniform(r * 24.0), 1.0)
+            assert (advantage <= TIE_TOL * 24.0) == tied, r
+            threshold = vigilant_threshold(S0, Uniform(r * 24.0))
+            assert threshold is None if tied else 1.0 - 1e-9 < threshold < 1.0, r
 
 
 class TestPlanValidation:

@@ -21,6 +21,7 @@ from walkwait import (
     expected_tt_wait_forever,
     find_stationary_points,
     optimal_policy,
+    vigilant_threshold,
 )
 from walkwait.arrivals import (
     SCAN_POINTS,
@@ -860,6 +861,19 @@ class TestClassifyUniform:
         with pytest.raises(ValueError, match="^headway must be"):
             Uniform(headway)
 
+    @pytest.mark.parametrize("k", [1e-9, 1e-6, 1.0, 1e5, 1e9])
+    def test_case2_exactly_when_the_optimizer_finds_a_maximum(self, k):
+        # at H = t_delta, E'(W) = -W/H < 0 on (0, H): no interior maximum
+        scenario = Scenario(3 * k, 0.1, 0.5)
+        td = scenario.t_delta
+        below, above = math.nextafter(td, 0.0), math.nextafter(td, math.inf)
+        for headway in [td * (1 + 1e-3 * i) for i in range(-5, 6)] + [below, td, above]:
+            maxima = [sp for sp in find_stationary_points(scenario, Uniform(headway))
+                      if sp.kind == "maximum"]
+            case = classify_uniform(scenario, headway)
+            assert (case == "case2_wait_with_interior_max") == bool(maxima), (k, headway)
+            assert case == ("case1_wait" if headway <= td else "case2_wait_with_interior_max")
+
     def test_headway_whose_density_overflows_rejected(self):
         # the regimes come from the verdict on Uniform(headway), so the
         # headway meets Uniform's whole rule; 1e-310 read "case1_wait" before
@@ -872,8 +886,9 @@ TIE_SCALES = [1e-9, 1e-6, 1.0, 1e5, 1e9]
 
 
 class TestOneTieRule:
-    """compare_wait_walk, the flat marker, _best_policy and classify_uniform
-    decide a tie by one rule, TIE_TOL relative to t_delta, at every scale."""
+    """compare_wait_walk, the flat marker, _best_policy, classify_uniform and
+    vigilant_threshold decide a tie by one rule, TIE_TOL relative to t_delta,
+    at every scale."""
 
     @pytest.mark.parametrize("k", TIE_SCALES)
     @pytest.mark.parametrize(
@@ -904,13 +919,24 @@ class TestOneTieRule:
                     verdict = compare_wait_walk(scenario, model)
                     kinds = [sp.kind for sp in find_stationary_points(scenario, model)]
                     assert ("flat" in kinds) == (verdict == "indifferent"), (eps, type(model))
+                    # walking ties or wins with no bus caught exactly when the verdict is not wait
+                    threshold = vigilant_threshold(scenario, model)
+                    assert (threshold == 0.0) == (verdict != "wait"), (eps, type(model))
                     if verdict == "indifferent":
                         assert optimal_policy(scenario, model).strategy == "walk_now"
 
-    def test_the_verdict_of_analyze_is_the_choice_of_optimize(self):
-        # analyze said "wait" here while optimize reported a flat rate and walked
-        scenario = Scenario(4420.385489116159, 0.11306303442254359, 0.35660298232657217)
-        model = Exponential(3.745202068439596e-05)
+    @pytest.mark.parametrize(
+        "scenario, model",
+        [
+            # analyze said "wait" here while optimize reported a flat rate and walked
+            (Scenario(4420.385489116159, 0.11306303442254359, 0.35660298232657217),
+             Exponential(3.745202068439596e-05)),
+            # configs/exponential24.json (3 km at 6 and 30 km/h) with the mean
+            # 5e-13 relative off t_delta
+            (Scenario(3.0, 6.0 / 60.0, 30.0 / 60.0), Exponential(0.041666666666645834)),
+        ],
+    )
+    def test_the_verdict_of_analyze_is_the_choice_of_optimize(self, scenario, model):
         assert compare_wait_walk(scenario, model) == "indifferent"
         assert [sp.kind for sp in find_stationary_points(scenario, model)] == ["flat"]
         assert optimal_policy(scenario, model).strategy == "walk_now"
