@@ -130,7 +130,14 @@ class ArrivalModel(ABC):
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, size=None):
-        """Draw arrival times; deterministic given the generator state."""
+        """Draw arrival times; deterministic given the generator state.
+
+        The simulator only reads the array returned, so a sampler may hand
+        out a cached or read-only array.  An estimate runs its chunks on
+        several threads, each with its own generator, only when ``sample``
+        and any ``_draw`` are the bundled ones of this module, each of which
+        returns a fresh array per call; a subclass that defines either keeps
+        every chunk on the calling thread."""
 
     def partial_mean(self, t: float) -> float:
         """M1(t) = integral of tau p(tau) over [0, t].

@@ -2,8 +2,15 @@
 expectation in the package.
 
 Estimates are chunked, with one RNG substream per chunk keyed by (seed,
-chunk index), so results are bit-identical for a fixed seed no matter how
-the chunks would be distributed across workers.
+chunk index), and the chunks' means and sums of squared deviations are
+merged in chunk order, so results are bit-identical for a fixed seed however
+the chunks are spread over threads.  ``estimate`` runs them on the calling
+thread and one helper thread per further CPU the process may use, at most
+one per chunk; numpy releases the GIL in the draws, the kernel and the
+reductions.  A one-chunk estimate starts no thread, and neither does a model
+whose ``sample`` or ``_draw`` is defined outside ``walkwait.arrivals``: the
+bundled samplers return a fresh array per call, but another sampler may hand
+every call one cached array, which two chunks in flight would share.
 
 Each chunk works in place, and only in arrays the kernel allocated: the
 arrival times a model's ``sample`` returns are read, never written, since a
@@ -11,7 +18,8 @@ sampler may hand out a cached or read-only array.  The bundled samplers
 scale and blend their own fresh draws in place, and the piecewise sampler
 gathers each per-piece column at the line that reads it, so a chunk's peak is
 about five chunk-sized arrays on a piecewise model and three to four and a
-quarter on the others, the previous chunk's journeys included.  Two cuts were
+quarter on the others, the calling thread's previous journeys included; each
+chunk in flight on a helper adds at most one more such set.  Two cuts were
 measured and left out: ``np.putmask`` for the boarding blend made an
 estimate 1.1-1.4x slower, and releasing the previous chunk's journeys before
 the next draw more than tripled the page faults of an estimate without pinned
@@ -22,6 +30,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +133,72 @@ def _seed(seed) -> int:
     return seed
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    keeps one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fresh_draws(model: ArrivalModel) -> bool:
+    """True when the model draws only through the bundled samplers, each of
+    which returns a fresh array per call; a ``sample`` or ``_draw`` defined
+    elsewhere may hand every call one cached array.  Judged by the defining
+    module, which a ``functools.wraps`` wrapper keeps."""
+    cls = type(model)
+    return all(
+        getattr(cls, name).__module__ == ArrivalModel.__module__
+        for name in ("sample", "_draw")
+        if hasattr(cls, name)
+    )
+
+
+def _run_chunks(chunk, chunks: int, helpers: int) -> list:
+    """The results of chunk(0), ..., chunk(chunks - 1), run on the calling
+    thread and ``helpers`` helper threads, which all take indices from one
+    iterator.  chunk(i) returns (result, journeys).  The caller keeps its
+    last journeys alive through its next chunk, as the one-thread loop
+    always has: freed first, their pages went back to the OS and faulted in
+    again.  A helper frees them at once, which keeps each helper's malloc
+    arena one array smaller.
+
+    A failure stops the hand-out and, once every helper has joined, the
+    exception of the lowest failing chunk is raised: every chunk below a
+    handed-out one was handed out first, so that chunk always runs.  An
+    interrupt of the calling thread also stops the hand-out and is raised
+    after the joins.
+    """
+    indices = iter(range(chunks))
+    results = [None] * chunks
+    failed = {}  # chunk index: its exception
+
+    def work(helper: bool):
+        for i in indices:
+            try:
+                results[i], journeys = chunk(i)
+                if helper:
+                    del journeys
+            except (BaseException if helper else Exception) as exc:
+                failed[i] = exc
+                for _ in indices:  # hand out no more chunks
+                    pass
+
+    threads = [threading.Thread(target=work, args=(True,)) for _ in range(helpers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(False)
+    finally:
+        for _ in indices:
+            pass
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
+
+
 def estimate(
     scenario: Scenario,
     model: ArrivalModel,
@@ -139,27 +215,32 @@ def estimate(
     """
     n = _sample_count(n)
     seed = _seed(seed)
-    total_n = 0
-    mean = 0.0
-    m2 = 0.0
-    # an overflow leaves inf or nan in the sums, which the check below
-    # rejects, rather than a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for chunk_idx, start in enumerate(range(0, n, CHUNK)):
-            size = min(CHUNK, n - start)
-            rng = np.random.default_rng([seed, chunk_idx])
-            x = _travel_times(scenario, model, plan, rng, size)
+    sizes = [min(CHUNK, n - start) for start in range(0, n, CHUNK)]
+
+    def chunk(chunk_idx):
+        rng = np.random.default_rng([seed, chunk_idx])
+        # an overflow leaves inf or nan in the sums, which the check below
+        # rejects, rather than a warning; each thread starts from numpy's
+        # default error state
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = _travel_times(scenario, model, plan, rng, sizes[chunk_idx])
             c_mean = float(x.mean())
             # the squared deviations, in place: x is _travel_times' own array
             x -= c_mean
             x *= x
-            c_m2 = float(x.sum())
-            # Chan et al. pairwise merge
-            delta = c_mean - mean
-            new_n = total_n + size
-            m2 += c_m2 + delta * delta * total_n * size / new_n
-            mean += delta * size / new_n
-            total_n = new_n
+            return (c_mean, float(x.sum())), x
+
+    helpers = min(len(sizes), _cpus()) - 1 if _fresh_draws(model) else 0
+    total_n = 0
+    mean = 0.0
+    m2 = 0.0
+    # Chan et al. pairwise merge, in chunk order
+    for size, (c_mean, c_m2) in zip(sizes, _run_chunks(chunk, len(sizes), helpers)):
+        delta = c_mean - mean
+        new_n = total_n + size
+        m2 += c_m2 + delta * delta * total_n * size / new_n
+        mean += delta * size / new_n
+        total_n = new_n
     stderr = math.sqrt(m2 / (total_n - 1) / total_n)
     if not (math.isfinite(mean) and math.isfinite(stderr)):
         raise ValueError(

@@ -2,7 +2,11 @@
 
 import functools
 import math
+import sys
+import threading
+import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from walkwait import (
     expected_tt_plan,
     simulate_once,
 )
+from walkwait import arrivals, mcsim
 from walkwait.mcsim import CHUNK, _travel_times
 
 from _models import random_model, random_scenario
@@ -394,24 +399,225 @@ WORKING_SET = [[3.0, 4.25, 4.25], [3.0, 4.25, 4.25], [3.25, 4.25, 4.25], [5.0, 5
 WORKING_SET_SLACK = 0.05
 
 
+@pytest.fixture
+def helpers(monkeypatch):
+    """Sets the helper threads an estimate of enough chunks starts, through
+    the CPU count it reads."""
+
+    def set_helpers(count):
+        monkeypatch.setattr(mcsim, "_cpus", lambda: count + 1)
+
+    return set_helpers
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The helper threads that estimates start, in order."""
+    threads = []
+
+    def thread(*args, **kwargs):
+        threads.append(threading.Thread(*args, **kwargs))
+        return threads[-1]
+
+    monkeypatch.setattr(mcsim, "threading", types.SimpleNamespace(Thread=thread))
+    return threads
+
+
+def traced_peak(model, strategy):
+    """The traced peak of estimate(S0, model, strategy, PINNED_N, 2024), in
+    chunk-sized float arrays."""
+    estimate(S0, model, strategy, 1000, 0)  # builds the model's tables
+    tracemalloc.start()
+    try:
+        estimate(S0, model, strategy, PINNED_N, 2024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * CHUNK)
+
+
+WORKING_SET_CASES = [
+    pytest.param(model, strategy, WORKING_SET[i][j], id=f"{type(model).__name__}-{j + 1}")
+    for i, model in enumerate(MODELS)
+    for j, strategy in enumerate(STRATEGIES[1:])
+]
+
+
 class TestWorkingSet:
-    @pytest.mark.parametrize(
-        "model, strategy, arrays",
-        [
-            pytest.param(model, strategy, WORKING_SET[i][j], id=f"{type(model).__name__}-{j + 1}")
-            for i, model in enumerate(MODELS)
-            for j, strategy in enumerate(STRATEGIES[1:])
-        ],
-    )
-    def test_estimate_peak_in_chunk_arrays(self, model, strategy, arrays):
-        estimate(S0, model, strategy, 1000, 0)  # builds the model's tables
-        tracemalloc.start()
-        try:
-            estimate(S0, model, strategy, PINNED_N, 2024)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        chunks = peak / (8 * CHUNK)
+    @pytest.mark.parametrize("model, strategy, arrays", WORKING_SET_CASES)
+    def test_estimate_peak_in_chunk_arrays(self, model, strategy, arrays, helpers):
+        helpers(0)
+        chunks = traced_peak(model, strategy)
         # at least the draws and the journeys: numpy reports its arrays
         assert chunks >= 2.0
         assert chunks <= arrays + WORKING_SET_SLACK
+
+    @pytest.mark.parametrize("model, strategy, arrays", WORKING_SET_CASES)
+    def test_each_chunk_in_flight_adds_one_working_set(self, model, strategy, arrays, helpers):
+        # two chunks in flight, the caller's and one helper's: each holds at
+        # most one chunk's set, so the peak depends on how the two interleave
+        # but never passes twice the set (8.02 arrays at most on the
+        # piecewise model, and 6.52 on the others, over 20 runs of each)
+        helpers(1)
+        chunks = traced_peak(model, strategy)
+        assert chunks >= 2.0
+        assert chunks <= 2 * arrays + WORKING_SET_SLACK
+
+
+def chunk_index(rng):
+    """The chunk an estimate's generator was keyed for."""
+    return rng.bit_generator.seed_seq.entropy[1]
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """(chunk index, the thread that ran it), in the order estimates run
+    their chunks; the calling thread sleeps 10 ms before each of its chunks,
+    so that its helpers take the others."""
+    record = []
+    caller = threading.get_ident()
+
+    def slowed(scenario, model, plan, rng, size):
+        record.append((chunk_index(rng), threading.get_ident()))
+        if threading.get_ident() == caller:
+            time.sleep(0.01)
+        return _travel_times(scenario, model, plan, rng, size)
+
+    monkeypatch.setattr(mcsim, "_travel_times", slowed)
+    return record
+
+
+def helper_ran(runs):
+    return any(thread != threading.get_ident() for _, thread in runs)
+
+
+class TestHelperThreads:
+    """The chunks of one estimate, on the calling thread and its helpers:
+    the same bits, errors and warnings as on one thread."""
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    @pytest.mark.parametrize("model, strategy, pinned", pinned_cases())
+    def test_pinned_stream_for_any_helper_count(self, model, strategy, pinned, count, helpers):
+        # three helpers are more than the partial estimate's other chunks
+        helpers(count)
+        result = estimate(S0, model, strategy, PINNED_N, 2024)
+        assert (result.mean.hex(), result.stderr.hex()) == pinned
+
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=range(len(STRATEGIES)))
+    @pytest.mark.parametrize("model", MODELS, ids=lambda model: type(model).__name__)
+    def test_a_million_journeys_for_any_helper_count(self, model, strategy, helpers):
+        bits = set()
+        for count in (0, 1, 3):
+            helpers(count)
+            result = estimate(S0, model, strategy, 10**6, 99)
+            bits.add((result.mean.hex(), result.stderr.hex()))
+        assert len(bits) == 1
+
+    def test_more_threads_than_cpus_run_each_chunk_once(self, helpers, runs):
+        # eight threads on one shared iterator, switching every microsecond:
+        # a chunk handed out twice, or lost, shows in the record
+        helpers(0)
+        expected = estimate(S0, MODELS[3], STRATEGIES[3], 32 * CHUNK, 7)
+        runs.clear()
+        helpers(7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = estimate(S0, MODELS[3], STRATEGIES[3], 32 * CHUNK, 7)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(chunk for chunk, _ in runs) == list(range(32))
+        assert helper_ran(runs)
+        assert result == expected
+
+    def test_helpers_start_for_bundled_samplers(self, helpers, started, runs):
+        helpers(3)
+        result = estimate(S0, Uniform(30.0), WaitForever(), PINNED_N, 2024)
+        assert (result.mean.hex(), result.stderr.hex()) == PINNED[0][1]
+        assert len(started) == 2  # one per chunk past the caller's
+        assert sorted(chunk for chunk, _ in runs) == [0, 1, 2]
+        assert helper_ran(runs)
+
+    def test_a_wrapped_sampler_keeps_its_helpers(self, helpers, started, monkeypatch):
+        # a tracer wraps methods with functools.wraps: the wrapper is no
+        # sampler of another module
+        sample = arrivals._LinearDensity.sample
+
+        @functools.wraps(sample)
+        def wrapped(self, rng, size=None):
+            return sample(self, rng, size)
+
+        monkeypatch.setattr(arrivals._LinearDensity, "sample", wrapped)
+        helpers(3)
+        estimate(S0, Uniform(30.0), WaitForever(), PINNED_N, 2024)
+        assert len(started) == 2
+
+    def test_one_chunk_starts_no_thread(self, helpers, started):
+        helpers(3)
+        estimate(S0, Uniform(30.0), WaitForever(), CHUNK, 2024)
+        assert started == []
+
+    @pytest.mark.parametrize("model, strategy, pinned", pinned_cases([CachedDraws(30.0)]))
+    def test_own_sampler_runs_on_one_thread(self, model, strategy, pinned, helpers, started):
+        helpers(3)
+        result = estimate(S0, model, strategy, PINNED_N, 2024)
+        assert (result.mean.hex(), result.stderr.hex()) == pinned
+        assert started == []
+
+    def test_own_draw_runs_on_one_thread(self, helpers, started):
+        class OwnDraw(Uniform):
+            def _draw(self, rng, n):
+                return super()._draw(rng, n)
+
+        helpers(3)
+        result = estimate(S0, OwnDraw(30.0), WaitForever(), PINNED_N, 2024)
+        assert (result.mean.hex(), result.stderr.hex()) == PINNED[0][1]
+        assert started == []
+
+    def test_overflow_in_a_helper_is_the_estimate_error(self, helpers, runs):
+        # numpy's error state is per thread: a helper that did not ignore
+        # the overflow would warn, an error under the suite's filter
+        helpers(1)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="overflows the floats"):
+            estimate(S0, Exponential(1e-160), WaitForever(), 3 * CHUNK, 0)
+        assert threading.active_count() == before
+        assert helper_ran(runs)
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_the_lowest_failing_chunk_raises(self, count, helpers, monkeypatch):
+        # chunk 5 fails last: the chunks after it fail at once, on the
+        # other threads, while it sleeps
+        def failing(scenario, model, plan, rng, size):
+            if chunk_index(rng) == 5:
+                time.sleep(0.02)
+            if chunk_index(rng) >= 5:
+                raise RuntimeError(f"chunk {chunk_index(rng)}")
+            return _travel_times(scenario, model, plan, rng, size)
+
+        monkeypatch.setattr(mcsim, "_travel_times", failing)
+        helpers(count)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^chunk 5$"):
+            estimate(S0, Uniform(30.0), WaitForever(), 16 * CHUNK, 0)
+        assert threading.active_count() == before
+
+    def test_an_interrupted_caller_stops_the_hand_out(self, helpers, monkeypatch):
+        ran = []
+        caller = threading.get_ident()
+
+        def interrupted(scenario, model, plan, rng, size):
+            if threading.get_ident() == caller:
+                raise KeyboardInterrupt
+            ran.append(chunk_index(rng))
+            time.sleep(0.01)
+            return _travel_times(scenario, model, plan, rng, size)
+
+        monkeypatch.setattr(mcsim, "_travel_times", interrupted)
+        helpers(1)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            estimate(S0, Uniform(30.0), WaitForever(), 16 * CHUNK, 0)
+        assert threading.active_count() == before
+        # the helper's chunks end with the one it held
+        assert len(ran) < 15
