@@ -15,11 +15,9 @@ from .arrivals import (
     model_from_config,
 )
 from .expectation import (
-    GradientPair,
     Scenario,
     expected_tt,
     expected_tt_curve,
-    expected_tt_gradient,
     expected_tt_wait_forever,
 )
 from .intermediate import (
@@ -29,7 +27,6 @@ from .intermediate import (
     plan_curve_d1,
     plan_gradient_d1,
     plan_gradient_tw,
-    prob_miss,
     vigilant_curve,
     vigilant_threshold,
     walk_vs_wait_advantage,
@@ -42,7 +39,6 @@ from .mcsim import (
     WalkNow,
     analytic_expectation,
     estimate,
-    simulate_once,
 )
 from .optimizer import (
     PolicyChoice,
@@ -56,7 +52,6 @@ from .optimizer import (
 __all__ = [
     "ArrivalModel",
     "Exponential",
-    "GradientPair",
     "LateBusMixture",
     "PiecewiseLinearDensity",
     "PolicyChoice",
@@ -76,7 +71,6 @@ __all__ = [
     "estimate",
     "expected_tt",
     "expected_tt_curve",
-    "expected_tt_gradient",
     "expected_tt_plan",
     "expected_tt_wait_forever",
     "expected_tt_walk_vigilant",
@@ -86,8 +80,6 @@ __all__ = [
     "plan_curve_d1",
     "plan_gradient_d1",
     "plan_gradient_tw",
-    "prob_miss",
-    "simulate_once",
     "vigilant_curve",
     "vigilant_threshold",
     "walk_vs_wait_advantage",

@@ -3,12 +3,12 @@
 Each model exposes the density p(t), the CDF F(t), the survival function
 R(t) = 1 - F(t) = Pr{bus not yet arrived by t}, the partial mean
 M1(t) = integral of tau p(tau) over [0, t], the appearance rate
-lambda(t) = p(t)/R(t) together with its slope, the mean arrival time, and
-seeded sampling for the simulator.  Every expected travel time in the
-package is linear in F and M1.  Time is measured in minutes throughout.
+lambda(t) = p(t)/R(t), the mean arrival time, and seeded sampling for the
+simulator.  Every expected travel time in the package is linear in F and
+M1.  Time is measured in minutes throughout.
 
-Each model states p, p', F and R once, in ``_at``; the base class derives
-the rest, and ``at`` hands the expectation layer all four from one lookup.
+Each model states p, F and R once, in ``_at``; the base class derives the
+rest, and ``at`` hands the expectation layer all three from one lookup.
 ``Uniform``, ``LateBusMixture`` and ``PiecewiseLinearDensity`` are linear on
 each of a few pieces and list them once; ``_LinearDensity`` builds one table
 from them, one row per piece, which gives ``_at``, the appearance rate (the
@@ -111,7 +111,7 @@ class ArrivalModel(ABC):
     """A bus arrival-time distribution on a subset of [0, inf).
 
     Subclasses implement ``support_end``, ``_at``, ``mean`` and ``sample``;
-    density, slope, CDF, survival and appearance rate all come from ``_at``.
+    density, CDF, survival and appearance rate all come from ``_at``.
     """
 
     @property
@@ -120,9 +120,9 @@ class ArrivalModel(ABC):
         """Upper end of the support (math.inf for unbounded models)."""
 
     @abstractmethod
-    def _at(self, t: float) -> tuple[float, float, float, float]:
-        """(p(t), p'(t), F(t), R(t)) at a checked time t >= 0; p and p' are
-        zero outside the support and right-continuous at kinks."""
+    def _at(self, t: float) -> tuple[float, float, float]:
+        """(p(t), F(t), R(t)) at a checked time t >= 0; p is zero outside
+        the support and right-continuous at jumps."""
 
     @abstractmethod
     def mean(self) -> float:
@@ -188,41 +188,27 @@ class ArrivalModel(ABC):
         """Times where the density or its slope is discontinuous."""
         return ()
 
-    def at(self, t: float) -> tuple[float, float, float, float]:
-        """(p(t), p'(t), F(t), R(t)) from one lookup. Raises on NaN and
-        negative t."""
+    def at(self, t: float) -> tuple[float, float, float]:
+        """(p(t), F(t), R(t)) from one lookup. Raises on NaN and negative t."""
         return self._at(_check_time(t))
 
     def density(self, t: float) -> float:
         """p(t); zero outside the support. Raises on negative t."""
         return self._at(_check_time(t))[0]
 
-    def density_slope(self, t: float) -> float:
-        """p'(t), right-continuous at kinks."""
-        return self._at(_check_time(t))[1]
-
     def cdf(self, t: float) -> float:
         """F(t) = Pr{arrival <= t}."""
-        return self._at(_check_time(t))[2]
+        return self._at(_check_time(t))[1]
 
     def survival(self, t: float) -> float:
-        return self._at(_check_time(t))[3]
+        return self._at(_check_time(t))[2]
 
     def appearance_rate(self, t: float) -> float:
         t = _check_time(t)
-        p, _, _, r = self._at(t)
+        p, _, r = self._at(t)
         if r <= 0.0:
             raise UndefinedRateError(f"survival is zero at t={t}")
         return p / r
-
-    def appearance_rate_slope(self, t: float) -> float:
-        """lambda'(t) = p'(t) / R(t) + lambda(t)^2, from one ``_at`` lookup."""
-        t = _check_time(t)
-        p, slope, _, r = self._at(t)
-        if r <= 0.0:
-            raise UndefinedRateError(f"survival is zero at t={t}")
-        rate = p / r
-        return slope / r + rate * rate
 
     def _sign_changes(self, t_delta: float, end: float) -> list[tuple[float, str]]:
         """Where E'(t) = R(t) - t_delta p(t) changes sign in (0, end), as
@@ -361,17 +347,17 @@ class _LinearDensity(ArrivalModel):
         # the pieces tile [first start, support end) with no gap
         i = bisect_right(self._starts, t) - 1
         if i < 0:
-            return 0.0, 0.0, 0.0, 1.0
-        t0, t1, y0, _, dy, cum, width, slope, half_slope, _ = self._pieces[i]
+            return 0.0, 0.0, 1.0
+        t0, t1, y0, _, dy, cum, width, _, half_slope, _ = self._pieces[i]
         if t >= t1:
-            return 0.0, 0.0, 1.0, 0.0
+            return 0.0, 1.0, 0.0
         x = t - t0
         F = cum + y0 * x + half_slope * x * x
-        return y0 + dy * x / width, slope, F, 1.0 - F
+        return y0 + dy * x / width, F, 1.0 - F
 
     def appearance_rate(self, t):
-        # p / R from the row _at reads, with its operands in its order and
-        # without its slope: the base class's value and error, bit for bit.
+        # p / R from the row _at reads, with its operands in its order: the
+        # base class's value and error, bit for bit.
         # The scan calls it once per grid point, so a plain float >= 0 skips
         # the call of the time rule.
         if t.__class__ is not float or not t >= 0.0:
@@ -477,19 +463,14 @@ class Exponential(ArrivalModel):
         return math.inf
 
     def _at(self, t):
-        # R is the exact e^-rt, not 1 - F; p' is -r * p, as r * r overflows where e is 0
+        # R is the exact e^-rt, not 1 - F
         r = self.rate
         e = math.exp(-r * t)
-        p = r * e
-        return p, -r * p, -math.expm1(-r * t), e
+        return r * e, -math.expm1(-r * t), e
 
     def appearance_rate(self, t):
         _check_time(t)
         return self.rate
-
-    def appearance_rate_slope(self, t):
-        _check_time(t)
-        return 0.0
 
     def _sign_changes(self, t_delta, end):
         # the rate is constant: E' keeps one sign, or is flat where the mean ties t_delta

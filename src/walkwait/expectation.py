@@ -1,4 +1,4 @@
-"""Expected travel time under a wait-then-walk policy, with derivatives.
+"""Expected travel time under a wait-then-walk policy, and its slope in the wait.
 
 The traveller waits up to ``t_wait`` minutes for a bus, boarding if it comes,
 and otherwise walks the whole way.  ``t_wait = math.inf`` means wait forever;
@@ -49,15 +49,6 @@ class Scenario:
                              t_delta=t_delta, q=q)
 
 
-@dataclass(frozen=True)
-class GradientPair:
-    """First and second derivative of expected travel time in the wait time."""
-
-    first: float
-    second: float
-    one_sided: bool = False
-
-
 def _walk_and_wait(scenario, model, t1, t_wait, p_catch) -> tuple:
     """Expected time of walking until the head start over the bus has shrunk
     by t1 minutes (catching a passing bus with probability p_catch), then
@@ -75,7 +66,7 @@ def _walk_and_wait(scenario, model, t1, t_wait, p_catch) -> tuple:
     """
     end = t1 + t_wait
     if math.isfinite(end):
-        p, _, F, R = model.at(end)
+        p, F, R = model.at(end)
         m = model.partial_mean(end)
         e = scenario.bus_time * F + m + R * (scenario.walk_time + t_wait)
     else:
@@ -84,7 +75,7 @@ def _walk_and_wait(scenario, model, t1, t_wait, p_catch) -> tuple:
     p1 = p if end == t1 else None  # with no wait, T is t1
     if t1 > 0.0:
         if p1 is None:
-            p1, _, F, _ = model.at(t1)
+            p1, F, _ = model.at(t1)
             m = model.partial_mean(t1)
         e += (1.0 - p_catch) * (scenario.t_delta * F - m)
     return e, p, R, p1
@@ -99,10 +90,10 @@ def expected_tt(scenario: Scenario, model: ArrivalModel, t_wait: float) -> float
 
 
 def expected_tt_curve(scenario: Scenario, model: ArrivalModel, waits) -> list[tuple]:
-    """Rows (W, E(W), E'(W)) for each wait W, in any order: the values of
-    expected_tt and expected_tt_gradient(...).first, bit for bit, with
-    E' = R(W) - t_delta p(W) formed from the lookups of E, so each row reads
-    its wait once.  Each wait is checked as expected_tt checks it.
+    """Rows (W, E(W), E'(W)) for each wait W, in any order: E is
+    expected_tt's value, bit for bit, and E' = R(W) - t_delta p(W) is formed
+    from the lookups of E, so each row reads its wait once.  Each wait is
+    checked as expected_tt checks it.
     """
     td = scenario.t_delta
     rows = []
@@ -116,22 +107,3 @@ def expected_tt_curve(scenario: Scenario, model: ArrivalModel, waits) -> list[tu
 def expected_tt_wait_forever(scenario: Scenario, model: ArrivalModel) -> float:
     """Expected travel time when committed to waiting for the bus."""
     return scenario.bus_time + model.mean()
-
-
-def _wait_gradient(model: ArrivalModel, t: float, td: float) -> GradientPair:
-    """d/dW and d2/dW2 of a wait that ends at time t, with break-even wait td."""
-    p, slope, _, R = model.at(t)
-    return GradientPair(
-        first=R - td * p, second=-p - td * slope, one_sided=t in model.breakpoints()
-    )
-
-
-def expected_tt_gradient(
-    scenario: Scenario, model: ArrivalModel, t_wait: float
-) -> GradientPair:
-    """d/dW and d2/dW2 of expected_tt at t_wait.
-
-    At a density kink the second component uses the right-hand density slope
-    and the result is flagged one_sided.
-    """
-    return _wait_gradient(model, _check_time(t_wait, "wait time"), scenario.t_delta)

@@ -5,7 +5,8 @@ While walking a distance d1 the traveller's head start over the bus shrinks
 by t1 = d1 * q minutes; a bus passing in that window is caught with
 probability p_catch.  Caught-bus travel times are clocked by the bus's
 arrival at the *starting* point, since the arrival density refers to a fixed
-point on the route.
+point on the route.  There is one bus: a walker it passes and who does not
+catch it walks on to the destination, with no wait at the stop.
 
 Every strategy is a plan: walking now is (0, 0, 0), waiting up to W minutes
 at the origin is (0, W, 0) and waiting forever is (0, inf, 0).  Each plan
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .arrivals import ArrivalModel, _check_time, _number, _probability, _tie
-from .expectation import GradientPair, Scenario, _wait_gradient, _walk_and_wait
+from .expectation import Scenario, _walk_and_wait
 
 
 def _d1(value) -> float:
@@ -57,13 +58,6 @@ class WalkAndWaitPlan:
         return _head_start(scenario, self.d1)
 
 
-def prob_miss(
-    scenario: Scenario, model: ArrivalModel, plan: WalkAndWaitPlan
-) -> float:
-    """Probability a bus passes before the intermediate stop is reached."""
-    return model.cdf(plan.t1(scenario))
-
-
 def expected_tt_plan(
     scenario: Scenario, model: ArrivalModel, plan: WalkAndWaitPlan
 ) -> float:
@@ -76,16 +70,12 @@ def expected_tt_plan(
     return _walk_and_wait(scenario, model, plan.t1(scenario), plan.t_wait, plan.p_catch)[0]
 
 
-def plan_gradient_tw(
-    scenario: Scenario, model: ArrivalModel, plan: WalkAndWaitPlan
-) -> GradientPair:
-    """Derivatives of the plan's expected time in t_wait.
-
-    The origin-stop gradient, shifted by t1 and with the break-even wait
-    from the intermediate stop, t_delta - t1.
-    """
+def plan_gradient_tw(scenario: Scenario, model: ArrivalModel, plan: WalkAndWaitPlan) -> float:
+    """dE/dt_wait of the plan: R(T) - (t_delta - t1) p(T) at T = t1 + t_wait, the
+    origin's E' shifted by t1, with the break-even wait from the stop, t_delta - t1."""
     t1 = plan.t1(scenario)
-    return _wait_gradient(model, t1 + plan.t_wait, scenario.t_delta - t1)
+    p, _, R = model.at(t1 + plan.t_wait)
+    return R - (scenario.t_delta - t1) * p
 
 
 def plan_gradient_d1(scenario: Scenario, model: ArrivalModel, plan: WalkAndWaitPlan) -> float:

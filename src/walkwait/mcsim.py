@@ -67,20 +67,6 @@ class SimEstimate:
     n: int
 
 
-def simulate_once(
-    scenario: Scenario,
-    model: ArrivalModel,
-    plan: WalkAndWaitPlan,
-    rng: np.random.Generator,
-) -> float:
-    """One journey's travel time in minutes.
-
-    Draw order is fixed: the bus arrival first, then (only when a bus passes
-    during the walking leg of the plan) one uniform for the catch.
-    """
-    return float(_travel_times(scenario, model, plan, rng, 1)[0])
-
-
 def _travel_times(
     scenario: Scenario,
     model: ArrivalModel,

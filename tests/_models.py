@@ -12,6 +12,7 @@ from walkwait import (
     PiecewiseLinearDensity,
     Scenario,
     Uniform,
+    expected_tt_curve,
 )
 from walkwait.arrivals import _LinearDensity
 
@@ -63,9 +64,9 @@ class Triangle(ArrivalModel):
 
     def _at(self, t):
         if t >= 10.0:
-            return 0.0, 0.0, 1.0, 0.0
+            return 0.0, 1.0, 0.0
         F = t / 5.0 - t * t / 100.0
-        return (10.0 - t) / 50.0, -1.0 / 50.0, F, 1.0 - F
+        return (10.0 - t) / 50.0, F, 1.0 - F
 
     def mean(self):
         return 10.0 / 3.0
@@ -127,6 +128,11 @@ def uniform_pc_threshold(headway_ratio: float) -> float | None:
     if headway_ratio > 2.0:
         return 0.0
     return 2.0 * headway_ratio - headway_ratio * headway_ratio
+
+
+def e_prime(scenario, model, w: float) -> float:
+    """E'(w) = R(w) - t_delta p(w), from the one-row expected_tt_curve."""
+    return expected_tt_curve(scenario, model, [w])[0][2]
 
 
 def near_kink(model, t: float, tol: float) -> bool:

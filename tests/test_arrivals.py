@@ -32,7 +32,7 @@ from walkwait import (
 
 from walkwait.arrivals import _LinearDensity
 
-from _models import Triangle, jumpy_knots, near_kink, random_model
+from _models import Triangle, jumpy_knots, random_model
 
 ALL_MODELS = [
     Uniform(headway=30.0),
@@ -146,38 +146,14 @@ class TestAppearanceRate:
         rates = [model.appearance_rate(t) for t in ts]
         assert all(b > a for a, b in zip(rates, rates[1:]))
 
-
-class TestAppearanceRateSlope:
-    def test_uniform_closed_form(self):
-        assert Uniform(30.0).appearance_rate_slope(10.0) == pytest.approx(1.0 / 400.0)
-
-    def test_exponential_flat(self):
-        assert Exponential(0.07).appearance_rate_slope(13.0) == 0.0
-
-    @pytest.mark.parametrize(
-        "w", [0.25, 0.7]
-    )
-    def test_late_bus_sign_matches_finite_difference(self, w):
+    @pytest.mark.parametrize("w", [0.25, 0.7])
+    def test_late_bus_rate_falls_over_the_window_only_for_small_w(self, w):
         # falling rate over the late window needs a small enough
         # still-coming probability; w=0.7 actually rises at t=1
         model = LateBusMixture(still_coming_prob=w, late_window=4.0, next_headway_offset=25.0)
         h = 1e-6
         fd = (model.appearance_rate(1.0 + h) - model.appearance_rate(1.0 - h)) / (2 * h)
-        slope = model.appearance_rate_slope(1.0)
-        assert slope == pytest.approx(fd, rel=1e-4)
-        assert (slope < 0) == (w == 0.25)
-
-    @pytest.mark.parametrize("model", ALL_MODELS)
-    def test_matches_finite_difference_everywhere_smooth(self, model):
-        rng = np.random.default_rng(11)
-        end = min(model.quad_bound(), 100.0)
-        h = 1e-6
-        for _ in range(30):
-            t = rng.uniform(h, end)
-            if model.survival(t) < 1e-3 or near_kink(model, t, 1e-3):
-                continue
-            fd = (model.appearance_rate(t + h) - model.appearance_rate(t - h)) / (2 * h)
-            assert model.appearance_rate_slope(t) == pytest.approx(fd, rel=1e-4, abs=1e-9)
+        assert (fd < 0) == (w == 0.25)
 
 
 class TestMean:
@@ -348,8 +324,6 @@ class TestPartialMean:
             model.survival,
             model.partial_mean,
             model.appearance_rate,
-            model.appearance_rate_slope,
-            model.density_slope,
             model.at,
         )
         for method in methods:
@@ -544,11 +518,11 @@ class TestOneValuePerInput:
         assert estimate(scenario, model, plan, 1000, 0) == estimate(
             scenario, model, WaitForever(), 1000, 0)
 
-    def test_rate_slope_names_a_time_beyond_the_floats(self):
+    def test_rate_names_a_time_beyond_the_floats(self):
         # the time rule reads 10**400 as inf, where the error message's
         # float(t) raised OverflowError
         with pytest.raises(UndefinedRateError, match="survival is zero at t=inf"):
-            Uniform(30.0).appearance_rate_slope(10**400)
+            Uniform(30.0).appearance_rate(10**400)
 
 
 class TestModelFromConfig:
@@ -580,8 +554,7 @@ TIME_MODELS = [
     PiecewiseLinearDensity([(0.0, 0.0), (5.0, 1.0), (12.0, 0.2), (20.0, 0.0)]),
     Triangle(),
 ]
-TIME_METHODS = ("at", "density", "density_slope", "cdf", "survival", "appearance_rate",
-                "appearance_rate_slope", "partial_mean")
+TIME_METHODS = ("at", "density", "cdf", "survival", "appearance_rate", "partial_mean")
 
 
 class TestOneTimeRule:
@@ -629,12 +602,12 @@ class TestPiecewiseLookup:
             def reference(t):
                 for (t0, y0), (t1, y1) in zip(knots, knots[1:]):
                     if t0 <= t < t1:
-                        return y0 + (y1 - y0) * (t - t0) / (t1 - t0), (y1 - y0) / (t1 - t0)
-                return 0.0, 0.0
+                        return y0 + (y1 - y0) * (t - t0) / (t1 - t0)
+                return 0.0
 
             probes = ts + [t + 1.0 for t in ts] + rng.uniform(0.0, 45.0, 50).tolist()
             for t in probes:
-                assert (model.density(t), model.density_slope(t)) == reference(t)
+                assert model.density(t) == reference(t)
 
 
 # the two wrong-policy inputs of the optimizer tests: a narrow spike and a
@@ -790,8 +763,8 @@ class ExactTriangle(Triangle):
     as 1 - F."""
 
     def _at(self, t):
-        p, slope, F, _ = super()._at(t)
-        return p, slope, F, (10.0 - min(t, 10.0)) ** 2 / 100.0
+        p, F, _ = super()._at(t)
+        return p, F, (10.0 - min(t, 10.0)) ** 2 / 100.0
 
 
 class TestPublicLookup:
@@ -807,11 +780,11 @@ class TestPublicLookup:
             Triangle(),
         ],
     )
-    def test_at_is_the_four_pointwise_quantities_bit_for_bit(self, model):
+    def test_at_is_the_three_pointwise_quantities_bit_for_bit(self, model):
         end = model.support_end if math.isfinite(model.support_end) else 200.0
         cuts = [t for b in model.breakpoints() for t in (b, math.nextafter(b, 0.0))]
         for t in np.linspace(0.0, end * 1.01, 2001).tolist() + cuts + [math.inf]:
-            want = (model.density(t), model.density_slope(t), model.cdf(t), model.survival(t))
+            want = (model.density(t), model.cdf(t), model.survival(t))
             # hex tells -0.0 from 0.0
             assert list(map(float.hex, model.at(t))) == list(map(float.hex, want))
         for bad in (math.nan, -1.0, -1e-300):
@@ -820,7 +793,7 @@ class TestPublicLookup:
 
     def test_exponential_survival_is_exact_not_one_minus_cdf(self):
         model = Exponential(rate=0.7)
-        p, _, F, R = model.at(40.0)
+        p, F, R = model.at(40.0)
         assert R == math.exp(-28.0) and R != 1.0 - F and p == 0.7 * R
 
 
@@ -834,10 +807,10 @@ class TestSubclassContract:
     def test_pointwise_quantities_come_from_the_lookup(self):
         m = self.TRIANGLE
         for t in self.TIMES:
-            p, slope, F, R = m._at(t)
-            assert (m.density(t), m.density_slope(t), m.cdf(t)) == (p, slope, F)
+            p, F, R = m._at(t)
+            assert (m.density(t), m.cdf(t)) == (p, F)
             assert m.survival(t) == R == 1.0 - F
-        assert (m.density(10.0), m.density_slope(12.0), m.cdf(math.inf)) == (0.0, 0.0, 1.0)
+        assert (m.density(10.0), m.density(12.0), m.cdf(math.inf)) == (0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             m.density(-1.0)
 
@@ -847,15 +820,11 @@ class TestSubclassContract:
         for t in np.linspace(0.0, 9.99, 1000).tolist():
             R = (10.0 - t) ** 2 / 100.0
             rounded += R != 1.0 - m.cdf(t)
-            assert m.at(t)[3].hex() == m.survival(t).hex() == R.hex()
+            assert m.at(t)[2].hex() == m.survival(t).hex() == R.hex()
             assert m.appearance_rate(t) == m.density(t) / R
             want = s.bus_time * m.cdf(t) + m.partial_mean(t) + R * (s.walk_time + t)
             assert expected_tt(s, m, t) == want
         assert rounded > 100  # 1 - F is not this R
-
-    def test_density_slope_is_exact(self):
-        # a finite difference would be off in the last digits at least
-        assert all(self.TRIANGLE.density_slope(t) == -0.02 for t in self.TIMES)
 
     def test_appearance_rate_is_density_over_survival(self):
         m = self.TRIANGLE
@@ -863,7 +832,6 @@ class TestSubclassContract:
             assert m.appearance_rate(t) == m.density(t) / m.survival(t)
             # R = 1 - F cancels near the end of the support
             assert m.appearance_rate(t) == pytest.approx(2.0 / (10.0 - t), rel=1e-9)
-            assert m.appearance_rate_slope(t) == pytest.approx(2.0 / (10.0 - t) ** 2, rel=1e-9)
         with pytest.raises(UndefinedRateError):
             m.appearance_rate(10.0)
 
@@ -889,47 +857,6 @@ class TestSubclassContract:
             assert abs(est.mean - analytic) / est.stderr < 3.5
 
 
-class TestOneLookupRateSlope:
-    # Exponential keeps its own exact zero slope
-    @pytest.mark.parametrize(
-        "model",
-        [
-            Uniform(headway=30.0),
-            LateBusMixture(still_coming_prob=0.25, late_window=4.0, next_headway_offset=56.0),
-            PiecewiseLinearDensity(DROP_KNOTS),
-            PiecewiseLinearDensity(SPIKE_KNOTS),
-            Triangle(),
-        ],
-    )
-    def test_equals_the_three_lookup_form_bit_for_bit(self, model):
-        end = model.support_end if math.isfinite(model.support_end) else 200.0
-        cuts = [t for b in model.breakpoints() for t in (b, math.nextafter(b, 0.0))]
-        for t in np.linspace(0.0, end * 1.01, 2001).tolist() + cuts:
-            try:
-                rate = model.appearance_rate(t)
-            except UndefinedRateError as undefined:
-                with pytest.raises(UndefinedRateError) as raised:
-                    model.appearance_rate_slope(t)
-                assert str(raised.value) == str(undefined)
-                continue
-            want = model.density_slope(t) / model.survival(t) + rate * rate
-            assert model.appearance_rate_slope(t).hex() == want.hex(), t
-
-    @pytest.mark.parametrize("base", [Triangle, lambda: PiecewiseLinearDensity(DROP_KNOTS)])
-    def test_one_lookup(self, base):
-        model = base()
-        calls = []
-        lookup = model._at
-
-        def counted(t):
-            calls.append(t)
-            return lookup(t)
-
-        model._at = counted  # on the instance: the class keeps its own
-        model.appearance_rate_slope(3.0)
-        assert calls == [3.0]
-
-
 def exact_partial_mean(model, t):
     """M1(t) of a piecewise model's normalized knots, in exact rationals."""
     knots = [(Fraction(a), Fraction(b)) for a, b in zip(model._ts, model._ys)]
@@ -953,7 +880,7 @@ class TestLinearTable:
         assert uniform.mean().hex() == flat.mean().hex()
         cuts = [t for b in flat.breakpoints() for t in (b, math.nextafter(b, 0.0))]
         for t in np.linspace(0.0, 1.2 * h, 1001).tolist() + cuts + [math.inf]:
-            for name in ("density", "density_slope", "cdf", "survival"):
+            for name in ("density", "cdf", "survival"):
                 got, want = getattr(uniform, name)(t), getattr(flat, name)(t)
                 assert got.hex() == want.hex(), (name, t)
 

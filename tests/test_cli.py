@@ -13,10 +13,10 @@ from walkwait import (
     Uniform,
     WalkAndWaitPlan,
     expected_tt,
-    expected_tt_gradient,
     expected_tt_plan,
     model_from_config,
     plan_gradient_d1,
+    plan_gradient_tw,
 )
 from walkwait import arrivals, cli, quadrature
 from walkwait.cli import build_parser, main
@@ -675,7 +675,7 @@ class TestSweepRowsAreTheLibrarysRows:
             "%.12g,%.12g,%.12g" % (
                 x,
                 expected_tt(S_CONFIG, model, x),
-                expected_tt_gradient(S_CONFIG, model, x).first,
+                plan_gradient_tw(S_CONFIG, model, WalkAndWaitPlan(0.0, x, 0.0)),
             )
             for x in sweep_xs(0.0, 40.0, 61)
         ]
@@ -781,7 +781,7 @@ class TestSweepErrors:
             "%.12g,%.12g,%.12g" % (
                 x,
                 expected_tt(S_CONFIG, table, x),
-                expected_tt_gradient(S_CONFIG, table, x).first,
+                plan_gradient_tw(S_CONFIG, table, WalkAndWaitPlan(0.0, x, 0.0)),
             )
             for x in sweep_xs(0.0, 1.1e8, 3)
         ]

@@ -1,4 +1,4 @@
-"""Expected travel time functional and its derivatives."""
+"""Expected travel time functional and its derivative in the wait."""
 
 import math
 import re
@@ -15,7 +15,6 @@ from walkwait import (
     WalkAndWaitPlan,
     expected_tt,
     expected_tt_curve,
-    expected_tt_gradient,
     expected_tt_wait_forever,
 )
 
@@ -25,6 +24,7 @@ from _models import (
     QuadExponential,
     QuadLateBus,
     QuadUniform,
+    e_prime,
     random_model,
     random_scenario,
     smooth_time,
@@ -142,26 +142,20 @@ class TestWaitForever:
 
 class TestGradient:
     def test_stationary_at_headway_minus_t_delta(self):
-        g = expected_tt_gradient(S0, Uniform(30.0), 6.0)
-        assert g.first == pytest.approx(0.0, abs=1e-12)
+        g = e_prime(S0, Uniform(30.0), 6.0)
+        assert g == pytest.approx(0.0, abs=1e-12)
         fd = (
             expected_tt(S0, Uniform(30.0), 6.0 + 1e-4)
             - expected_tt(S0, Uniform(30.0), 6.0 - 1e-4)
         ) / 2e-4
-        assert g.first == pytest.approx(fd, abs=1e-8)
+        assert g == pytest.approx(fd, abs=1e-8)
 
     def test_negative_slope_value(self):
-        g = expected_tt_gradient(S0, Uniform(20.0), 10.0)
-        assert g.first == pytest.approx(-0.7)
+        assert e_prime(S0, Uniform(20.0), 10.0) == pytest.approx(-0.7)
 
     def test_exponential_break_even_vanishes(self):
         for w in (0.0, 5.0, 60.0):
-            g = expected_tt_gradient(S0, Exponential(1.0 / 24.0), w)
-            assert g.first == pytest.approx(0.0, abs=1e-15)
-
-    def test_kink_flagged(self):
-        g = expected_tt_gradient(S0, Uniform(30.0), 30.0)
-        assert g.one_sided
+            assert e_prime(S0, Exponential(1.0 / 24.0), w) == pytest.approx(0.0, abs=1e-15)
 
     def test_first_matches_finite_difference(self):
         rng = np.random.default_rng(10)
@@ -173,30 +167,11 @@ class TestGradient:
             t = smooth_time(model, rng)
             if t < 2 * h:
                 continue
-            g = expected_tt_gradient(scenario, model, t)
             fd = (
                 expected_tt(scenario, model, t + h)
                 - expected_tt(scenario, model, t - h)
             ) / (2 * h)
-            assert np.isclose(fd, g.first, rtol=1e-5, atol=1e-9)
-            checked += 1
-
-    def test_second_matches_finite_difference_of_first(self):
-        rng = np.random.default_rng(20)
-        h = 1e-4
-        checked = 0
-        while checked < 100:
-            scenario = random_scenario(rng)
-            model = random_model(rng)
-            t = smooth_time(model, rng)
-            if t < 2 * h:
-                continue
-            g = expected_tt_gradient(scenario, model, t)
-            fd = (
-                expected_tt_gradient(scenario, model, t + h).first
-                - expected_tt_gradient(scenario, model, t - h).first
-            ) / (2 * h)
-            assert np.isclose(fd, g.second, rtol=1e-5, atol=1e-9)
+            assert np.isclose(fd, e_prime(scenario, model, t), rtol=1e-5, atol=1e-9)
             checked += 1
 
     def test_stationarity_matches_appearance_rate_condition(self):
@@ -206,8 +181,7 @@ class TestGradient:
             scenario = random_scenario(rng)
             model = random_model(rng)
             t = smooth_time(model, rng)
-            g = expected_tt_gradient(scenario, model, t)
-            if abs(g.first) < 1e-12:
+            if abs(e_prime(scenario, model, t)) < 1e-12:
                 residual = abs(
                     model.appearance_rate(t) - 1.0 / scenario.t_delta
                 ) * model.survival(t)
@@ -218,8 +192,6 @@ class TestInputValidation:
     def test_nan_wait_rejected(self):
         with pytest.raises(ValueError):
             expected_tt(S0, Uniform(30.0), math.nan)
-        with pytest.raises(ValueError):
-            expected_tt_gradient(S0, Uniform(30.0), math.nan)
 
     @pytest.mark.parametrize(
         "args",
@@ -238,9 +210,8 @@ class TestOneWaitRule:
     def test_scalars_reject_what_a_plan_rejects(self, wait):
         with pytest.raises(ValueError, match="t_wait"):
             WalkAndWaitPlan(0, wait, 0)
-        for function in (expected_tt, expected_tt_gradient):
-            with pytest.raises(ValueError, match="wait time"):
-                function(S0, Uniform(30.0), wait)
+        with pytest.raises(ValueError, match="wait time"):
+            expected_tt(S0, Uniform(30.0), wait)
 
     @pytest.mark.parametrize("wait", [True, "5", math.nan, -1.0])
     def test_every_curve_row_is_checked(self, wait):
@@ -253,8 +224,10 @@ class TestOneWaitRule:
     )
     def test_rows_in_any_order_are_the_scalars(self, model):
         waits = [math.inf, 70.0, 30.0, 4.0, 2.5, 0.5, 0.0, 12.0]
+        # E' = R - t_delta p, from the model's own lookup
+        slopes = [model.at(w)[2] - S0.t_delta * model.at(w)[0] for w in waits]
         assert expected_tt_curve(S0, model, waits) == [
-            (w, expected_tt(S0, model, w), expected_tt_gradient(S0, model, w).first) for w in waits
+            (w, expected_tt(S0, model, w), g) for w, g in zip(waits, slopes)
         ]
 
 
@@ -285,5 +258,5 @@ class TestOneLookupPerTime:
             counter.lookups = 0
             expected_tt(S0, model, w)
             assert counter.lookups == 1
-            expected_tt_gradient(S0, model, w)
+            expected_tt_curve(S0, model, [w])
             assert counter.lookups == 2

@@ -129,7 +129,7 @@ def test_extreme_parameters_are_rejected_or_exact(kind):
         for t in probe_times(model):
             values = (*model.at(t), model.partial_mean(t), expected_tt(SCENARIO, model, t))
             assert not any(map(math.isnan, values)), (model, t)
-            F, M1, E = values[2], values[4], values[5]
+            F, M1, E = values[1], values[3], values[4]
             assert last - MASS_ROUNDING <= F <= 1.0 + MASS_ROUNDING, (model, t)
             last = F
             # M1 just below the support end and the mean round the same sum

@@ -14,14 +14,13 @@ from walkwait import (
     Uniform,
     WalkAndWaitPlan,
     expected_tt,
-    expected_tt_gradient,
+    expected_tt_curve,
     expected_tt_plan,
     expected_tt_wait_forever,
     expected_tt_walk_vigilant,
     plan_curve_d1,
     plan_gradient_d1,
     plan_gradient_tw,
-    prob_miss,
     vigilant_curve,
     vigilant_threshold,
     walk_vs_wait_advantage,
@@ -39,24 +38,26 @@ def d1_for_t1(scenario, t1):
 
 
 class TestProbMiss:
+    # the probability that the bus passes before the stop is reached, F(t1)
     def test_uniform_value(self):
         plan = WalkAndWaitPlan(d1=d1_for_t1(S0, 12.0), t_wait=0.0, p_catch=0.0)
-        assert prob_miss(S0, Uniform(30.0), plan) == pytest.approx(0.4)
+        assert Uniform(30.0).cdf(plan.t1(S0)) == pytest.approx(0.4)
 
     def test_no_walking_no_miss(self):
         plan = WalkAndWaitPlan(d1=0.0, t_wait=5.0, p_catch=0.5)
-        assert prob_miss(S0, Uniform(30.0), plan) == 0.0
+        assert Uniform(30.0).cdf(plan.t1(S0)) == 0.0
 
     def test_exponential_closed_form(self):
         plan = WalkAndWaitPlan(d1=S0.d, t_wait=0.0, p_catch=0.0)  # t1 = 24
-        assert prob_miss(S0, Exponential(1.0 / 24.0), plan) == pytest.approx(
+        assert Exponential(1.0 / 24.0).cdf(plan.t1(S0)) == pytest.approx(
             1.0 - math.exp(-1.0)
         )
 
     # every entry that prices a plan meets the journey rule where t1 is formed
     @pytest.mark.parametrize(
         "price",
-        [lambda scenario, _, plan: plan.t1(scenario), prob_miss, expected_tt_plan,
+        [lambda scenario, _, plan: plan.t1(scenario),
+         lambda scenario, model, plan: model.cdf(plan.t1(scenario)), expected_tt_plan,
          plan_gradient_tw, plan_gradient_d1],
         ids=["t1", "prob_miss", "expected_tt_plan", "plan_gradient_tw", "plan_gradient_d1"],
     )
@@ -107,14 +108,13 @@ class TestPlanGradientTW:
             w = rng.uniform(0.0, 20.0)
             plan = WalkAndWaitPlan(d1=0.0, t_wait=w, p_catch=0.3)
             got = plan_gradient_tw(scenario, model, plan)
-            want = expected_tt_gradient(scenario, model, w)
-            assert got.first == pytest.approx(want.first, abs=1e-14)
-            assert got.second == pytest.approx(want.second, abs=1e-14)
+            want = expected_tt_curve(scenario, model, [w])[0][2]
+            assert got == pytest.approx(want, abs=1e-14)
 
     def test_uniform_offset_value(self):
         # t1 = 12 on a 30-minute headway: R(12) - 12 * p(12) = 0.6 - 0.4
         plan = WalkAndWaitPlan(d1=d1_for_t1(S0, 12.0), t_wait=0.0, p_catch=0.0)
-        assert plan_gradient_tw(S0, Uniform(30.0), plan).first == pytest.approx(0.2)
+        assert plan_gradient_tw(S0, Uniform(30.0), plan) == pytest.approx(0.2)
 
     def test_matches_finite_difference(self):
         rng = np.random.default_rng(3)
@@ -137,8 +137,7 @@ class TestPlanGradientTW:
                     scenario, model, WalkAndWaitPlan(d1, w - h, plan.p_catch)
                 )
             ) / (2 * h)
-            assert np.isclose(fd, plan_gradient_tw(scenario, model, plan).first,
-                              rtol=1e-5, atol=1e-8)
+            assert np.isclose(fd, plan_gradient_tw(scenario, model, plan), rtol=1e-5, atol=1e-8)
             checked += 1
 
 
@@ -458,9 +457,9 @@ class TestPlanValidation:
             w = float(rng.uniform(0.0, 40.0))
             plan = WalkAndWaitPlan(d1=0.0, t_wait=w, p_catch=float(rng.uniform()))
             assert expected_tt_plan(scenario, model, plan) == expected_tt(scenario, model, w)
-            assert plan_gradient_tw(scenario, model, plan) == expected_tt_gradient(
-                scenario, model, w
-            )
+            assert plan_gradient_tw(scenario, model, plan) == expected_tt_curve(
+                scenario, model, [w]
+            )[0][2]
 
 
 class TestVigilantCatchProbability:

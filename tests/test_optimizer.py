@@ -17,7 +17,7 @@ from walkwait import (
     classify_uniform,
     compare_wait_walk,
     expected_tt,
-    expected_tt_gradient,
+    expected_tt_curve,
     expected_tt_wait_forever,
     find_stationary_points,
     optimal_policy,
@@ -29,6 +29,7 @@ from walkwait.arrivals import (
     ArrivalModel,
     _LinearDensity,
     _scan_sign_changes,
+    _tie,
 )
 from walkwait.optimizer import _best_policy
 from _models import (
@@ -37,6 +38,7 @@ from _models import (
     TablePiecewise,
     Triangle,
     drop_knots,
+    e_prime,
     exact_best_wait,
     jumpy_knots,
     near_kink,
@@ -104,34 +106,34 @@ class TestFindStationaryPoints:
                 )
                 assert residual < 1e-9
                 # and the gradient through the expectation module agrees
-                assert expected_tt_gradient(scenario, model, sp.t_wait).first == (
-                    pytest.approx(0.0, abs=1e-9)
-                )
+                assert e_prime(scenario, model, sp.t_wait) == pytest.approx(0.0, abs=1e-9)
 
-    def test_classification_matches_second_derivative_sign(self):
+    def test_classification_matches_the_sign_change_of_e_prime(self):
+        # E' in the curve rows just below and above: - then + at a minimum
         rng = np.random.default_rng(1)
+        checked = 0
         for _ in range(30):
             scenario = random_scenario(rng)
             model = random_model(rng)
             for sp in find_stationary_points(scenario, model):
-                if sp.kind == "flat" or near_kink(model, sp.t_wait, 1e-6):
+                h = 1e-7 * max(1.0, sp.t_wait)
+                if sp.kind == "flat" or near_kink(model, sp.t_wait, 10.0 * h):
                     continue
-                second = expected_tt_gradient(scenario, model, sp.t_wait).second
+                rows = expected_tt_curve(scenario, model, [sp.t_wait - h, sp.t_wait + h])
+                below, above = (g for _, _, g in rows)
                 if sp.kind == "minimum":
-                    assert second > 0.0
+                    assert below < 0.0 < above
                 else:
-                    assert second < 0.0
+                    assert below > 0.0 > above
+                checked += 1
+        assert checked > 10
 
     def test_minimum_at_density_drop(self):
         # E' jumps from negative to positive at t=4 without vanishing
         minima = [sp for sp in find_stationary_points(S0, DROP) if sp.kind == "minimum"]
         assert [sp.t_wait for sp in minima] == [4.0]
         assert 4.0 in DROP.breakpoints()
-        assert expected_tt_gradient(S0, DROP, 4.0).one_sided
-
-    def test_one_sided_only_at_the_breakpoint_itself(self):
-        # the float just below the drop is on the smooth piece before it
-        assert not expected_tt_gradient(S0, DROP, math.nextafter(4.0, 0.0)).one_sided
+        assert e_prime(S0, DROP, math.nextafter(4.0, 0.0)) < 0.0 < e_prime(S0, DROP, 4.0)
 
     def test_an_infinite_quad_bound_is_named(self):
         # unbounded support with the base class's quad_bound: the search has
@@ -300,9 +302,7 @@ class TestClosedFormSignChanges:
         assert policy.strategy == "wait_then_walk"
         assert policy.t_wait == pytest.approx(0.00997326, abs=1e-8)
         assert policy.t_wait < model.support_end / (SCAN_POINTS + 1)
-        assert expected_tt_gradient(scenario, model, policy.t_wait).first == (
-            pytest.approx(0.0, abs=1e-12)
-        )
+        assert e_prime(scenario, model, policy.t_wait) == pytest.approx(0.0, abs=1e-12)
         walk_now = expected_tt(scenario, model, 0.0)
         assert policy.expected_tt < walk_now - 5e-6
         for w in np.linspace(0.0, 0.05, 501):
@@ -423,7 +423,7 @@ class TestGridScan:
         # 1e-12, but E' = R (1 - t_delta rate) = -7 R never vanishes
         scenario = Scenario(1e13, 0.1, 0.5)
         for model in (Exponential(1e-13), ScannedExponential(1e-13)):
-            assert expected_tt_gradient(scenario, model, 0.0).first == pytest.approx(-7.0)
+            assert e_prime(scenario, model, 0.0) == pytest.approx(-7.0)
             assert find_stationary_points(scenario, model) == []
         rate = 1.0 / scenario.t_delta
         for model in (Exponential(rate), ScannedExponential(rate)):
@@ -588,10 +588,17 @@ PINNED_TABLE = {
 }
 
 
+def table_slope(model, t):
+    """The slope column of the table row that _at reads at t, 0.0 off the
+    support: the density's slope, which _draw and partial_mean read."""
+    i = bisect.bisect_right(model._starts, t) - 1
+    return model._pieces[i][7] if i >= 0 and t < model._pieces[i][1] else 0.0
+
+
 def table_values(model):
-    """float.hex of at(t), appearance_rate(t) (or its error message) and
-    partial_mean(t), one line per t of a grid past the support end plus
-    every breakpoint and the float just below it."""
+    """float.hex of at(t) with the table's slope after p, appearance_rate(t)
+    (or its error message) and partial_mean(t), one line per t of a grid
+    past the support end plus every breakpoint and the float just below it."""
     end = model.support_end
     ts = [end * k / 64 for k in range(81)]
     ts += [x for b in model.breakpoints() for x in (math.nextafter(b, 0.0), b)]
@@ -601,7 +608,9 @@ def table_values(model):
             rate = model.appearance_rate(t).hex()
         except ValueError as exc:
             rate = str(exc)
-        values = [v.hex() for v in model.at(t)] + [rate, model.partial_mean(t).hex()]
+        p, F, R = model.at(t)
+        values = [v.hex() for v in (p, table_slope(model, t), F, R)]
+        values += [rate, model.partial_mean(t).hex()]
         lines.append(" ".join([t.hex()] + values))
     return "\n".join(lines)
 
@@ -952,6 +961,20 @@ class TestOneTieRule:
                     wait = compare_wait_walk(scenario, model) == "wait"
                     strategy = _best_policy(scenario, model, []).strategy
                     assert strategy == ("wait_forever" if wait else "walk_now"), (eps, model)
+
+    def test_a_saving_of_exactly_the_tolerance_ties(self):
+        # the bound is inclusive: a saving of TIE_TOL t_delta is no saving
+        assert _tie(TIE_TOL * 3.0, 3.0) == _tie(-TIE_TOL * 3.0, 3.0) == "indifferent"
+
+    def test_a_minimum_within_the_margin_does_not_win(self):
+        # the wait of 1 min before the drop beats waiting forever by about
+        # 1.2e-11 min, inside TIE_TOL t_delta = 2.4e-11 min
+        model = PiecewiseLinearDensity([[0, 1], [1, 1], [1, 1e-18], [5000, 1e-18]])
+        (minimum,) = find_stationary_points(S0, model)
+        assert minimum.kind == "minimum" and minimum.t_wait == 1.0
+        policy = optimal_policy(S0, model)
+        assert policy.strategy == "wait_forever"
+        assert 0.0 < policy.expected_tt - minimum.expected_tt <= TIE_TOL * S0.t_delta
 
 
 class TestMarginalCase:
