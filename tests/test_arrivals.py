@@ -32,7 +32,7 @@ from walkwait import (
 
 from walkwait.arrivals import _LinearDensity
 
-from _models import Triangle, jumpy_knots, random_model
+from _models import Triangle, jumpy_knots, near_kink, random_model
 
 ALL_MODELS = [
     Uniform(headway=30.0),
@@ -154,6 +154,23 @@ class TestAppearanceRate:
         h = 1e-6
         fd = (model.appearance_rate(1.0 + h) - model.appearance_rate(1.0 - h)) / (2 * h)
         assert (fd < 0) == (w == 0.25)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_is_minus_the_slope_of_log_survival_everywhere_smooth(self, model):
+        # lambda = p / R = -d/dt log R: the density the rate reads is the
+        # slope of the survival it divides by
+        rng = np.random.default_rng(11)
+        end = min(model.quad_bound(), 100.0)
+        h = 1e-6
+        checked = 0
+        for _ in range(30):
+            t = rng.uniform(h, end)
+            if model.survival(t) < 1e-3 or near_kink(model, t, 1e-3):
+                continue
+            fd = -(math.log(model.survival(t + h)) - math.log(model.survival(t - h))) / (2 * h)
+            assert model.appearance_rate(t) == pytest.approx(fd, rel=1e-5, abs=1e-9)
+            checked += 1
+        assert checked >= 10
 
 
 class TestMean:
@@ -648,6 +665,21 @@ class TestOneLookupAppearanceRate:
                     model.appearance_rate(t)
             else:
                 assert model.appearance_rate(t) == model.density(t) / r
+
+    @pytest.mark.parametrize("method", ["at", "density", "cdf", "survival", "appearance_rate"])
+    def test_one_lookup(self, method):
+        # the base class's pointwise methods each read one row of _at
+        model = Triangle()
+        calls = []
+        lookup = model._at
+
+        def counted(t):
+            calls.append(t)
+            return lookup(t)
+
+        model._at = counted  # on the instance: the class keeps its own
+        getattr(model, method)(3.0)
+        assert calls == [3.0]
 
 
 class FixedUniforms:
