@@ -18,18 +18,15 @@ from .expectation import (
     Scenario,
     expected_tt,
     expected_tt_curve,
-    expected_tt_wait_forever,
 )
 from .intermediate import (
     WalkAndWaitPlan,
     expected_tt_plan,
     expected_tt_walk_vigilant,
     plan_curve_d1,
-    plan_gradient_d1,
     plan_gradient_tw,
     vigilant_curve,
     vigilant_threshold,
-    walk_vs_wait_advantage,
 )
 from .mcsim import (
     SimEstimate,
@@ -72,17 +69,14 @@ __all__ = [
     "expected_tt",
     "expected_tt_curve",
     "expected_tt_plan",
-    "expected_tt_wait_forever",
     "expected_tt_walk_vigilant",
     "find_stationary_points",
     "model_from_config",
     "optimal_policy",
     "plan_curve_d1",
-    "plan_gradient_d1",
     "plan_gradient_tw",
     "vigilant_curve",
     "vigilant_threshold",
-    "walk_vs_wait_advantage",
 ]
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import math
 import sys
 
 from .arrivals import ArrivalModel, _number, _positive, _probability, model_from_config
-from .expectation import Scenario, expected_tt_curve, expected_tt_wait_forever
+from .expectation import Scenario, expected_tt, expected_tt_curve
 from .intermediate import WalkAndWaitPlan, expected_tt_plan, plan_curve_d1, vigilant_curve
 from .mcsim import WaitForever, WaitThenWalk, WalkNow, _sample_count, _seed, estimate
 from .optimizer import _best_policy, compare_wait_walk, find_stationary_points
@@ -79,7 +79,7 @@ def _analyze_payload(scenario: Scenario, model: ArrivalModel) -> dict:
         "walk_time_min": scenario.walk_time,
         "bus_time_min": scenario.bus_time,
         "mean_arrival_min": model.mean(),
-        "expected_wait_forever_min": expected_tt_wait_forever(scenario, model),
+        "expected_wait_forever_min": expected_tt(scenario, model, math.inf),
         "expected_walk_now_min": scenario.walk_time,
         "verdict": compare_wait_walk(scenario, model),
     }

@@ -71,7 +71,7 @@ def _walk_and_wait(scenario, model, t1, t_wait, p_catch) -> tuple:
         e = scenario.bus_time * F + m + R * (scenario.walk_time + t_wait)
     else:
         p = R = 0.0
-        e = expected_tt_wait_forever(scenario, model)
+        e = scenario.bus_time + model.mean()
     p1 = p if end == t1 else None  # with no wait, T is t1
     if t1 > 0.0:
         if p1 is None:
@@ -84,7 +84,7 @@ def _walk_and_wait(scenario, model, t1, t_wait, p_catch) -> tuple:
 def expected_tt(scenario: Scenario, model: ArrivalModel, t_wait: float) -> float:
     """Expected travel time (minutes) when waiting up to t_wait, then walking:
     E(W) = bus F(W) + M1(W) + R(W) (walk + W), with M1 from the model's
-    partial_mean.
+    partial_mean.  At t_wait = inf, waiting forever, it is bus + mean.
     """
     return _walk_and_wait(scenario, model, 0.0, _check_time(t_wait, "wait time"), 0.0)[0]
 
@@ -102,8 +102,3 @@ def expected_tt_curve(scenario: Scenario, model: ArrivalModel, waits) -> list[tu
         e, p, R, _ = _walk_and_wait(scenario, model, 0.0, w, 0.0)
         rows.append((w, e, R - td * p))
     return rows
-
-
-def expected_tt_wait_forever(scenario: Scenario, model: ArrivalModel) -> float:
-    """Expected travel time when committed to waiting for the bus."""
-    return scenario.bus_time + model.mean()

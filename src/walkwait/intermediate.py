@@ -78,11 +78,6 @@ def plan_gradient_tw(scenario: Scenario, model: ArrivalModel, plan: WalkAndWaitP
     return R - (scenario.t_delta - t1) * p
 
 
-def plan_gradient_d1(scenario: Scenario, model: ArrivalModel, plan: WalkAndWaitPlan) -> float:
-    """dE/dd1 of the plan (minutes per km): the slope of its one-row plan_curve_d1."""
-    return plan_curve_d1(scenario, model, [plan.d1], plan.t_wait, plan.p_catch)[0][2]
-
-
 def plan_curve_d1(
     scenario: Scenario, model: ArrivalModel, d1s, t_wait: float, p_catch: float
 ) -> list[tuple]:
@@ -93,7 +88,8 @@ def plan_curve_d1(
 
     is formed from the lookups of E, so each row reads t1 and T = t1 + t_wait
     once.  Each row is checked as its plan is, and fails with the same message;
-    with no rows, the shared t_wait and p_catch are still checked.
+    with no rows, the shared t_wait and p_catch are still checked.  A plan's
+    dE/dd1 (minutes per km) is the slope of its one-row curve.
     """
     q = scenario.q
     rows = []
@@ -124,21 +120,12 @@ def expected_tt_walk_vigilant(
     return vigilant_curve(scenario, model, [p_catch])[0][1]
 
 
-def walk_vs_wait_advantage(
-    scenario: Scenario, model: ArrivalModel, p_catch: float
-) -> float:
-    """Expected minutes saved by vigilant walking over waiting at the origin.
-
-    Positive favours walking; equals expected_tt_wait_forever -
-    expected_tt_walk_vigilant.
-    """
-    return vigilant_curve(scenario, model, [p_catch])[0][2]
-
-
 def vigilant_curve(scenario: Scenario, model: ArrivalModel, p_catches) -> list[tuple]:
-    """Rows (p_catch, expected_tt_walk_vigilant, walk_vs_wait_advantage) for
-    each catch probability.  The saving per unit of p_catch, the integral of
-    (t_delta - tau) p(tau) over [0, t_delta], is found once."""
+    """Rows (p_catch, E, advantage) for each catch probability: E is the
+    vigilant walk's expected time and the advantage the minutes it saves over
+    waiting forever, expected_tt at t_wait = inf minus E, so a positive
+    advantage favours walking.  The saving per unit of p_catch, the integral
+    of (t_delta - tau) p(tau) over [0, t_delta], is found once."""
     td = scenario.t_delta
     saving = td * model.cdf(td) - model.partial_mean(td)
     walk = scenario.walk_time

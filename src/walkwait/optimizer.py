@@ -18,10 +18,11 @@ where ``compare_wait_walk`` says "wait".  Walk-now's E is the walk time, as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .arrivals import TIE_TOL, ArrivalModel, Uniform, _positive, _tie
-from .expectation import Scenario, expected_tt, expected_tt_wait_forever
+from .expectation import Scenario, expected_tt
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,10 @@ def _best_policy(
     points: list[StationaryPoint],
 ) -> PolicyChoice:
     """``optimal_policy`` given its stationary points in increasing t, the order
-    ``_sign_changes`` returns.  Walk-now's E is the walk time: a zero wait never boards."""
+    ``_sign_changes`` returns.  Walk-now's E is the walk time: a zero wait never boards;
+    wait-forever's is ``expected_tt`` at an infinite wait."""
     if compare_wait_walk(scenario, model) == "wait":
-        best = PolicyChoice("wait_forever", expected_tt_wait_forever(scenario, model))
+        best = PolicyChoice("wait_forever", expected_tt(scenario, model, math.inf))
     else:
         best = PolicyChoice("walk_now", scenario.walk_time)
     for sp in points:

@@ -13,8 +13,20 @@ from walkwait import (
     Scenario,
     Uniform,
     expected_tt_curve,
+    plan_curve_d1,
+    vigilant_curve,
 )
 from walkwait.arrivals import _LinearDensity
+
+# the models that every model contract is checked on
+ALL_MODELS = [
+    Uniform(headway=30.0),
+    Exponential(rate=1.0 / 24.0),
+    LateBusMixture(still_coming_prob=0.25, late_window=4.0, next_headway_offset=56.0),
+    LateBusMixture(still_coming_prob=0.7, late_window=4.0, next_headway_offset=25.0),
+    PiecewiseLinearDensity([(0.0, 0.4), (4.0, 0.1), (4.0, 0.0)]),
+    PiecewiseLinearDensity([(0.0, 0.0), (5.0, 1.0), (12.0, 0.2), (20.0, 0.0)]),
+]
 
 
 # twins that opt into the base-class quadrature for M1: the reference that
@@ -133,6 +145,17 @@ def uniform_pc_threshold(headway_ratio: float) -> float | None:
 def e_prime(scenario, model, w: float) -> float:
     """E'(w) = R(w) - t_delta p(w), from the one-row expected_tt_curve."""
     return expected_tt_curve(scenario, model, [w])[0][2]
+
+
+def d1_slope(scenario, model, plan) -> float:
+    """dE/dd1 of the plan, from its one-row plan_curve_d1."""
+    return plan_curve_d1(scenario, model, [plan.d1], plan.t_wait, plan.p_catch)[0][2]
+
+
+def advantage(scenario, model, p_catch) -> float:
+    """Minutes a vigilant walk saves over waiting forever, from the one-row
+    vigilant_curve."""
+    return vigilant_curve(scenario, model, [p_catch])[0][2]
 
 
 def near_kink(model, t: float, tol: float) -> bool:

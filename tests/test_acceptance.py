@@ -22,14 +22,14 @@ from walkwait import (
     expected_tt_walk_vigilant,
     find_stationary_points,
     optimal_policy,
-    plan_gradient_d1,
     plan_gradient_tw,
-    walk_vs_wait_advantage,
 )
 from walkwait.quadrature import integrate_piecewise
 
 from _models import (
     QuadExponential,
+    advantage,
+    d1_slope,
     near_kink,
     random_model,
     random_scenario,
@@ -150,7 +150,7 @@ def test_criterion_4_gradient_fidelity():
             - expected_tt_plan(scenario, model, WalkAndWaitPlan(d1 - hd, w, pc))
         ) / (2 * hd)
         ok &= bool(
-            np.isclose(fd_d1, plan_gradient_d1(scenario, model, plan),
+            np.isclose(fd_d1, d1_slope(scenario, model, plan),
                        rtol=1e-4, atol=1e-7)
         )
         checked += 1
@@ -186,11 +186,11 @@ def test_criterion_6_pc_threshold_curve():
     for ratio, expected in ((1.25, 0.9375), (1.5, 0.75), (1.75, 0.4375)):
         model = Uniform(ratio * S0.t_delta)
         lo, hi = 0.0, 1.0
-        ok &= walk_vs_wait_advantage(S0, model, lo) < 0.0
-        ok &= walk_vs_wait_advantage(S0, model, hi) > 0.0
+        ok &= advantage(S0, model, lo) < 0.0
+        ok &= advantage(S0, model, hi) > 0.0
         while hi - lo > 1e-9:
             mid = 0.5 * (lo + hi)
-            if walk_vs_wait_advantage(S0, model, mid) < 0.0:
+            if advantage(S0, model, mid) < 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -202,10 +202,10 @@ def test_criterion_6_pc_threshold_curve():
     model = Uniform(0.8 * S0.t_delta)
     ok &= uniform_pc_threshold(0.8) is None
     ok &= all(
-        walk_vs_wait_advantage(S0, model, pc) < 0.0
+        advantage(S0, model, pc) < 0.0
         for pc in np.linspace(0.0, 1.0, 101)[:-1]
     )
-    ok &= walk_vs_wait_advantage(S0, model, 1.0) <= 1e-12
+    ok &= advantage(S0, model, 1.0) <= 1e-12
     report(6, ok)
 
 

@@ -32,17 +32,7 @@ from walkwait import (
 
 from walkwait.arrivals import _LinearDensity
 
-from _models import Triangle, jumpy_knots, near_kink, random_model
-
-ALL_MODELS = [
-    Uniform(headway=30.0),
-    Exponential(rate=1.0 / 24.0),
-    LateBusMixture(still_coming_prob=0.25, late_window=4.0, next_headway_offset=56.0),
-    LateBusMixture(still_coming_prob=0.7, late_window=4.0, next_headway_offset=25.0),
-    PiecewiseLinearDensity([(0.0, 0.4), (4.0, 0.1), (4.0, 0.0)]),
-    PiecewiseLinearDensity([(0.0, 0.0), (5.0, 1.0), (12.0, 0.2), (20.0, 0.0)]),
-]
-
+from _models import ALL_MODELS, Triangle, jumpy_knots, near_kink, random_model
 
 def grid_integral(f, a, b, n=200_001, breakpoints=()):
     """Trapezoid oracle, split at density jumps and nudged off the edges."""

@@ -15,7 +15,6 @@ from walkwait import (
     expected_tt,
     expected_tt_plan,
     model_from_config,
-    plan_gradient_d1,
     plan_gradient_tw,
 )
 from walkwait import arrivals, cli, quadrature
@@ -28,6 +27,7 @@ from _models import (
     FallbackPiecewise,
     QuadExponential,
     TablePiecewise,
+    d1_slope,
     jumpy_knots,
 )
 
@@ -696,7 +696,7 @@ class TestSweepRowsAreTheLibrarysRows:
             rows.append("%.12g,%.12g,%.12g" % (
                 x,
                 expected_tt_plan(S_CONFIG, model, plan),
-                plan_gradient_d1(S_CONFIG, model, plan),
+                d1_slope(S_CONFIG, model, plan),
             ))
         assert out.read_text() == "\n".join(["x,expected_tt,derivative"] + rows) + "\n"
 

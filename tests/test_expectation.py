@@ -12,13 +12,15 @@ from walkwait import (
     LateBusMixture,
     Scenario,
     Uniform,
+    WaitForever,
     WalkAndWaitPlan,
     expected_tt,
     expected_tt_curve,
-    expected_tt_wait_forever,
+    expected_tt_plan,
 )
 
 from _models import (
+    ALL_MODELS,
     CountingLateBus,
     CountingUniform,
     QuadExponential,
@@ -111,9 +113,6 @@ class TestExpectedTT:
         for w in np.linspace(0.0, 120.0, 50):
             assert expected_tt(S0, model, w) == pytest.approx(30.0, abs=1e-12)
 
-    def test_unbounded_wait(self):
-        assert expected_tt(S0, Uniform(30.0), math.inf) == pytest.approx(21.0)
-
     def test_beyond_support_equals_wait_forever(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
@@ -121,7 +120,7 @@ class TestExpectedTT:
             model = random_model(rng, kinds=["uniform", "late_bus", "piecewise"])
             w = model.support_end + rng.uniform(0.0, 20.0)
             assert expected_tt(scenario, model, w) == pytest.approx(
-                expected_tt_wait_forever(scenario, model), abs=1e-9
+                expected_tt(scenario, model, math.inf), abs=1e-9
             )
 
     def test_negative_wait_rejected(self):
@@ -130,14 +129,21 @@ class TestExpectedTT:
 
 
 class TestWaitForever:
+    # strategy A is the wait W = inf, at the origin and as a plan
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_is_bus_time_plus_mean_bit_for_bit(self, model):
+        want = S0.bus_time + model.mean()
+        assert expected_tt(S0, model, math.inf) == want
+        assert expected_tt_plan(S0, model, WaitForever()) == want
+
     def test_uniform_30(self):
-        assert expected_tt_wait_forever(S0, Uniform(30.0)) == pytest.approx(21.0)
+        assert expected_tt(S0, Uniform(30.0), math.inf) == pytest.approx(21.0)
 
     def test_marginal_headway_matches_walk(self):
-        assert expected_tt_wait_forever(S0, Uniform(48.0)) == pytest.approx(30.0)
+        assert expected_tt(S0, Uniform(48.0), math.inf) == pytest.approx(30.0)
 
     def test_exponential(self):
-        assert expected_tt_wait_forever(S0, Exponential(1.0 / 24.0)) == pytest.approx(30.0)
+        assert expected_tt(S0, Exponential(1.0 / 24.0), math.inf) == pytest.approx(30.0)
 
 
 class TestGradient:

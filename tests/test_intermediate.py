@@ -16,18 +16,23 @@ from walkwait import (
     expected_tt,
     expected_tt_curve,
     expected_tt_plan,
-    expected_tt_wait_forever,
     expected_tt_walk_vigilant,
     plan_curve_d1,
-    plan_gradient_d1,
     plan_gradient_tw,
     vigilant_curve,
     vigilant_threshold,
-    walk_vs_wait_advantage,
 )
 from walkwait.arrivals import TIE_TOL
 
-from _models import Triangle, near_kink, random_model, random_scenario, uniform_pc_threshold
+from _models import (
+    Triangle,
+    advantage,
+    d1_slope,
+    near_kink,
+    random_model,
+    random_scenario,
+    uniform_pc_threshold,
+)
 
 S0 = Scenario(d=3.0, v_w=0.1, v_b=0.5)
 
@@ -58,8 +63,8 @@ class TestProbMiss:
         "price",
         [lambda scenario, _, plan: plan.t1(scenario),
          lambda scenario, model, plan: model.cdf(plan.t1(scenario)), expected_tt_plan,
-         plan_gradient_tw, plan_gradient_d1],
-        ids=["t1", "prob_miss", "expected_tt_plan", "plan_gradient_tw", "plan_gradient_d1"],
+         plan_gradient_tw, d1_slope],
+        ids=["t1", "prob_miss", "expected_tt_plan", "plan_gradient_tw", "plan_curve_d1"],
     )
     def test_d1_beyond_journey_rejected(self, price):
         plan = WalkAndWaitPlan(d1=4.0, t_wait=0.0, p_catch=0.0)
@@ -144,15 +149,15 @@ class TestPlanGradientTW:
 class TestPlanGradientD1:
     def test_vanishes_without_catching(self):
         plan = WalkAndWaitPlan(d1=1.0, t_wait=0.0, p_catch=0.0)
-        assert plan_gradient_d1(S0, Uniform(30.0), plan) == 0.0
+        assert d1_slope(S0, Uniform(30.0), plan) == 0.0
 
     def test_negative_when_catching_possible(self):
         plan = WalkAndWaitPlan(d1=1.0, t_wait=0.0, p_catch=0.5)
-        assert plan_gradient_d1(S0, Uniform(30.0), plan) < 0.0
+        assert d1_slope(S0, Uniform(30.0), plan) < 0.0
 
     def test_positive_when_waiting_past_support(self):
         plan = WalkAndWaitPlan(d1=1.0, t_wait=40.0, p_catch=0.5)  # t1 + 40 > 30
-        assert plan_gradient_d1(S0, Uniform(30.0), plan) > 0.0
+        assert d1_slope(S0, Uniform(30.0), plan) > 0.0
 
     def test_matches_finite_difference(self):
         rng = np.random.default_rng(4)
@@ -172,7 +177,7 @@ class TestPlanGradientD1:
                 expected_tt_plan(scenario, model, WalkAndWaitPlan(d1 + h, w, pc))
                 - expected_tt_plan(scenario, model, WalkAndWaitPlan(d1 - h, w, pc))
             ) / (2 * h)
-            grad = plan_gradient_d1(scenario, model, plan)
+            grad = d1_slope(scenario, model, plan)
             assert np.isclose(fd, grad, rtol=1e-4, atol=1e-7)
             checked += 1
 
@@ -240,7 +245,7 @@ class TestPlanCurveRows:
         for d1, (_, e, slope) in zip(d1s, rows):
             plan = WalkAndWaitPlan(d1, t_wait, 0.3)
             assert e == expected_tt_plan(S0, model, plan)
-            assert slope == plan_gradient_d1(S0, model, plan)
+            assert slope == d1_slope(S0, model, plan)
 
     def test_slope_is_the_papers_expression_bit_for_bit(self):
         # q^2 (d - d1) ((1 - p_catch) p(t1) - p(T)), from two density lookups
@@ -254,7 +259,7 @@ class TestPlanCurveRows:
             want = q * q * (scenario.d - d1) * (
                 (1.0 - p_catch) * model.density(t1) - model.density(t1 + t_wait)
             )
-            got = plan_gradient_d1(scenario, model, WalkAndWaitPlan(d1, t_wait, p_catch))
+            got = d1_slope(scenario, model, WalkAndWaitPlan(d1, t_wait, p_catch))
             assert got.hex() == want.hex()
 
 
@@ -299,18 +304,18 @@ class TestWalkVigilant:
 
 class TestAdvantage:
     def test_uniform_example(self):
-        assert walk_vs_wait_advantage(S0, Uniform(36.0), 0.8) == pytest.approx(
+        assert advantage(S0, Uniform(36.0), 0.8) == pytest.approx(
             0.4, abs=1e-9
         )
 
     def test_short_headway_waiting_wins(self):
         # walking only ties at p_catch = 1, never strictly beats waiting
-        assert walk_vs_wait_advantage(S0, Uniform(12.0), 1.0) <= 1e-12
+        assert advantage(S0, Uniform(12.0), 1.0) <= 1e-12
         for pc in (0.0, 0.5, 0.9, 0.999):
-            assert walk_vs_wait_advantage(S0, Uniform(12.0), pc) < 0.0
+            assert advantage(S0, Uniform(12.0), pc) < 0.0
 
     def test_marginal_no_catch_is_a_tie(self):
-        assert walk_vs_wait_advantage(S0, Uniform(48.0), 0.0) == pytest.approx(
+        assert advantage(S0, Uniform(48.0), 0.0) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -320,10 +325,10 @@ class TestAdvantage:
             scenario = random_scenario(rng)
             model = random_model(rng)
             pc = rng.uniform(0.0, 1.0)
-            direct = expected_tt_wait_forever(scenario, model) - expected_tt_walk_vigilant(
+            direct = expected_tt(scenario, model, math.inf) - expected_tt_walk_vigilant(
                 scenario, model, pc
             )
-            assert walk_vs_wait_advantage(scenario, model, pc) == pytest.approx(
+            assert advantage(scenario, model, pc) == pytest.approx(
                 direct, abs=1e-9
             )
 
@@ -333,7 +338,7 @@ class TestAdvantage:
             scenario = random_scenario(rng)
             model = random_model(rng)
             values = [
-                walk_vs_wait_advantage(scenario, model, pc)
+                advantage(scenario, model, pc)
                 for pc in np.linspace(0.0, 1.0, 21)
             ]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
@@ -342,11 +347,11 @@ class TestAdvantage:
     def test_crossover_matches_threshold(self, ratio):
         model = Uniform(ratio * S0.t_delta)
         lo, hi = 0.0, 1.0
-        assert walk_vs_wait_advantage(S0, model, lo) < 0.0
-        assert walk_vs_wait_advantage(S0, model, hi) > 0.0
+        assert advantage(S0, model, lo) < 0.0
+        assert advantage(S0, model, hi) > 0.0
         while hi - lo > 1e-9:
             mid = 0.5 * (lo + hi)
-            if walk_vs_wait_advantage(S0, model, mid) < 0.0:
+            if advantage(S0, model, mid) < 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -356,7 +361,7 @@ class TestAdvantage:
 
 
 class TestVigilantThreshold:
-    """vigilant_threshold, the root of the line walk_vs_wait_advantage(p_catch),
+    """vigilant_threshold, the root of the line advantage(p_catch),
     with each end judged by the one tie rule."""
 
     def test_uniform_is_the_closed_form(self):
@@ -380,15 +385,15 @@ class TestVigilantThreshold:
             model = Triangle() if i % 5 == 0 else random_model(rng, [kinds[i % 4]])
             td = scenario.t_delta
             threshold = vigilant_threshold(scenario, model)
-            if walk_vs_wait_advantage(scenario, model, 0.0) >= -TIE_TOL * td:
+            if advantage(scenario, model, 0.0) >= -TIE_TOL * td:
                 assert threshold == 0.0, (scenario, model)
-            elif walk_vs_wait_advantage(scenario, model, 1.0) <= TIE_TOL * td:
+            elif advantage(scenario, model, 1.0) <= TIE_TOL * td:
                 assert threshold is None, (scenario, model)
             else:
                 lo, hi = 0.0, 1.0
                 while hi - lo > 1e-11:
                     mid = 0.5 * (lo + hi)
-                    if walk_vs_wait_advantage(scenario, model, mid) < 0.0:
+                    if advantage(scenario, model, mid) < 0.0:
                         lo = mid
                     else:
                         hi = mid
@@ -399,14 +404,14 @@ class TestVigilantThreshold:
     def test_walking_that_only_ties_at_full_catch_is_none(self):
         # Uniform(t_delta): the advantage at p_catch 1 is 0.0, a tie, as at
         # ratio 0.8; the closed form answers 1.0 there
-        assert walk_vs_wait_advantage(S0, Uniform(24.0), 1.0) == 0.0
+        assert advantage(S0, Uniform(24.0), 1.0) == 0.0
         assert vigilant_threshold(S0, Uniform(24.0)) is None
         assert uniform_pc_threshold(1.0) == 1.0
         # just above it walking wins at p_catch 1 by t_delta (r - 1)^2 / 2r:
         # within TIE_TOL t_delta that is still a tie, beyond it a root near 1
         for r, tied in [(1 + 1e-7, True), (1 + 1e-6, True), (1 + 1e-5, False)]:
-            advantage = walk_vs_wait_advantage(S0, Uniform(r * 24.0), 1.0)
-            assert (advantage <= TIE_TOL * 24.0) == tied, r
+            saved = advantage(S0, Uniform(r * 24.0), 1.0)
+            assert (saved <= TIE_TOL * 24.0) == tied, r
             threshold = vigilant_threshold(S0, Uniform(r * 24.0))
             assert threshold is None if tied else 1.0 - 1e-9 < threshold < 1.0, r
 
@@ -441,7 +446,7 @@ class TestPlanValidation:
     def test_unbounded_wait_at_origin_is_wait_forever(self):
         plan = WalkAndWaitPlan(d1=0.0, t_wait=math.inf, p_catch=0.0)
         for model in (Uniform(30.0), Exponential(1.0 / 17.0)):
-            assert expected_tt_plan(S0, model, plan) == expected_tt_wait_forever(S0, model)
+            assert expected_tt_plan(S0, model, plan) == S0.bus_time + model.mean()
 
     def test_unbounded_wait_after_walking(self):
         # wait forever, plus (1 - p_catch) * (t_delta F(t1) - M1(t1)) for the
@@ -465,12 +470,12 @@ class TestPlanValidation:
 class TestVigilantCatchProbability:
     @pytest.mark.parametrize("p_catch", [True, False, "0.5", None, math.nan, -0.1, 1.5])
     def test_rejected(self, p_catch):
-        for function in (expected_tt_walk_vigilant, walk_vs_wait_advantage):
+        for function in (expected_tt_walk_vigilant, advantage):
             with pytest.raises(ValueError, match="p_catch"):
                 function(S0, Uniform(30.0), p_catch)
 
     def test_ints_and_numpy_floats_accepted(self):
-        for function in (expected_tt_walk_vigilant, walk_vs_wait_advantage):
+        for function in (expected_tt_walk_vigilant, advantage):
             want = function(S0, Uniform(30.0), 1.0)
             assert function(S0, Uniform(30.0), 1) == function(S0, Uniform(30.0), np.float64(1.0)) == want
         # a row holds the checked float, not the caller's object

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import os
 import sys
 import threading
 import time
@@ -542,6 +543,18 @@ def runs(monkeypatch):
 
 def helper_ran(runs):
     return any(thread != threading.get_ident() for _, thread in runs)
+
+
+class TestUsableCpus:
+    def test_every_cpu_where_the_os_keeps_no_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert mcsim._cpus() == 5
+
+    def test_one_cpu_where_the_os_cannot_count_them(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert mcsim._cpus() == 1
 
 
 class TestHelperThreads:

@@ -18,7 +18,6 @@ from walkwait import (
     compare_wait_walk,
     expected_tt,
     expected_tt_curve,
-    expected_tt_wait_forever,
     find_stationary_points,
     optimal_policy,
     vigilant_threshold,
@@ -677,11 +676,47 @@ class TestTableJumpMinima:
             minima = [t for t, kind in table if kind == "minimum"]
             best = min(
                 piecewise_tt(scenario, knots, np.array([0.0, *minima])).min(),
-                expected_tt_wait_forever(scenario, model),
+                scenario.bus_time + model.mean(),
             )
             ws = np.concatenate([np.linspace(0.0, model.support_end, 20_001), model.breakpoints()])
-            brute = min(piecewise_tt(scenario, knots, ws).min(), expected_tt_wait_forever(scenario, model))
+            brute = min(piecewise_tt(scenario, knots, ws).min(), scenario.bus_time + model.mean())
             assert best <= brute + 1e-9 * max(1.0, brute), knots
+
+
+@pytest.mark.parametrize("cls", [PiecewiseLinearDensity, TablePiecewise], ids=["scan", "table"])
+class TestSurvivalFloor:
+    """Roots where R <= SURVIVAL_FLOOR (1e-15) are dropped, on the scan and
+    the table alike: a lower floor keeps a rounding artefact, a higher one
+    drops a real minimum."""
+
+    def test_survival_that_rounds_up_past_zero_adds_no_root(self, cls):
+        # 1 - F rounds to 0.0 at the float below the drop and up to 1.1e-16
+        # at it: with no floor the scan reads a rate where R is 0, and the
+        # table lists a minimum at the drop
+        drop = 50.14590623519218
+        model = cls([[1.7008485913203786, 1.3039735330361097],
+                     [5.631575206454094, 2.2892174465492463],
+                     [drop, 0.016297099519820973], [drop, 0.0], [86.3314945655215, 0.0]])
+        assert model.survival(math.nextafter(drop, 0.0)) == 0.0 < model.survival(drop) < 1e-15
+        points = find_stationary_points(S0, model)
+        assert [sp.kind for sp in points] == ["maximum"]
+        assert points[0].t_wait == pytest.approx(5.1919, abs=1e-4)
+        policy = optimal_policy(S0, model)
+        assert (policy.strategy, policy.expected_tt) == ("wait_forever", 24.550851326618382)
+
+    def test_minimum_where_survival_is_1e12_is_kept(self, cls):
+        # past the drop at 1, R is (101 - t) 1e-14 / (1 + 1e-12), about
+        # 1e-12 at 1; E' = p (77 - t) there, so the exact maximum is at 77,
+        # which the rounding of 1 - F moves by up to about 0.01
+        model = cls([[0, 1], [1, 1], [1, 1e-14], [101, 1e-14]])
+        assert model.survival(1.0) == pytest.approx(1e-12)
+        points = find_stationary_points(S0, model)
+        assert [sp.kind for sp in points] == ["minimum", "maximum"]
+        assert (points[0].t_wait, points[0].expected_tt) == (1.0, 6.500000000024502)
+        assert points[1].t_wait == pytest.approx(77.0, abs=0.02)
+        policy = optimal_policy(S0, model)
+        assert (policy.strategy, policy.expected_tt, policy.t_wait) == (
+            "wait_then_walk", 6.500000000024502, 1.0)
 
 
 class TestOptimalPolicy:
@@ -733,7 +768,7 @@ class TestOptimalPolicy:
                 [np.linspace(0.0, model.support_end, 20_001), model.breakpoints()]
             )
             brute = piecewise_tt(scenario, knots, ws)
-            best = min(brute.min(), expected_tt_wait_forever(scenario, model))
+            best = min(brute.min(), scenario.bus_time + model.mean())
             policy = optimal_policy(scenario, model)
             assert policy.expected_tt <= best + 1e-9 * max(1.0, best), knots
             if policy.t_wait is not None:
@@ -776,7 +811,7 @@ class TestOptimalPolicy:
                 expected_tt(scenario, model, w)
                 for w in np.linspace(0.0, end, 10_000)
             ]
-            candidates.append(expected_tt_wait_forever(scenario, model))
+            candidates.append(scenario.bus_time + model.mean())
             assert policy.expected_tt == pytest.approx(min(candidates), abs=1e-6)
             assert policy.expected_tt <= min(candidates) + 1e-6
 
