@@ -15,8 +15,9 @@ from them, one row per piece, which gives ``_at``, the appearance rate (the
 scan's one call per grid point, with the bits of p / R from ``_at``), the
 mean, the breakpoints, the sampler's columns and, in closed form, M1 and the
 roots of E' (the piecewise model still integrates M1 and scans for the
-roots).  Each draws through ``_draw``, which ``_LinearDensity.sample``
-shapes.  ``_check_time`` is the one rule for a time or a wait.
+roots).  Every model draws through ``sample(rng, n)``, whose contract
+``ArrivalModel.sample`` states.  ``_check_time`` is the one rule for a time
+or a wait.
 
 The base class integrates M1 by adaptive quadrature split at the
 breakpoints.  A model keeps the running sums of its whole pieces, so a call
@@ -129,15 +130,17 @@ class ArrivalModel(ABC):
         """Expected arrival time."""
 
     @abstractmethod
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw arrival times; deterministic given the generator state.
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """The model's n arrival times as a flat float array, deterministic
+        given the generator state: one draw is ``sample(rng, 1)[0]``, a shaped
+        one ``sample(rng, n).reshape(shape)``.
 
         The simulator only reads the array returned, so a sampler may hand
         out a cached or read-only array.  An estimate runs its chunks on
-        several threads, each with its own generator, only when ``sample``
-        and any ``_draw`` are the bundled ones of this module, each of which
-        returns a fresh array per call; a subclass that defines either keeps
-        every chunk on the calling thread."""
+        several threads, each with its own generator, only when ``sample`` is
+        one of this module's, each of which returns a fresh array per call; a
+        subclass that defines its own keeps every chunk on the calling
+        thread."""
 
     def partial_mean(self, t: float) -> float:
         """M1(t) = integral of tau p(tau) over [0, t].
@@ -331,14 +334,6 @@ class _LinearDensity(ArrivalModel):
         object.__setattr__(self, "_breakpoints", (*self._starts, pieces[-1][1]))
         object.__setattr__(self, "_moment", moment)
 
-    def sample(self, rng, size=None):
-        """Draws of ``_draw(rng, n)``, the model's n flat draws: one float for
-        size None, else the flat draw of the same stream, reshaped."""
-        if size is None:
-            return float(self._draw(rng, 1)[0])
-        n = size if isinstance(size, numbers.Integral) else math.prod(size)
-        return self._draw(rng, n).reshape(size)
-
     @property
     def support_end(self) -> float:
         return self._breakpoints[-1]
@@ -439,7 +434,7 @@ class Uniform(_LinearDensity):
         error = f"headway {h} is out of range: 1/headway or its sums leave the normal floats"
         self._tabulate([(0.0, h, 1.0 / h, 1.0 / h)], error, error)
 
-    def _draw(self, rng, n):
+    def sample(self, rng, n):
         # the draws of rng.uniform(0, headway, n), without its scaling
         # loop, scaled in place
         u = rng.random(n)
@@ -488,10 +483,10 @@ class Exponential(ArrivalModel):
     def mean(self):
         return 1.0 / self.rate
 
-    def sample(self, rng, size=None):
-        # the draws of rng.exponential(1 / rate, size), without its scaling
+    def sample(self, rng, n):
+        # the draws of rng.exponential(1 / rate, n), without its scaling
         # loop, scaled in place
-        e = rng.standard_exponential(size)
+        e = rng.standard_exponential(n)
         e *= 1.0 / self.rate
         return e
 
@@ -543,7 +538,7 @@ class LateBusMixture(_LinearDensity):
             [(0.0, L, head, 0.0), (L, H, 0.0, 0.0), (H, H + L, tail, tail)], error, too_large
         )
 
-    def _draw(self, rng, n):
+    def sample(self, rng, n):
         w, L, H = self.still_coming_prob, self.late_window, self.next_headway_offset
         coming = rng.random(n) < w
         u = rng.random(n)
@@ -654,7 +649,7 @@ class PiecewiseLinearDensity(_LinearDensity):
             )
         return idx
 
-    def _draw(self, rng, n):
+    def sample(self, rng, n):
         u = rng.random(n)
         idx = self._piece_index(u)
         t0, width, y0, slope, cum = self._columns

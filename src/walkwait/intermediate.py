@@ -6,7 +6,9 @@ by t1 = d1 * q minutes; a bus passing in that window is caught with
 probability p_catch.  Caught-bus travel times are clocked by the bus's
 arrival at the *starting* point, since the arrival density refers to a fixed
 point on the route.  There is one bus: a walker it passes and who does not
-catch it walks on to the destination, with no wait at the stop.
+catch it walks on to the destination, with no wait at the stop.  A stop at
+the destination ends the journey: the plan (d, t_wait, p_catch) is the
+vigilant walk for every t_wait.
 
 Every strategy is a plan: walking now is (0, 0, 0), waiting up to W minutes
 at the origin is (0, W, 0) and waiting forever is (0, inf, 0).  Each plan
@@ -67,7 +69,7 @@ def expected_tt_plan(
     caught, missed and boarded legs sum to one expression in F and M1 at t1
     and t1 + t_wait; with d1 = 0 it is expected_tt.
     """
-    return _walk_and_wait(scenario, model, plan.t1(scenario), plan.t_wait, plan.p_catch)[0]
+    return plan_curve_d1(scenario, model, [plan.d1], plan.t_wait, plan.p_catch)[0][1]
 
 
 def plan_gradient_tw(scenario: Scenario, model: ArrivalModel, plan: WalkAndWaitPlan) -> float:
@@ -87,7 +89,9 @@ def plan_curve_d1(
         dE/dd1 = q^2 (d - d1) ((1 - p_catch) p(t1) - p(T))
 
     is formed from the lookups of E, so each row reads t1 and T = t1 + t_wait
-    once.  Each row is checked as its plan is, and fails with the same message;
+    once.  At d1 = d, where the walk ends the journey, E is the vigilant
+    walk's, whatever the wait, and the slope is 0, its limit from below.
+    Each row is checked as its plan is, and fails with the same message;
     with no rows, the shared t_wait and p_catch are still checked.  A plan's
     dE/dd1 (minutes per km) is the slope of its one-row curve.
     """
@@ -98,6 +102,9 @@ def plan_curve_d1(
         if not rows:  # every row shares its wait and p_catch: check them once
             t_wait, p_catch = _check_time(t_wait, "t_wait"), _probability(p_catch, "p_catch")
         t1 = _head_start(scenario, d1)
+        if d1 == scenario.d:  # test d1, not t1 = d1 * q, which rounds apart from t_delta
+            rows.append((d1, vigilant_curve(scenario, model, [p_catch])[0][1], 0.0))
+            continue
         e, p, _, p1 = _walk_and_wait(scenario, model, t1, t_wait, p_catch)
         if p1 is None:  # t1 = 0 < T, where E reads nothing at t1
             p1 = model.density(t1)
@@ -112,7 +119,7 @@ def expected_tt_walk_vigilant(
     scenario: Scenario, model: ArrivalModel, p_catch: float
 ) -> float:
     """Expected time when walking the whole way, alert for passing buses:
-    the plan d1 = d with no terminal waiting.
+    the plan (d, t_wait, p_catch) for any t_wait, as a stop at d has no wait.
 
     It is not always the best plan: where the density has a gap or a step,
     walking part-way and then waiting briefly can beat it.

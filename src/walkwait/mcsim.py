@@ -8,13 +8,13 @@ the chunks are spread over threads.  ``estimate`` runs them on the calling
 thread and one helper thread per further CPU the process may use, at most
 one per chunk; numpy releases the GIL in the draws, the kernel and the
 reductions.  A one-chunk estimate starts no thread, and neither does a model
-whose ``sample`` or ``_draw`` is defined outside ``walkwait.arrivals``: the
-bundled samplers return a fresh array per call, but another sampler may hand
-every call one cached array, which two chunks in flight would share.
+whose ``sample`` is defined outside ``walkwait.arrivals``, as
+``ArrivalModel.sample`` states: another sampler may hand every call one
+cached array, which two chunks in flight would share.
 
 Each chunk works in place, and only in arrays the kernel allocated: the
-arrival times a model's ``sample`` returns are read, never written, since a
-sampler may hand out a cached or read-only array.  The bundled samplers
+arrival times a model's ``sample`` returns are read, never written, as its
+contract allows a cached or read-only array.  The bundled samplers
 scale and blend their own fresh draws in place, and the piecewise sampler
 gathers each per-piece column at the line that reads it, so a chunk's peak is
 about five chunk-sized arrays on a piecewise model and three to four and a
@@ -75,10 +75,12 @@ def _travel_times(
     size: int,
 ) -> np.ndarray:
     # t1 rejects a d1 past the journey before any draw; the bus is boarded at
-    # the stop iff it arrives strictly before the wait ends, so a zero wait never boards
+    # the stop iff it arrives strictly before the wait ends, so a zero wait
+    # never boards, and a walk to the destination ends the journey: no wait
     t1 = plan.t1(scenario)
     tau = np.asarray(model.sample(rng, size), dtype=float)
-    end = t1 + plan.t_wait
+    t_wait = 0.0 if plan.d1 == scenario.d else plan.t_wait
+    end = t1 + t_wait
     # out is the one array written: tau may be the sampler's own, cached or
     # read-only
     out = tau + scenario.bus_time
@@ -87,7 +89,7 @@ def _travel_times(
         # select without branches
         board = tau < end
         out *= board
-        out += (scenario.walk_time + plan.t_wait) * np.logical_not(board, out=board)
+        out += (scenario.walk_time + t_wait) * np.logical_not(board, out=board)
     if t1 > 0.0:  # there is a walking leg
         # a bus passing it is ridden from the origin if caught; otherwise
         # the whole distance is walked
@@ -127,17 +129,11 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fresh_draws(model: ArrivalModel) -> bool:
-    """True when the model draws only through the bundled samplers, each of
-    which returns a fresh array per call; a ``sample`` or ``_draw`` defined
-    elsewhere may hand every call one cached array.  Judged by the defining
-    module, which a ``functools.wraps`` wrapper keeps."""
-    cls = type(model)
-    return all(
-        getattr(cls, name).__module__ == ArrivalModel.__module__
-        for name in ("sample", "_draw")
-        if hasattr(cls, name)
-    )
+def _bundled_sampler(model: ArrivalModel) -> bool:
+    """True when the model's ``sample`` is a bundled one, which returns a
+    fresh array per call.  Judged by the defining module, which a
+    ``functools.wraps`` wrapper keeps."""
+    return type(model).sample.__module__ == ArrivalModel.__module__
 
 
 def _run_chunks(chunk, chunks: int, helpers: int) -> list:
@@ -216,7 +212,7 @@ def estimate(
             x *= x
             return (c_mean, float(x.sum())), x
 
-    helpers = min(len(sizes), _cpus()) - 1 if _fresh_draws(model) else 0
+    helpers = min(len(sizes), _cpus()) - 1 if _bundled_sampler(model) else 0
     total_n = 0
     mean = 0.0
     m2 = 0.0

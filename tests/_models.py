@@ -83,8 +83,8 @@ class Triangle(ArrivalModel):
     def mean(self):
         return 10.0 / 3.0
 
-    def sample(self, rng, size=None):
-        return 10.0 * (1.0 - np.sqrt(1.0 - rng.random(size)))  # inverse CDF
+    def sample(self, rng, n):
+        return 10.0 * (1.0 - np.sqrt(1.0 - rng.random(n)))  # inverse CDF
 
 
 class CountingUniform(Uniform):

@@ -232,20 +232,6 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
-    def test_scalar_draw_is_a_float_and_a_one_draw_array(self, model):
-        draw = model.sample(np.random.default_rng(3))
-        assert type(draw) is float
-        assert draw == model.sample(np.random.default_rng(3), 1)[0]
-
-    @pytest.mark.parametrize("shape", [(3000, 2), (20, 20, 20)])
-    @pytest.mark.parametrize("model", ALL_MODELS)
-    def test_a_shaped_draw_is_the_flat_draw_reshaped(self, model, shape):
-        drawn = model.sample(np.random.default_rng(17), shape)
-        flat = model.sample(np.random.default_rng(17), math.prod(shape))
-        assert drawn.shape == shape
-        assert np.array_equal(drawn, flat.reshape(shape))
-
-    @pytest.mark.parametrize("model", ALL_MODELS)
     def test_kolmogorov_smirnov(self, model):
         n = 10**5
         draws = np.sort(np.asarray(model.sample(np.random.default_rng(99), n)))
@@ -265,7 +251,7 @@ class TestSampling:
             (Uniform(30.0), lambda rng, n: rng.uniform(0.0, 30.0, n)),
             (Exponential(0.07), lambda rng, n: rng.exponential(1.0 / 0.07, n)),
         ):
-            for size in (None, 1, 70_000):
+            for size in (1, 70_000):
                 ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
                 drawn = model.sample(ours, size)
                 expected = numpy_draw(numpys, size)
@@ -766,7 +752,7 @@ class TestGuideTableSampler:
 
     def test_zero_uniform_on_a_zero_density_knot(self):
         model = PiecewiseLinearDensity([(1.0, 0.0), (5.0, 1.0), (7.0, 0.0)])
-        assert model.sample(FixedUniforms([0.0])) == 1.0
+        assert model.sample(FixedUniforms([0.0]), 1)[0] == 1.0
 
     def test_tables_are_built_on_the_first_draw(self):
         model = PiecewiseLinearDensity(DROP_KNOTS)
@@ -774,10 +760,6 @@ class TestGuideTableSampler:
         assert "_guide" not in vars(model) and "_columns" not in vars(model)
         model.sample(np.random.default_rng(0), 10)
         assert "_guide" in vars(model) and "_columns" in vars(model)
-
-    def test_scalar_draw_is_a_float(self):
-        draw = PiecewiseLinearDensity(DROP_KNOTS).sample(np.random.default_rng(0))
-        assert isinstance(draw, float)
 
 
 class ExactTriangle(Triangle):

@@ -591,7 +591,7 @@ class TestConfigValidation:
 
 class TestSimulateImpossiblePlan:
     def test_rejected_before_any_journey(self, capsys, monkeypatch):
-        def no_draws(self, rng, size=None):
+        def no_draws(self, rng, n):
             raise AssertionError("drew an arrival")
 
         monkeypatch.setattr(Uniform, "sample", no_draws)
@@ -716,13 +716,14 @@ class TestSweepLooksUpEachTimeOnce:
         assert counted.lookups == 61
 
     # t1 and T = t1 + t_wait, which are one time with no wait; waiting
-    # forever reads the mean, and p(T) = 0, at T = inf
+    # forever reads the mean, and p(T) = 0, at T = inf; the last row, d1 = d,
+    # is the vigilant walk, which reads F(t_delta) alone
     @pytest.mark.parametrize("tw, per_row", [("4", 2), ("0", 1), ("inf", 1)])
     def test_d1_row_reads_t1_and_its_end_once(self, config, tmp_path, counted, tw, per_row):
         argv = ["sweep", config({}, p_catch=0.3), "--var", "d1", "--from", "0", "--to", "3",
                 "--steps", "21", "--tw", tw, "--out", str(tmp_path / "d1.csv")]
         assert main(argv) == 0
-        assert counted.lookups == per_row * 21
+        assert counted.lookups == per_row * 20 + 1
 
 
 class TestSweepErrors:

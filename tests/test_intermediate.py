@@ -248,7 +248,8 @@ class TestPlanCurveRows:
             assert slope == d1_slope(S0, model, plan)
 
     def test_slope_is_the_papers_expression_bit_for_bit(self):
-        # q^2 (d - d1) ((1 - p_catch) p(t1) - p(T)), from two density lookups
+        # q^2 (d - d1) ((1 - p_catch) p(t1) - p(T)), from two density lookups,
+        # and +0.0 at d1 = d, the limit from below
         rng = np.random.default_rng(21)
         for _ in range(300):
             scenario, model = random_scenario(rng), random_model(rng)
@@ -258,7 +259,7 @@ class TestPlanCurveRows:
             t1, q = d1 * scenario.q, scenario.q
             want = q * q * (scenario.d - d1) * (
                 (1.0 - p_catch) * model.density(t1) - model.density(t1 + t_wait)
-            )
+            ) if d1 < scenario.d else 0.0
             got = d1_slope(scenario, model, WalkAndWaitPlan(d1, t_wait, p_catch))
             assert got.hex() == want.hex()
 
@@ -272,6 +273,23 @@ class TestWalkVigilant:
             assert expected_tt_walk_vigilant(scenario, model, 0.0) == pytest.approx(
                 scenario.walk_time
             )
+
+    @pytest.mark.parametrize("t_wait", [0.0, 4.0, math.inf])
+    def test_a_plan_to_the_destination_is_the_vigilant_walk(self, t_wait):
+        # the walk ends the journey at d, so a wait there is no wait: the plan
+        # and its curve row price the vigilant walk bit for bit, and the row's
+        # slope is 0, its limit from below
+        assert expected_tt_plan(S0, Uniform(30.0), WalkAndWaitPlan(3.0, t_wait, 0.8)) == 22.32
+        rng = np.random.default_rng(38)
+        for _ in range(200):
+            scenario, model = random_scenario(rng), random_model(rng)
+            p_catch = float(rng.choice([0.0, 1.0, rng.uniform()]))
+            vigilant = expected_tt_walk_vigilant(scenario, model, p_catch)
+            plan = WalkAndWaitPlan(scenario.d, t_wait, p_catch)
+            assert expected_tt_plan(scenario, model, plan) == vigilant
+            rows = plan_curve_d1(scenario, model, [scenario.d], t_wait, p_catch)
+            assert rows == [(scenario.d, vigilant, 0.0)]
+            assert math.copysign(1.0, rows[0][2]) == 1.0
 
     def test_uniform_long_headway(self):
         # walk - pc * t_delta^2 / (2 T) with T=36

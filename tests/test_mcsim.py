@@ -27,7 +27,7 @@ from walkwait import (
     estimate,
     expected_tt_plan,
 )
-from walkwait import arrivals, mcsim
+from walkwait import mcsim
 from walkwait.mcsim import CHUNK, _travel_times
 
 from _models import random_model, random_scenario
@@ -38,7 +38,7 @@ S0 = Scenario(d=3.0, v_w=0.1, v_b=0.5)
 class NoDraws(Uniform):
     """A uniform model whose sampler must not be reached."""
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, n):
         raise AssertionError("drew an arrival")
 
 
@@ -46,8 +46,8 @@ class ZeroDraws(Uniform):
     """A uniform model whose every bus comes at exactly 0, a draw the
     bundled samplers all but never make."""
 
-    def sample(self, rng, size=None):
-        return 0.0 if size is None else np.zeros(size)
+    def sample(self, rng, n):
+        return np.zeros(n)
 
 
 class TestSimulateOnce:
@@ -161,8 +161,10 @@ class TestEstimate:
         result = estimate(S0, Exponential(1.0 / 24.0), WaitThenWalk(12.0), 10**6, 7)
         assert abs(result.mean - 30.0) < 3.0 * result.stderr
 
-    def test_vigilant_walk(self):
-        plan = WalkAndWaitPlan(d1=3.0, t_wait=0.0, p_catch=0.8)
+    @pytest.mark.parametrize("t_wait", [0.0, 4.0, math.inf])
+    def test_vigilant_walk(self, t_wait):
+        # a walk to the destination ends the journey, whatever the wait
+        plan = WalkAndWaitPlan(d1=3.0, t_wait=t_wait, p_catch=0.8)
         result = estimate(S0, Uniform(36.0), plan, 10**6, 11)
         assert abs(result.mean - 23.6) < 3.0 * result.stderr
 
@@ -263,11 +265,10 @@ def position_and_clock(scenario, model, plan, n, seed):
     return times.mean(), times.std(ddof=1) / math.sqrt(n)
 
 
-# plans with d1 < d or no wait: at d1 = d a wait is priced as if the walker
-# waited at the destination (ROADMAP item 14), which the oracle rejects
+# (3, 4, 0.8) walks to the destination, where the journey ends: no wait
 ORACLE_PLANS = [WalkNow(), WaitForever(), WaitThenWalk(5.0), WalkAndWaitPlan(1.25, 2.0, 0.5),
                 WalkAndWaitPlan(2.9, 4.0, 0.8), WalkAndWaitPlan(3.0, 0.0, 0.8),
-                WalkAndWaitPlan(1.0, math.inf, 0.5)]
+                WalkAndWaitPlan(1.0, math.inf, 0.5), WalkAndWaitPlan(3.0, 4.0, 0.8)]
 
 
 class TestPositionAndClock:
@@ -276,8 +277,8 @@ class TestPositionAndClock:
         ids=[f"{p.d1}-{p.t_wait}-{p.p_catch}" for p in ORACLE_PLANS])
     @pytest.mark.parametrize("i", range(len(MODELS)), ids=[type(m).__name__ for m in MODELS])
     def test_oracle_agrees_with_the_plan_price(self, i, j):
-        # |z| stayed below 2.7 over five seeds per case; the plan (3, 4, 0.8),
-        # left out, gave z from -11 to -83 on these models
+        # |z| stayed below 2.7 over five seeds per case; priced as a wait at
+        # the destination, the plan (3, 4, 0.8) gave z from -11 to -83
         model, plan = MODELS[i], ORACLE_PLANS[j]
         mean, stderr = position_and_clock(S0, model, plan, 1 << 18, [i, j])
         analytic = expected_tt_plan(S0, model, plan)
@@ -298,6 +299,14 @@ class TestBranchFreeSelects:
     def test_huge_finite_wait_rides_like_waiting_forever(self, model):
         a = _travel_times(S0, model, WaitThenWalk(1e300), np.random.default_rng(5), 50_000)
         b = _travel_times(S0, model, WaitForever(), np.random.default_rng(5), 50_000)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("t_wait", [4.0, math.inf])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_walk_to_the_destination_boards_nothing_after_arrival(self, model, t_wait):
+        # the journey ends at d: the journeys of any wait there are the no-wait ones
+        plans = [WalkAndWaitPlan(3.0, wait, 0.8) for wait in (t_wait, 0.0)]
+        a, b = (_travel_times(S0, model, plan, np.random.default_rng(6), 50_000) for plan in plans)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("model", MODELS)
@@ -428,15 +437,15 @@ class TestSamplerArraysAreOnlyRead:
 class TestSimulateOnceEveryModel:
     @pytest.mark.parametrize("model", MODELS[1:], ids=lambda model: type(model).__name__)
     def test_one_journey_replays_the_scalar_draw(self, model):
-        # one journey is an array of one; the sampler's scalar path
-        # (size None) must give the same arrival from the same stream
+        # one journey is an array of one: the one draw sample(rng, 1)[0]
+        # from the same stream
         plan = WalkAndWaitPlan(d1=1.5, t_wait=5.0, p_catch=0.4)  # t1 = 12
         outcomes = set()
         for k in range(200):
             rng, replay = np.random.default_rng(k), np.random.default_rng(k)
             got = float(_travel_times(S0, model, plan, rng, 1)[0])
-            tau = model.sample(replay)
-            assert type(got) is float and isinstance(tau, float)
+            tau = float(model.sample(replay, 1)[0])
+            assert type(got) is float
             expected = by_hand(tau, plan, replay)
             assert got == expected
             assert rng.random() == replay.random()  # the same number of draws
@@ -607,13 +616,13 @@ class TestHelperThreads:
     def test_a_wrapped_sampler_keeps_its_helpers(self, helpers, started, monkeypatch):
         # a tracer wraps methods with functools.wraps: the wrapper is no
         # sampler of another module
-        sample = arrivals._LinearDensity.sample
+        sample = Uniform.sample
 
         @functools.wraps(sample)
-        def wrapped(self, rng, size=None):
-            return sample(self, rng, size)
+        def wrapped(self, rng, n):
+            return sample(self, rng, n)
 
-        monkeypatch.setattr(arrivals._LinearDensity, "sample", wrapped)
+        monkeypatch.setattr(Uniform, "sample", wrapped)
         helpers(3)
         estimate(S0, Uniform(30.0), WaitForever(), PINNED_N, 2024)
         assert len(started) == 2
@@ -628,16 +637,6 @@ class TestHelperThreads:
         helpers(3)
         result = estimate(S0, model, strategy, PINNED_N, 2024)
         assert (result.mean.hex(), result.stderr.hex()) == pinned
-        assert started == []
-
-    def test_own_draw_runs_on_one_thread(self, helpers, started):
-        class OwnDraw(Uniform):
-            def _draw(self, rng, n):
-                return super()._draw(rng, n)
-
-        helpers(3)
-        result = estimate(S0, OwnDraw(30.0), WaitForever(), PINNED_N, 2024)
-        assert (result.mean.hex(), result.stderr.hex()) == PINNED[0][1]
         assert started == []
 
     def test_overflow_in_a_helper_is_the_estimate_error(self, helpers, runs):

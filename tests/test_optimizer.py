@@ -589,7 +589,7 @@ PINNED_TABLE = {
 
 def table_slope(model, t):
     """The slope column of the table row that _at reads at t, 0.0 off the
-    support: the density's slope, which _draw and partial_mean read."""
+    support: the density's slope, which sample and partial_mean read."""
     i = bisect.bisect_right(model._starts, t) - 1
     return model._pieces[i][7] if i >= 0 and t < model._pieces[i][1] else 0.0
 
@@ -659,6 +659,33 @@ class TestTableJumpMinima:
         # E' falls from + to - across the jump up at t = 4
         rise = PiecewiseLinearDensity([[0, .01], [4, .01], [4, 1], [8, 1]])
         assert _LinearDensity._sign_changes(rise, 24.0, 8.0) == []
+
+    @pytest.mark.parametrize("cls", [PiecewiseLinearDensity, TablePiecewise], ids=["scan", "table"])
+    def test_a_zero_reached_from_above_below_a_drop_is_no_minimum(self, cls):
+        # t_delta = 1: E' = (1 - t) / 2 falls to exactly 0 just below the drop
+        # at 1 and is 1/4 past it, so it never changes sign there; its one
+        # sign change is the maximum at 2, on dyadic knots where every
+        # table value is exact
+        scenario = Scenario(1.0, 0.5, 1.0)
+        assert scenario.t_delta == 1.0
+        points = find_stationary_points(scenario, cls([[0, .5], [1, .5], [1, .25], [3, .25]]))
+        assert [sp.kind for sp in points] == ["maximum"]
+        assert points[0].t_wait == pytest.approx(2.0, abs=1e-15)
+
+    def test_a_tangent_root_is_no_sign_change(self):
+        # E' = R - t_delta p on the head of this mixture touches 0 at
+        # L - t_delta = 56, as w (1 + (t_delta / L)^2) = 1, without a sign
+        # change; the table lists no root there.  Its b^2 + 2 s c is exactly
+        # 0 only by rounding: no row with exact arithmetic has a tangent root
+        # inside it, as b^2 + 2 s c = 0 needs a rational point of
+        # (z + 1)^2 + r^2 = 2 with z = t_delta b / R0, and the only dyadic
+        # ones, z = 0 and -2, put the root at the row start or before it
+        model = LateBusMixture(1.0 / 1.09, 80.0, 170.0)
+        _, _, y0, _, _, F0, _, s, _, _ = model._pieces[0]
+        b, c = y0 + S0.t_delta * s, (1.0 - F0) - S0.t_delta * y0
+        assert b * b + 2.0 * s * c == 0.0 and -b / s == pytest.approx(56.0)
+        points = find_stationary_points(S0, model)
+        assert [(sp.t_wait, sp.kind) for sp in points] == [(226.0, "maximum")]
 
     def test_finds_every_root_the_scan_finds_and_the_best_wait(self):
         rng = np.random.default_rng(4)
