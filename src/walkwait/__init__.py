@@ -22,7 +22,6 @@ from .expectation import (
 from .intermediate import (
     WalkAndWaitPlan,
     expected_tt_plan,
-    expected_tt_walk_vigilant,
     plan_curve_d1,
     plan_gradient_tw,
     vigilant_curve,
@@ -69,7 +68,6 @@ __all__ = [
     "expected_tt",
     "expected_tt_curve",
     "expected_tt_plan",
-    "expected_tt_walk_vigilant",
     "find_stationary_points",
     "model_from_config",
     "optimal_policy",

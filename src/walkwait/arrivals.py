@@ -393,18 +393,23 @@ class _LinearDensity(ArrivalModel):
         root is no sign change.  At a row start t0 where the density jumps,
         E' goes from R0 - t_delta y1 of the row before to g(0): a change from
         negative to positive is a minimum at t0, the other way is dropped, as
-        the scan drops it.  Roots where R <= SURVIVAL_FLOOR are dropped too."""
+        the scan drops it; a left limit of exactly 0 counts as negative when
+        the row before's g rose at its end, -(b + s width) > 0.  Roots where
+        R <= SURVIVAL_FLOOR are dropped too."""
         changes = []
         y_below = 0.0  # the density just below the row start
-        for t0, t1, y0, y1, _, F0, _, s, half_s, _ in self._pieces:
+        rising = False  # whether E' rose at the end of the row before
+        for t0, t1, y0, y1, _, F0, width, s, half_s, _ in self._pieces:
             stop = min(t1, end)
             if not t0 < stop:
                 break
             c = (1.0 - F0) - t_delta * y0
-            if (1.0 - F0) - t_delta * y_below < 0.0 < c and 1.0 - F0 > SURVIVAL_FLOOR:
+            left = (1.0 - F0) - t_delta * y_below
+            if (left < 0.0 or left == 0.0 and rising) and 0.0 < c and 1.0 - F0 > SURVIVAL_FLOOR:
                 changes.append((t0, "minimum"))
             y_below = y1
             b = y0 + t_delta * s
+            rising = b + s * width < 0.0
             if s == 0.0:
                 roots = [(c / b, "maximum" if b > 0.0 else "minimum")] if b != 0.0 else []
             else:

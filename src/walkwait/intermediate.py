@@ -74,8 +74,11 @@ def expected_tt_plan(
 
 def plan_gradient_tw(scenario: Scenario, model: ArrivalModel, plan: WalkAndWaitPlan) -> float:
     """dE/dt_wait of the plan: R(T) - (t_delta - t1) p(T) at T = t1 + t_wait, the
-    origin's E' shifted by t1, with the break-even wait from the stop, t_delta - t1."""
+    origin's E' shifted by t1, with the break-even wait from the stop, t_delta - t1;
+    0.0 at d1 = d, where the walk ends the journey and E has no wait to vary."""
     t1 = plan.t1(scenario)
+    if plan.d1 == scenario.d:
+        return 0.0
     p, _, R = model.at(t1 + plan.t_wait)
     return R - (scenario.t_delta - t1) * p
 
@@ -115,23 +118,12 @@ def plan_curve_d1(
     return rows
 
 
-def expected_tt_walk_vigilant(
-    scenario: Scenario, model: ArrivalModel, p_catch: float
-) -> float:
-    """Expected time when walking the whole way, alert for passing buses:
-    the plan (d, t_wait, p_catch) for any t_wait, as a stop at d has no wait.
-
-    It is not always the best plan: where the density has a gap or a step,
-    walking part-way and then waiting briefly can beat it.
-    """
-    return vigilant_curve(scenario, model, [p_catch])[0][1]
-
-
 def vigilant_curve(scenario: Scenario, model: ArrivalModel, p_catches) -> list[tuple]:
     """Rows (p_catch, E, advantage) for each catch probability: E is the
-    vigilant walk's expected time and the advantage the minutes it saves over
-    waiting forever, expected_tt at t_wait = inf minus E, so a positive
-    advantage favours walking.  The saving per unit of p_catch, the integral
+    vigilant walk's expected time, that of the plan (d, t_wait, p_catch) for
+    every t_wait, and the advantage the minutes it saves over waiting
+    forever, expected_tt at t_wait = inf minus E, so a positive advantage
+    favours walking.  The saving per unit of p_catch, the integral
     of (t_delta - tau) p(tau) over [0, t_delta], is found once."""
     td = scenario.t_delta
     saving = td * model.cdf(td) - model.partial_mean(td)

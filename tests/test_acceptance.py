@@ -19,10 +19,10 @@ from walkwait import (
     expected_tt,
     expected_tt_curve,
     expected_tt_plan,
-    expected_tt_walk_vigilant,
     find_stationary_points,
     optimal_policy,
     plan_gradient_tw,
+    vigilant_curve,
 )
 from walkwait.quadrature import integrate_piecewise
 
@@ -227,7 +227,7 @@ def test_criterion_7_vigilant_walk_consistency():
         ) + max(0.0, td - bound)  # CDF is 1 past the support
         closed = scenario.walk_time - pc * cdf_area
         ok &= abs(plan_value - closed) < 1e-9
-        ok &= abs(plan_value - expected_tt_walk_vigilant(scenario, model, pc)) < 1e-9
+        ok &= abs(plan_value - vigilant_curve(scenario, model, [pc])[0][1]) < 1e-9
 
     plan = WalkAndWaitPlan(d1=3.0, t_wait=0.0, p_catch=0.8)
     value = expected_tt_plan(S0, Uniform(36.0), plan)

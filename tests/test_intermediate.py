@@ -16,7 +16,6 @@ from walkwait import (
     expected_tt,
     expected_tt_curve,
     expected_tt_plan,
-    expected_tt_walk_vigilant,
     plan_curve_d1,
     plan_gradient_tw,
     vigilant_curve,
@@ -100,7 +99,7 @@ class TestExpectedTTPlan:
             pc = rng.uniform(0.0, 1.0)
             plan = WalkAndWaitPlan(d1=scenario.d, t_wait=0.0, p_catch=pc)
             assert expected_tt_plan(scenario, model, plan) == pytest.approx(
-                expected_tt_walk_vigilant(scenario, model, pc), abs=1e-9
+                vigilant_curve(scenario, model, [pc])[0][1], abs=1e-9
             )
 
 
@@ -144,6 +143,13 @@ class TestPlanGradientTW:
             ) / (2 * h)
             assert np.isclose(fd, plan_gradient_tw(scenario, model, plan), rtol=1e-5, atol=1e-8)
             checked += 1
+        # at d1 = d the walk ends the journey, so E does not vary with the wait
+        for model in (Uniform(30.0), Exponential(1.0 / 24.0), LateBusMixture(0.25, 4.0, 56.0)):
+            fd = (
+                expected_tt_plan(S0, model, WalkAndWaitPlan(S0.d, 4.0 + h, 0.8))
+                - expected_tt_plan(S0, model, WalkAndWaitPlan(S0.d, 4.0 - h, 0.8))
+            ) / (2 * h)
+            assert fd == plan_gradient_tw(S0, model, WalkAndWaitPlan(S0.d, 4.0, 0.8)) == 0.0
 
 
 class TestPlanGradientD1:
@@ -270,36 +276,37 @@ class TestWalkVigilant:
         for _ in range(5):
             scenario = random_scenario(rng)
             model = random_model(rng)
-            assert expected_tt_walk_vigilant(scenario, model, 0.0) == pytest.approx(
+            assert vigilant_curve(scenario, model, [0.0])[0][1] == pytest.approx(
                 scenario.walk_time
             )
 
     @pytest.mark.parametrize("t_wait", [0.0, 4.0, math.inf])
     def test_a_plan_to_the_destination_is_the_vigilant_walk(self, t_wait):
         # the walk ends the journey at d, so a wait there is no wait: the plan
-        # and its curve row price the vigilant walk bit for bit, and the row's
-        # slope is 0, its limit from below
+        # and its curve row price the vigilant walk bit for bit, the row's
+        # slope is 0, its limit from below, and the slope in the wait is 0
         assert expected_tt_plan(S0, Uniform(30.0), WalkAndWaitPlan(3.0, t_wait, 0.8)) == 22.32
         rng = np.random.default_rng(38)
         for _ in range(200):
             scenario, model = random_scenario(rng), random_model(rng)
             p_catch = float(rng.choice([0.0, 1.0, rng.uniform()]))
-            vigilant = expected_tt_walk_vigilant(scenario, model, p_catch)
+            vigilant = vigilant_curve(scenario, model, [p_catch])[0][1]
             plan = WalkAndWaitPlan(scenario.d, t_wait, p_catch)
             assert expected_tt_plan(scenario, model, plan) == vigilant
             rows = plan_curve_d1(scenario, model, [scenario.d], t_wait, p_catch)
             assert rows == [(scenario.d, vigilant, 0.0)]
             assert math.copysign(1.0, rows[0][2]) == 1.0
+            assert plan_gradient_tw(scenario, model, plan) == 0.0
 
     def test_uniform_long_headway(self):
         # walk - pc * t_delta^2 / (2 T) with T=36
-        assert expected_tt_walk_vigilant(S0, Uniform(36.0), 1.0) == pytest.approx(
+        assert vigilant_curve(S0, Uniform(36.0), [1.0])[0][1] == pytest.approx(
             22.0, abs=1e-9
         )
 
     def test_uniform_short_headway(self):
         # walk - pc * (t_delta - T/2) with T=12
-        assert expected_tt_walk_vigilant(S0, Uniform(12.0), 1.0) == pytest.approx(
+        assert vigilant_curve(S0, Uniform(12.0), [1.0])[0][1] == pytest.approx(
             12.0, abs=1e-9
         )
 
@@ -314,7 +321,7 @@ class TestWalkVigilant:
         )
         for p_catch, vigilant in ((0.0, 30.0), (0.3, 27.934), (0.8, 24.4907), (1.0, 23.113)):
             plan = expected_tt_plan(scenario, model, WalkAndWaitPlan(1.25, 2.0, p_catch))
-            walk = expected_tt_walk_vigilant(scenario, model, p_catch)
+            walk = vigilant_curve(scenario, model, [p_catch])[0][1]
             assert plan == pytest.approx(24.26804, abs=1e-5)
             assert walk == pytest.approx(vigilant, abs=1e-3)
             assert (plan < walk) is (p_catch < 1.0)
@@ -343,9 +350,8 @@ class TestAdvantage:
             scenario = random_scenario(rng)
             model = random_model(rng)
             pc = rng.uniform(0.0, 1.0)
-            direct = expected_tt(scenario, model, math.inf) - expected_tt_walk_vigilant(
-                scenario, model, pc
-            )
+            walk = expected_tt_plan(scenario, model, WalkAndWaitPlan(scenario.d, 0.0, pc))
+            direct = expected_tt(scenario, model, math.inf) - walk
             assert advantage(scenario, model, pc) == pytest.approx(
                 direct, abs=1e-9
             )
@@ -486,14 +492,19 @@ class TestPlanValidation:
 
 
 class TestVigilantCatchProbability:
+    # the vigilant walk's price by its two routes, the one-row curve and the
+    # plan (d, 0, p_catch), and its advantage over waiting forever
+    ROUTES = (lambda s, m, p: vigilant_curve(s, m, [p])[0][1],
+              lambda s, m, p: expected_tt_plan(s, m, WalkAndWaitPlan(s.d, 0.0, p)), advantage)
+
     @pytest.mark.parametrize("p_catch", [True, False, "0.5", None, math.nan, -0.1, 1.5])
     def test_rejected(self, p_catch):
-        for function in (expected_tt_walk_vigilant, advantage):
+        for function in self.ROUTES:
             with pytest.raises(ValueError, match="p_catch"):
                 function(S0, Uniform(30.0), p_catch)
 
     def test_ints_and_numpy_floats_accepted(self):
-        for function in (expected_tt_walk_vigilant, advantage):
+        for function in self.ROUTES:
             want = function(S0, Uniform(30.0), 1.0)
             assert function(S0, Uniform(30.0), 1) == function(S0, Uniform(30.0), np.float64(1.0)) == want
         # a row holds the checked float, not the caller's object

@@ -672,6 +672,17 @@ class TestTableJumpMinima:
         assert [sp.kind for sp in points] == ["maximum"]
         assert points[0].t_wait == pytest.approx(2.0, abs=1e-15)
 
+    @pytest.mark.parametrize("cls", [PiecewiseLinearDensity, TablePiecewise], ids=["scan", "table"])
+    def test_a_zero_reached_from_below_below_a_drop_is_a_minimum(self, cls):
+        # t_delta = 1: E' = -1/4 - t/4 + t^2/2 rises to exactly 0 just below
+        # the drop at 1 and is 1/8 past it, so t = 1 is a minimum; the
+        # maximum is at 2, on dyadic knots where every table value is exact
+        scenario = Scenario(1.0, 0.5, 1.0)
+        points = find_stationary_points(scenario, cls([[0, 1.25], [1, .25], [1, .125], [3, .125]]))
+        assert [sp.kind for sp in points] == ["minimum", "maximum"]
+        assert [sp.t_wait for sp in points] == pytest.approx([1.0, 2.0], abs=1e-15)
+        assert points[0].expected_tt == pytest.approx(43 / 24, abs=1e-15)
+
     def test_a_tangent_root_is_no_sign_change(self):
         # E' = R - t_delta p on the head of this mixture touches 0 at
         # L - t_delta = 56, as w (1 + (t_delta / L)^2) = 1, without a sign

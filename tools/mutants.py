@@ -65,16 +65,16 @@ MUTANTS = [
      "SURVIVAL_FLOOR = 0.0",
      "roots of E' where rounding leaves a tiny survival are kept"),
     (ARRIVALS,
-     "< 0.0 < c and 1.0 - F0 > SURVIVAL_FLOOR:",
-     "< 0.0 < c:",
+     "and 0.0 < c and 1.0 - F0 > SURVIVAL_FLOOR:",
+     "and 0.0 < c:",
      "the table's jump minimum without its survival-floor check"),
     (ARRIVALS,
      "if abs(saving) <= TIE_TOL * scale:",
      "if abs(saving) < TIE_TOL * scale:",
      "a saving of exactly TIE_TOL scale no longer ties"),
     (ARRIVALS,
-     "t_delta * y_below < 0.0 < c",
-     "t_delta * y_below <= 0.0 < c",
+     "or left == 0.0 and rising)",
+     "or left == 0.0)",
      "the table's jump rule counts a minimum where E' reaches 0 from above"
      " just below a jump"),
     (ARRIVALS,
@@ -99,6 +99,16 @@ MUTANTS = [
      "return True",
      "a model with its own sampler, which may hand out one cached array,"
      " runs its chunks on helper threads"),
+    (ARRIVALS,
+     "(left < 0.0 or left == 0.0 and rising)",
+     "left < 0.0",
+     "the table's jump rule misses a minimum where E' reaches 0 from below"
+     " just below a jump"),
+    (INTERMEDIATE,
+     "if plan.d1 == scenario.d:",
+     "if False:",
+     "plan_gradient_tw reads E' at t1 + t_wait after a walk to the destination,"
+     " where E has no wait to vary"),
 ]
 
 
