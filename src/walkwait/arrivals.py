@@ -13,7 +13,7 @@ rest, and ``at`` hands the expectation layer all three from one lookup.
 each of a few pieces and list them once; ``_LinearDensity`` builds one table
 from them, one row per piece, which gives ``_at``, the appearance rate (the
 scan's one call per grid point, with the bits of p / R from ``_at``), the
-mean, the breakpoints, the sampler's columns and, in closed form, M1 and the
+mean, the breakpoints, the sampler's table and, in closed form, M1 and the
 roots of E' (the piecewise model still integrates M1 and scans for the
 roots).  Every model draws through ``sample(rng, n)``, whose contract
 ``ArrivalModel.sample`` states.  ``_check_time`` is the one rule for a time
@@ -22,10 +22,11 @@ or a wait.
 The base class integrates M1 by adaptive quadrature split at the
 breakpoints.  A model keeps the running sums of its whole pieces, so a call
 integrates only its last, partial piece, with the bits of integrating from
-zero; its density must not change after its first ``partial_mean``.  The
-sums are read with getattr and stored with object.__setattr__, never
-through ``__dict__``, whose first read builds the instance's dict and slows
-every later attribute lookup on the model.
+zero; its density must not change after its first ``partial_mean``.  Every
+attribute of a model, plan or scenario is stored with object.__setattr__, as
+a frozen dataclass's ``__init__`` stores its fields, and read back with
+getattr if built lazily (the M1 sums, the sampler's table); never through
+``__dict__``, whose first read builds the dict and slows every later lookup.
 
 The model alone picks the route to the sign changes of E'(W) = R(W) -
 t_delta p(W), through ``_sign_changes``: the table solves E', a polynomial
@@ -38,7 +39,6 @@ is the one rule of ``_tie`` on a saving of walking over waiting.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import sys
@@ -158,9 +158,8 @@ class ArrivalModel(ABC):
         a whole piece only the first time a call reaches past it, so every
         answer has the bits of a fresh model's, and the density must not
         change after the first call.  The sums are read with getattr and
-        stored with object.__setattr__, which frozen dataclasses allow:
-        reading ``self.__dict__`` would build the instance's dict, which
-        makes every later attribute lookup on the model slower.
+        stored with object.__setattr__, as the module states for every
+        stored attribute.
         """
         t = _check_time(t)
         if t >= self.support_end:
@@ -328,7 +327,6 @@ class _LinearDensity(ArrivalModel):
         # proportion to its weight, so LateBusMixture checks the width too.
         if not abs(cum - 1.0) <= 1e-13 + 4.0 * len(pieces) * sys.float_info.epsilon:
             raise ValueError(f"{mass_error} (the table's mass is {cum!r})")
-        # object.__setattr__ also sets them on frozen dataclasses
         object.__setattr__(self, "_pieces", pieces)
         object.__setattr__(self, "_starts", [piece[0] for piece in pieces])
         object.__setattr__(self, "_breakpoints", (*self._starts, pieces[-1][1]))
@@ -390,12 +388,14 @@ class _LinearDensity(ArrivalModel):
         """On a piece, in local x = t - t0, E' = R - t_delta p is the polynomial
         g(x) = (R0 - t_delta y0) - (y0 + t_delta s) x - (s/2) x^2.  A root
         where g rises is a minimum, one where it falls a maximum; a tangent
-        root is no sign change.  At a row start t0 where the density jumps,
-        E' goes from R0 - t_delta y1 of the row before to g(0): a change from
-        negative to positive is a minimum at t0, the other way is dropped, as
-        the scan drops it; a left limit of exactly 0 counts as negative when
-        the row before's g rose at its end, -(b + s width) > 0.  Roots where
-        R <= SURVIVAL_FLOOR are dropped too."""
+        root is no sign change, nor is a pair whose discriminant b^2 + 2 s c
+        lies within 4 ulps of |b^2| + |2 s c|, as rounding can put it there.
+        At a row start t0 where the density jumps, E' goes from R0 - t_delta
+        y1 of the row before to g(0): a change from negative to positive is a
+        minimum at t0, the other way is dropped, as the scan drops it; a left
+        limit of exactly 0 counts as negative when the row before's g rose
+        at its end, -(b + s width) > 0.  Roots where R <= SURVIVAL_FLOOR are
+        dropped too."""
         changes = []
         y_below = 0.0  # the density just below the row start
         rising = False  # whether E' rose at the end of the row before
@@ -414,7 +414,7 @@ class _LinearDensity(ArrivalModel):
                 roots = [(c / b, "maximum" if b > 0.0 else "minimum")] if b != 0.0 else []
             else:
                 disc = b * b + 2.0 * s * c
-                if not disc > 0.0:
+                if not disc > 4.0 * sys.float_info.epsilon * (b * b + abs(2.0 * s * c)):
                     continue
                 # the two roots of (s/2) x^2 + b x - c, in the form with no cancellation
                 q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
@@ -435,7 +435,7 @@ class Uniform(_LinearDensity):
     headway: float
 
     def __post_init__(self):
-        self.__dict__["headway"] = h = _positive(self.headway, "headway")
+        object.__setattr__(self, "headway", h := _positive(self.headway, "headway"))
         error = f"headway {h} is out of range: 1/headway or its sums leave the normal floats"
         self._tabulate([(0.0, h, 1.0 / h, 1.0 / h)], error, error)
 
@@ -454,7 +454,7 @@ class Exponential(ArrivalModel):
     rate: float
 
     def __post_init__(self):
-        self.__dict__["rate"] = rate = _positive(self.rate, "rate")
+        object.__setattr__(self, "rate", rate := _positive(self.rate, "rate"))
         if 40.0 / rate == math.inf:
             raise ValueError(f"rate {rate} is out of range: quad_bound() 40/rate overflows")
 
@@ -516,10 +516,10 @@ class LateBusMixture(_LinearDensity):
     next_headway_offset: float
 
     def __post_init__(self):
-        w = _probability(self.still_coming_prob, "still_coming_prob")
-        L = _positive(self.late_window, "late_window")
-        H = _number(self.next_headway_offset, "next_headway_offset")
-        self.__dict__.update(still_coming_prob=w, late_window=L, next_headway_offset=H)
+        for name, rule in (("still_coming_prob", _probability), ("late_window", _positive),
+                           ("next_headway_offset", _number)):
+            object.__setattr__(self, name, rule(getattr(self, name), name))
+        w, L, H = self.still_coming_prob, self.late_window, self.next_headway_offset
         if not L < H < math.inf:
             raise ValueError("next_headway_offset must be finite and exceed late_window")
         head, tail = 2.0 * w / L, (1.0 - w) / L
@@ -614,37 +614,35 @@ class PiecewiseLinearDensity(_LinearDensity):
             "knot densities do not normalize to a mass of one",
         )
 
-    @functools.cached_property
-    def _columns(self):
-        """Per-piece (t0, width, y0, slope, cdf at t0) as arrays, built on
-        the first draw, so models that are never sampled skip the cost."""
-        t0, _, y0, _, _, cum, width, slope, _, _ = (np.array(c) for c in zip(*self._pieces))
-        return t0, width, y0, slope, cum
-
-    @functools.cached_property
-    def _guide(self):
-        """Indexed-search table for the inverse CDF, built on the first draw.
-
-        Returns (edges, cells, guide): ``edges`` is the CDF at every piece
-        start plus 1.0; ``guide[k]`` is the piece of every u in the cell
-        [k, k + 1) / cells when one piece covers the whole cell, else -1.
-        """
-        edges = np.append(self._columns[4], 1.0)
-        last = len(self._pieces) - 1
-        # a power of two, so floor(u * cells) is exact
-        cells = min(1 << (64 * len(self._pieces) - 1).bit_length(), 1 << 16)
-        guide = np.minimum(
-            np.searchsorted(edges, np.arange(cells) / cells, side="right") - 1, last
-        )
-        # the piece of u never falls as u grows, so the piece at the next
-        # cell's start bounds it
-        guide[guide != np.append(guide[1:], last)] = -1
-        return edges, cells, guide
+    def _draw_table(self):
+        """The sampler's one table, built on the first draw, so models that
+        are never sampled skip the cost: ((t0, width, y0, slope, cum), (edges,
+        cells, guide)), the per-piece columns as arrays, cum the CDF at t0,
+        and the indexed search for the inverse CDF: ``edges`` is cum plus
+        1.0, and ``guide[k]`` the piece of every u in the cell [k, k + 1) /
+        cells when one piece covers the whole cell, else -1."""
+        table = getattr(self, "_draws", None)
+        if table is None:
+            t0, _, y0, _, _, cum, width, slope, _, _ = (np.array(c) for c in zip(*self._pieces))
+            edges = np.append(cum, 1.0)
+            last = len(self._pieces) - 1
+            # a power of two, so floor(u * cells) is exact
+            cells = min(1 << (64 * len(self._pieces) - 1).bit_length(), 1 << 16)
+            guide = np.minimum(
+                np.searchsorted(edges, np.arange(cells) / cells, side="right") - 1, last
+            )
+            # the piece of u never falls as u grows, so the piece at the next
+            # cell's start bounds it
+            guide[guide != np.append(guide[1:], last)] = -1
+            table = (t0, width, y0, slope, cum), (edges, cells, guide)
+            # a racing draw may store an equal table: it only repeats work
+            object.__setattr__(self, "_draws", table)
+        return table
 
     def _piece_index(self, u):
         """Piece holding each CDF value in the 1-D array u, each in [0, 1):
         searchsorted(edges, u, "right") - 1, clamped to the last piece."""
-        edges, cells, guide = self._guide
+        edges, cells, guide = self._draw_table()[1]
         idx = np.take(guide, (u * cells).astype(np.intp))
         # the few draws in a cell that spans a piece edge: full search
         split = np.flatnonzero(idx < 0)
@@ -657,7 +655,7 @@ class PiecewiseLinearDensity(_LinearDensity):
     def sample(self, rng, n):
         u = rng.random(n)
         idx = self._piece_index(u)
-        t0, width, y0, slope, cum = self._columns
+        t0, width, y0, slope, cum = self._draw_table()[0]
         # x in [0, width] solves y0*x + slope/2 * x^2 = m, in the form that
         # has no cancellation and no division by the slope:
         # x = 2m / (y0 + sqrt(y0^2 + 2*slope*m))

@@ -44,9 +44,9 @@ class Scenario:
         t_delta, q = walk - bus, 1.0 / v_w - 1.0 / v_b
         _positive(q, "q = 1/v_w - 1/v_b")
         _positive(t_delta, "t_delta = d/v_w - d/v_b")
-        # past the frozen __setattr__, as __init__ itself sets fields
-        self.__dict__.update(d=d, v_w=v_w, v_b=v_b, walk_time=walk, bus_time=bus,
-                             t_delta=t_delta, q=q)
+        for name, value in zip(("d", "v_w", "v_b", "walk_time", "bus_time", "t_delta", "q"),
+                               (d, v_w, v_b, walk, bus, t_delta, q)):
+            object.__setattr__(self, name, value)
 
 
 def _walk_and_wait(scenario, model, t1, t_wait, p_catch) -> tuple:

@@ -52,8 +52,9 @@ class WalkAndWaitPlan:
     p_catch: float
 
     def __post_init__(self):
-        self.__dict__.update(d1=_d1(self.d1), t_wait=_check_time(self.t_wait, "t_wait"),
-                             p_catch=_probability(self.p_catch, "p_catch"))
+        for name, value in (("d1", _d1(self.d1)), ("t_wait", _check_time(self.t_wait, "t_wait")),
+                            ("p_catch", _probability(self.p_catch, "p_catch"))):
+            object.__setattr__(self, name, value)
 
     def t1(self, scenario: Scenario) -> float:
         """Head start eroded while walking to the stop (minutes); d1 must lie in the journey."""

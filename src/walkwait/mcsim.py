@@ -191,15 +191,16 @@ def estimate(
     """Mean travel time over n independent journeys, with its standard error.
 
     Deterministic for a fixed (n, seed); n is an integer of at least 2 and
-    seed one of at least 0.  Raises ValueError when the mean or its standard
-    error is not finite: the squared deviations of travel times past about
-    1.3e154 min, or the sums of times near the largest float, overflow.
+    seed one of at least 0.  Where squared deviations overflow, past about
+    1.3e154 min, the chunks run again scaled by 2^-600; no other estimate
+    changes a bit.  Raises ValueError when the mean or its standard error is
+    not finite, as where the sums of times near the largest float overflow.
     """
     n = _sample_count(n)
     seed = _seed(seed)
     sizes = [min(CHUNK, n - start) for start in range(0, n, CHUNK)]
 
-    def chunk(chunk_idx):
+    def chunk(chunk_idx, scale):
         rng = np.random.default_rng([seed, chunk_idx])
         # an overflow leaves inf or nan in the sums, which the check below
         # rejects, rather than a warning; each thread starts from numpy's
@@ -209,21 +210,25 @@ def estimate(
             c_mean = float(x.mean())
             # the squared deviations, in place: x is _travel_times' own array
             x -= c_mean
+            if scale != 1.0:
+                x *= scale
             x *= x
-            return (c_mean, float(x.sum())), x
+            return (c_mean * scale, float(x.sum())), x
 
     helpers = min(len(sizes), _cpus()) - 1 if _bundled_sampler(model) else 0
-    total_n = 0
-    mean = 0.0
-    m2 = 0.0
-    # Chan et al. pairwise merge, in chunk order
-    for size, (c_mean, c_m2) in zip(sizes, _run_chunks(chunk, len(sizes), helpers)):
-        delta = c_mean - mean
-        new_n = total_n + size
-        m2 += c_m2 + delta * delta * total_n * size / new_n
-        mean += delta * size / new_n
-        total_n = new_n
-    stderr = math.sqrt(m2 / (total_n - 1) / total_n)
+    for scale in (1.0, 2.0**-600):
+        total_n, mean, m2 = 0, 0.0, 0.0
+        results = _run_chunks(lambda i: chunk(i, scale), len(sizes), helpers)
+        # Chan et al. pairwise merge, in chunk order
+        for size, (c_mean, c_m2) in zip(sizes, results):
+            delta = c_mean - mean
+            new_n = total_n + size
+            m2 += c_m2 + delta * delta * total_n * size / new_n
+            mean += delta * size / new_n
+            total_n = new_n
+        if m2 < math.inf:
+            break
+    mean, stderr = mean / scale, math.sqrt(m2 / (total_n - 1) / total_n) / scale
     if not (math.isfinite(mean) and math.isfinite(stderr)):
         raise ValueError(
             f"the estimate overflows the floats (mean {mean}, stderr {stderr}):"

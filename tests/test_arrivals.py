@@ -684,9 +684,9 @@ def two_branch_inverse(t0, width, y0, slope, m):
 def gather_first_draws(model, u):
     """The sampler's arithmetic, step for step, with every per-piece column
     gathered before it starts: the reference for the sampler's bits."""
-    edges, _, _ = model._guide
+    columns, (edges, _, _) = model._draw_table()
     idx = np.minimum(np.searchsorted(edges, u, side="right") - 1, len(model._pieces) - 1)
-    t0, width, y0, slope, cum = (np.take(column, idx) for column in model._columns)
+    t0, width, y0, slope, cum = (np.take(column, idx) for column in columns)
     m = u - cum
     root = np.sqrt(np.maximum(slope * m * 2.0 + y0 * y0, 0.0)) + y0
     root = root + (root == 0.0)
@@ -718,7 +718,7 @@ class TestGuideTableSampler:
 
     @staticmethod
     def probes(model):
-        edges, cells, _ = model._guide
+        _, (edges, cells, _) = model._draw_table()
         return np.concatenate([
             edges[edges < 1.0],
             np.arange(cells) / cells,
@@ -727,7 +727,7 @@ class TestGuideTableSampler:
         ])
 
     def test_piece_index_matches_full_search(self, model):
-        edges, _, _ = model._guide
+        _, (edges, _, _) = model._draw_table()
         u = self.probes(model)
         reference = np.minimum(
             np.searchsorted(edges, u, side="right") - 1, len(model._pieces) - 1
@@ -737,9 +737,9 @@ class TestGuideTableSampler:
     def test_draws_lie_in_their_piece_and_match_the_two_branch_formula(self, model):
         u = self.probes(model)
         draws = model.sample(FixedUniforms(u), u.size)
-        edges, _, _ = model._guide
+        columns, (edges, _, _) = model._draw_table()
         idx = np.minimum(np.searchsorted(edges, u, side="right") - 1, len(model._pieces) - 1)
-        t0, width, y0, slope, cum = (column[idx] for column in model._columns)
+        t0, width, y0, slope, cum = (column[idx] for column in columns)
         assert np.isfinite(draws).all()
         assert (draws >= t0).all() and (draws <= t0 + width).all()
         reference = two_branch_inverse(t0, width, y0, slope, u - cum)
@@ -755,11 +755,15 @@ class TestGuideTableSampler:
         assert model.sample(FixedUniforms([0.0]), 1)[0] == 1.0
 
     def test_tables_are_built_on_the_first_draw(self):
+        # read with getattr, as the model reads it: vars() would build the
+        # instance's dict, which the model never does
         model = PiecewiseLinearDensity(DROP_KNOTS)
         model.cdf(3.0)
-        assert "_guide" not in vars(model) and "_columns" not in vars(model)
+        assert getattr(model, "_draws", None) is None
         model.sample(np.random.default_rng(0), 10)
-        assert "_guide" in vars(model) and "_columns" in vars(model)
+        table = model._draws
+        model.sample(np.random.default_rng(1), 10)
+        assert model._draw_table() is table is model._draws
 
 
 class ExactTriangle(Triangle):

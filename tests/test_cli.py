@@ -364,13 +364,21 @@ class TestSimulate:
         assert captured.err == "error: seed: seed must be nonnegative, got -1\n"
 
     def test_overflowing_estimate_names_model(self, config, capsys):
-        # the squared deviations overflow: no NaN stderr and passing z
-        argv = ["simulate", config({"kind": "exponential", "rate": 1e-160}), "--strategy",
+        # the sum of the journeys overflows: no NaN stderr and passing z
+        argv = ["simulate", config({"kind": "exponential", "rate": 2.3e-307}), "--strategy",
                 "wait_forever", "--n", "1000", "--json"]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: model: ") and captured.err.count("\n") == 1
+
+    def test_squares_past_the_largest_float_simulate(self, config, capsys):
+        # the squared deviations overflow unscaled: the estimate scales them
+        code, out = run(capsys, "simulate", config({"kind": "exponential", "rate": 1e-160}),
+                        "--strategy", "wait_forever", "--n", "1000", "--json")
+        assert code == 0
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in {out}"))
+        assert 0.0 < payload["stderr"] < math.inf and abs(payload["z"]) < 3.5
 
     def test_walk_and_wait_strategy_string(self, config, capsys):
         code, out = run(

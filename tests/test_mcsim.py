@@ -121,12 +121,35 @@ class TestEstimate:
             estimate(S0, NoDraws(30.0), WaitForever(), n, seed)
         assert str(info.value).startswith(message)
 
-    @pytest.mark.parametrize("rate, n", [(1e-160, 1000), (2.3e-307, 10**5)])
+    @pytest.mark.parametrize("rate, n", [(2.3e-307, 10**5)])
     def test_overflowing_estimate_rejected(self, rate, n):
-        # deviations past about 1.3e154 min square to inf, and near the
-        # largest float the chunk's sum overflows: a NaN is no estimate
+        # near the largest float the chunk's sum overflows: a NaN is no estimate
         with pytest.raises(ValueError, match="overflows the floats"):
             estimate(S0, Exponential(rate), WaitForever(), n, 0)
+
+    @pytest.mark.parametrize("n", [1000, 10**5, 3 * CHUNK])
+    def test_squares_past_the_largest_float_are_scaled(self, n):
+        # deviations of about 1e160 min square past the largest float: the
+        # estimate scales them, and its stderr is the mean's, sigma / sqrt(n)
+        model = Exponential(1e-160)
+        result = estimate(S0, model, WaitForever(), n, 0)
+        analytic = expected_tt_plan(S0, model, WaitForever())
+        assert 0.0 < result.stderr < math.inf and result.n == n
+        assert result.stderr == pytest.approx(1e160 / math.sqrt(n), rel=0.1)
+        assert abs(result.mean - analytic) < 3.5 * result.stderr
+
+    def test_scaled_estimate_matches_compensated_sums(self):
+        # the reference scales the journeys by 2^-600, exactly, and sums
+        # them and their squared deviations with math.fsum
+        model, plan, n = Exponential(1e-160), WaitForever(), 3 * CHUNK
+        result = estimate(S0, model, plan, n, 0)
+        x = np.concatenate([
+            _travel_times(S0, model, plan, np.random.default_rng([0, i]), CHUNK) for i in range(3)
+        ]) * 2.0**-600
+        mean = math.fsum(x) / n
+        stderr = math.sqrt(math.fsum((x - mean) ** 2) / (n - 1) / n)
+        assert result.mean == pytest.approx(mean * 2.0**600, rel=1e-14)
+        assert result.stderr == pytest.approx(stderr * 2.0**600, rel=1e-12)
 
     def test_large_finite_estimate_accepted(self):
         result = estimate(S0, Exponential(1e-150), WaitForever(), 1000, 0)
@@ -645,7 +668,7 @@ class TestHelperThreads:
         helpers(1)
         before = threading.active_count()
         with pytest.raises(ValueError, match="overflows the floats"):
-            estimate(S0, Exponential(1e-160), WaitForever(), 3 * CHUNK, 0)
+            estimate(S0, Exponential(2.3e-307), WaitForever(), 3 * CHUNK, 0)
         assert threading.active_count() == before
         assert helper_ran(runs)
 

@@ -78,7 +78,7 @@ MUTANTS = [
      "the table's jump rule counts a minimum where E' reaches 0 from above"
      " just below a jump"),
     (ARRIVALS,
-     "if not disc > 0.0:",
+     "if not disc > 4.0 * sys.float_info.epsilon * (b * b + abs(2.0 * s * c)):",
      "if not disc >= 0.0:",
      "the table lists a tangent root of E', where b^2 + 2 s c rounds to 0,"
      " as a maximum and a minimum"),
@@ -109,6 +109,15 @@ MUTANTS = [
      "if False:",
      "plan_gradient_tw reads E' at t1 + t_wait after a walk to the destination,"
      " where E has no wait to vary"),
+    (ARRIVALS,
+     "if not disc > 4.0 * sys.float_info.epsilon * (b * b + abs(2.0 * s * c)):",
+     "if not disc > 0.0:",
+     "the table lists a tangent root of E', where b^2 + 2 s c rounds to a few"
+     " ulps above 0, as a maximum and a minimum"),
+    (MCSIM,
+     "for scale in (1.0, 2.0**-600):",
+     "for scale in (1.0,):",
+     "an estimate whose squared deviations overflow is not run again scaled"),
 ]
 
 
