@@ -388,14 +388,12 @@ class _LinearDensity(ArrivalModel):
         """On a piece, in local x = t - t0, E' = R - t_delta p is the polynomial
         g(x) = (R0 - t_delta y0) - (y0 + t_delta s) x - (s/2) x^2.  A root
         where g rises is a minimum, one where it falls a maximum; a tangent
-        root is no sign change, nor is a pair whose discriminant b^2 + 2 s c
-        lies within 4 ulps of |b^2| + |2 s c|, as rounding can put it there.
-        At a row start t0 where the density jumps, E' goes from R0 - t_delta
-        y1 of the row before to g(0): a change from negative to positive is a
-        minimum at t0, the other way is dropped, as the scan drops it; a left
-        limit of exactly 0 counts as negative when the row before's g rose
-        at its end, -(b + s width) > 0.  Roots where R <= SURVIVAL_FLOOR are
-        dropped too."""
+        root is no sign change.  At a row start t0 where the density jumps,
+        E' goes from R0 - t_delta y1 of the row before to g(0): a change from
+        negative to positive is a minimum at t0, the other way is dropped, as
+        the scan drops it; a left limit of exactly 0 counts as negative when
+        the row before's g rose at its end, -(b + s width) > 0.  Roots where
+        R <= SURVIVAL_FLOOR are dropped too."""
         changes = []
         y_below = 0.0  # the density just below the row start
         rising = False  # whether E' rose at the end of the row before
@@ -414,7 +412,9 @@ class _LinearDensity(ArrivalModel):
                 roots = [(c / b, "maximum" if b > 0.0 else "minimum")] if b != 0.0 else []
             else:
                 disc = b * b + 2.0 * s * c
-                if not disc > 4.0 * sys.float_info.epsilon * (b * b + abs(2.0 * s * c)):
+                # a tangent's disc rounds to a few ulps of the sizes of b's and c's terms
+                sb, sc = y0 + t_delta * abs(s), abs(1.0 - F0) + t_delta * y0
+                if not disc > 4.0 * sys.float_info.epsilon * (sb * sb + 2.0 * abs(s) * sc):
                     continue
                 # the two roots of (s/2) x^2 + b x - c, in the form with no cancellation
                 q = -0.5 * (b + math.copysign(math.sqrt(disc), b))

@@ -27,11 +27,11 @@ from .arrivals import ArrivalModel, _check_time, _number, _probability, _tie
 from .expectation import Scenario, _walk_and_wait
 
 
-def _d1(value) -> float:
+def _d1(value, name: str = "d1") -> float:
     """value as a walked distance; booleans, NaN, inf and negatives are rejected."""
-    d1 = _number(value, "d1")
+    d1 = _number(value, name)
     if not 0.0 <= d1 < math.inf:
-        raise ValueError("d1 must be nonnegative and finite")
+        raise ValueError(f"{name} must be nonnegative and finite")
     return d1
 
 
@@ -52,9 +52,8 @@ class WalkAndWaitPlan:
     p_catch: float
 
     def __post_init__(self):
-        for name, value in (("d1", _d1(self.d1)), ("t_wait", _check_time(self.t_wait, "t_wait")),
-                            ("p_catch", _probability(self.p_catch, "p_catch"))):
-            object.__setattr__(self, name, value)
+        for name, rule in (("d1", _d1), ("t_wait", _check_time), ("p_catch", _probability)):
+            object.__setattr__(self, name, rule(getattr(self, name), name))
 
     def t1(self, scenario: Scenario) -> float:
         """Head start eroded while walking to the stop (minutes); d1 must lie in the journey."""

@@ -191,10 +191,8 @@ def estimate(
     """Mean travel time over n independent journeys, with its standard error.
 
     Deterministic for a fixed (n, seed); n is an integer of at least 2 and
-    seed one of at least 0.  Where squared deviations overflow, past about
-    1.3e154 min, the chunks run again scaled by 2^-600; no other estimate
-    changes a bit.  Raises ValueError when the mean or its standard error is
-    not finite, as where the sums of times near the largest float overflow.
+    seed one of at least 0.  Raises ValueError when the mean or its standard
+    error is not finite, as where sums of times near the largest float overflow.
     """
     n = _sample_count(n)
     seed = _seed(seed)
@@ -210,13 +208,12 @@ def estimate(
             c_mean = float(x.mean())
             # the squared deviations, in place: x is _travel_times' own array
             x -= c_mean
-            if scale != 1.0:
-                x *= scale
+            x *= scale
             x *= x
             return (c_mean * scale, float(x.sum())), x
 
     helpers = min(len(sizes), _cpus()) - 1 if _bundled_sampler(model) else 0
-    for scale in (1.0, 2.0**-600):
+    for scale in (1.0, 2.0**-600):  # where the squares overflow, run again scaled exactly
         total_n, mean, m2 = 0, 0.0, 0.0
         results = _run_chunks(lambda i: chunk(i, scale), len(sizes), helpers)
         # Chan et al. pairwise merge, in chunk order
@@ -226,7 +223,7 @@ def estimate(
             m2 += c_m2 + delta * delta * total_n * size / new_n
             mean += delta * size / new_n
             total_n = new_n
-        if m2 < math.inf:
+        if m2 < math.inf or not math.isfinite(mean):  # scaling cannot mend the mean
             break
     mean, stderr = mean / scale, math.sqrt(m2 / (total_n - 1) / total_n) / scale
     if not (math.isfinite(mean) and math.isfinite(stderr)):

@@ -756,14 +756,20 @@ class TestGuideTableSampler:
 
     def test_tables_are_built_on_the_first_draw(self):
         # read with getattr, as the model reads it: vars() would build the
-        # instance's dict, which the model never does
-        model = PiecewiseLinearDensity(DROP_KNOTS)
+        # instance's dict, which the model never does; after its draws the
+        # model answers with the bits of a twin that never drew
+        model, fresh = PiecewiseLinearDensity(DROP_KNOTS), PiecewiseLinearDensity(DROP_KNOTS)
         model.cdf(3.0)
         assert getattr(model, "_draws", None) is None
         model.sample(np.random.default_rng(0), 10)
         table = model._draws
         model.sample(np.random.default_rng(1), 10)
         assert model._draw_table() is table is model._draws
+        scenario = Scenario(3.0, 0.1, 0.5)
+        assert find_stationary_points(scenario, model) == find_stationary_points(scenario, fresh)
+        assert optimal_policy(scenario, model) == optimal_policy(scenario, fresh)
+        ts = [0.0, 0.5, 4.0, 5.07, 24.0, 99.0, 1e4]
+        assert [model.partial_mean(t) for t in ts] == [fresh.partial_mean(t) for t in ts]
 
 
 class ExactTriangle(Triangle):

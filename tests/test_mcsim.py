@@ -122,10 +122,15 @@ class TestEstimate:
         assert str(info.value).startswith(message)
 
     @pytest.mark.parametrize("rate, n", [(2.3e-307, 10**5)])
-    def test_overflowing_estimate_rejected(self, rate, n):
-        # near the largest float the chunk's sum overflows: a NaN is no estimate
+    def test_overflowing_estimate_rejected(self, rate, n, monkeypatch):
+        # near the largest float the chunk's sum overflows: a NaN is no
+        # estimate, and scaling cannot mend the mean, so no chunk runs twice
+        sizes = []
+        monkeypatch.setattr(mcsim, "_travel_times", lambda *args: sizes.append(args[-1])
+                            or _travel_times(*args))
         with pytest.raises(ValueError, match="overflows the floats"):
             estimate(S0, Exponential(rate), WaitForever(), n, 0)
+        assert sorted(sizes) == sorted(min(CHUNK, n - start) for start in range(0, n, CHUNK))
 
     @pytest.mark.parametrize("n", [1000, 10**5, 3 * CHUNK])
     def test_squares_past_the_largest_float_are_scaled(self, n):

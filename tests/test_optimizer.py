@@ -701,18 +701,20 @@ class TestTableJumpMinima:
     @pytest.mark.parametrize(
         "args",
         [(0.8, 48.0, 106.0),
-         *((1.0 / (1.0 + (24.0 / L) ** 2), L, 3.0 * L) for L in (36.0, 48.0, 60.0))],
-        ids=["w0.8-L48", "L36", "L48", "L60"],
+         *((1.0 / (1.0 + (24.0 / L) ** 2), L, 3.0 * L) for L in (28.0, 29.0, 36.0, 48.0, 60.0))],
+        ids=["w0.8-L48", "L28", "L29", "L36", "L48", "L60"],
     )
     def test_a_tangent_whose_discriminant_rounds_up_is_no_sign_change(self, args):
         # as above, E' touches 0 at L - t_delta, as w (1 + (t_delta / L)^2) = 1
-        # up to rounding, but b^2 + 2 s c rounds to 5e-20 or 8e-20, one to three
-        # ulps of b^2: a pair of roots 5e-7 to 1e-6 apart was listed, the minimum
-        # priced at or above the maximum; the scan of the twin finds neither
+        # up to rounding, but b^2 + 2 s c rounds to 5e-20 to 8e-19: a pair of
+        # roots 5e-7 to 1.3e-6 apart was listed, the minimum priced at or above
+        # the maximum; the scan of the twin finds neither.  Near L = t_delta,
+        # b = y0 + t_delta s cancels, and its rounding puts b^2 + 2 s c at up
+        # to 35 ulps of b^2 + |2 s c|, but below one ulp of its operands' size
         model = LateBusMixture(*args)
         _, _, y0, _, _, F0, _, s, _, _ = model._pieces[0]
         b, c = y0 + S0.t_delta * s, (1.0 - F0) - S0.t_delta * y0
-        assert 0.0 < b * b + 2.0 * s * c < 1e-15 * b * b
+        assert 0.0 < b * b + 2.0 * s * c < 1e-13 * b * b
         points = find_stationary_points(S0, model)
         scanned = find_stationary_points(S0, FallbackLateBus(*args))
         assert [sp.kind for sp in points] == [sp.kind for sp in scanned] == ["maximum"]
@@ -740,29 +742,6 @@ class TestTableJumpMinima:
             ws = np.concatenate([np.linspace(0.0, model.support_end, 20_001), model.breakpoints()])
             brute = min(piecewise_tt(scenario, knots, ws).min(), scenario.bus_time + model.mean())
             assert best <= brute + 1e-9 * max(1.0, brute), knots
-
-
-class TestDrawnModels:
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: Uniform(30.0),
-            lambda: Exponential(1.0 / 24.0),
-            lambda: LateBusMixture(0.25, 4.0, 56.0),
-            lambda: PiecewiseLinearDensity(DROP_KNOTS),
-            lambda: PiecewiseLinearDensity(SPIKE_KNOTS),
-        ],
-        ids=["uniform", "exponential", "late_bus", "drop", "spike"],
-    )
-    def test_a_model_that_has_drawn_answers_as_a_fresh_twin(self, make):
-        # a draw stores the sampler's table beside the model's others: every
-        # later answer keeps the bits of a twin that never drew
-        drawn, fresh = make(), make()
-        drawn.sample(np.random.default_rng(0), 1000)
-        assert find_stationary_points(S0, drawn) == find_stationary_points(S0, fresh)
-        assert optimal_policy(S0, drawn) == optimal_policy(S0, fresh)
-        ts = [0.0, 0.5, 4.0, 5.07, 24.0, 99.0, 1e4]
-        assert [drawn.partial_mean(t) for t in ts] == [fresh.partial_mean(t) for t in ts]
 
 
 @pytest.mark.parametrize("cls", [PiecewiseLinearDensity, TablePiecewise], ids=["scan", "table"])

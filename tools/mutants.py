@@ -78,7 +78,7 @@ MUTANTS = [
      "the table's jump rule counts a minimum where E' reaches 0 from above"
      " just below a jump"),
     (ARRIVALS,
-     "if not disc > 4.0 * sys.float_info.epsilon * (b * b + abs(2.0 * s * c)):",
+     "if not disc > 4.0 * sys.float_info.epsilon * (sb * sb + 2.0 * abs(s) * sc):",
      "if not disc >= 0.0:",
      "the table lists a tangent root of E', where b^2 + 2 s c rounds to 0,"
      " as a maximum and a minimum"),
@@ -110,7 +110,7 @@ MUTANTS = [
      "plan_gradient_tw reads E' at t1 + t_wait after a walk to the destination,"
      " where E has no wait to vary"),
     (ARRIVALS,
-     "if not disc > 4.0 * sys.float_info.epsilon * (b * b + abs(2.0 * s * c)):",
+     "if not disc > 4.0 * sys.float_info.epsilon * (sb * sb + 2.0 * abs(s) * sc):",
      "if not disc > 0.0:",
      "the table lists a tangent root of E', where b^2 + 2 s c rounds to a few"
      " ulps above 0, as a maximum and a minimum"),
@@ -118,6 +118,16 @@ MUTANTS = [
      "for scale in (1.0, 2.0**-600):",
      "for scale in (1.0,):",
      "an estimate whose squared deviations overflow is not run again scaled"),
+    (ARRIVALS,
+     "sb, sc = y0 + t_delta * abs(s), abs(1.0 - F0) + t_delta * y0",
+     "sb, sc = abs(b), abs(c)",
+     "the tangent bound misses the rounding of b = y0 + t_delta s where it"
+     " cancels, and keeps a spurious maximum and minimum"),
+    (MCSIM,
+     "if m2 < math.inf or not math.isfinite(mean):",
+     "if m2 < math.inf:",
+     "an estimate whose mean overflows runs every chunk a second time, scaled,"
+     " only to be rejected"),
 ]
 
 
