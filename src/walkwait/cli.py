@@ -15,6 +15,8 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import stat
 import sys
 
 from .arrivals import ArrivalModel, _number, _positive, _probability, model_from_config
@@ -152,8 +154,14 @@ def cmd_sweep(args) -> int:
     # one format per row; % and format() share the float formatter
     text = "\n".join([header] + ["%.12g,%.12g,%.12g" % row for row in rows]) + "\n"
     try:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        # overwrite in place, then cut to length: truncating a full file to
+        # zero first makes ext4 force its blocks out when it closes; a
+        # non-regular target such as /dev/null takes no cut, which would
+        # raise EINVAL there
+        with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(text.encode())
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 3

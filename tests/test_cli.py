@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,41 @@ class TestSweep:
             ) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert b"\r" not in paths[0].read_bytes()
+
+    def tw_sweep(self, out, steps):
+        argv = ["sweep", str(CONFIG_DIR / "uniform30.json"), "--var", "tw",
+                "--from", "0", "--to", "60", "--steps", str(steps), "--out", str(out)]
+        return main(argv)
+
+    def test_shorter_rewrite_is_cut_to_length(self, tmp_path):
+        # the file is overwritten in place: a rewrite that did not cut it
+        # would keep the tail of the 61-step rows
+        out, fresh = tmp_path / "tw.csv", tmp_path / "fresh.csv"
+        assert self.tw_sweep(out, 61) == 0 and self.tw_sweep(out, 3) == 0
+        assert self.tw_sweep(fresh, 3) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_same_length_rewrite_is_byte_equal(self, tmp_path):
+        out = tmp_path / "tw.csv"
+        assert self.tw_sweep(out, 61) == 0
+        first = out.read_bytes()
+        assert self.tw_sweep(out, 61) == 0
+        assert out.read_bytes() == first
+
+    def test_new_file_has_the_mode_of_open_w(self, tmp_path):
+        out, reference = tmp_path / "tw.csv", tmp_path / "reference.csv"
+        with open(reference, "w"):
+            pass
+        assert self.tw_sweep(out, 3) == 0
+        assert out.stat().st_mode == reference.stat().st_mode
+
+    def test_non_regular_target_is_written_as_a_stream(self):
+        # the null device is seekable, but cutting it to length raises EINVAL
+        assert self.tw_sweep(os.devnull, 61) == 0
+
+    def test_directory_target_exits_3_naming_it(self, tmp_path, capsys):
+        assert self.tw_sweep(tmp_path, 3) == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
 
 
 class TestParserReuse:

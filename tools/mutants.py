@@ -26,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ARRIVALS = "src/walkwait/arrivals.py"
+CLI = "src/walkwait/cli.py"
 EXPECTATION = "src/walkwait/expectation.py"
 INTERMEDIATE = "src/walkwait/intermediate.py"
 MCSIM = "src/walkwait/mcsim.py"
@@ -128,6 +129,15 @@ MUTANTS = [
      "if m2 < math.inf:",
      "an estimate whose mean overflows runs every chunk a second time, scaled,"
      " only to be rejected"),
+    (CLI,
+     "fh.truncate()",
+     "pass",
+     "a sweep rewritten shorter keeps the tail of the file it overwrites"),
+    (CLI,
+     "if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):",
+     "if True:",
+     "a sweep to a non-regular target such as /dev/null is cut to length,"
+     " which raises EINVAL"),
 ]
 
 
