@@ -6,11 +6,14 @@ rule for it, so a speed that underflows names its field.  Exit codes: 0
 success, 2 bad input, named by its field or option (a model whose partial
 mean the quadrature cannot resolve, or whose simulated journeys overflow the
 floats, is bad input too), 3 I/O failure.
+
+Each subcommand's options are stated once, in ``GRAMMAR``.  A spelled-out
+call is parsed straight from it (see ``_parse_plain``); any other goes to the
+argparse parser built from it, which is imported only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import functools
 import json
@@ -18,6 +21,7 @@ import math
 import os
 import stat
 import sys
+from types import SimpleNamespace
 
 from .arrivals import ArrivalModel, _number, _positive, _probability, model_from_config
 from .expectation import Scenario, expected_tt, expected_tt_curve
@@ -207,48 +211,92 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# each subcommand's help and options; an option is (flag, dest, kind, required,
+# default, help), where kind is the value's type, a tuple of its choices or
+# "switch".  Every subcommand takes the config path first.
+JSON_SWITCH = ("--json", "json", "switch", False, False, None)
+GRAMMAR = {
+    "analyze": ("break-even summary and wait/walk verdict", [JSON_SWITCH]),
+    "optimize": ("stationary waiting times and best policy", [JSON_SWITCH]),
+    "sweep": ("tabulate a curve to CSV", [
+        ("--var", "var", ("tw", "d1", "pc"), True, None, None),
+        ("--from", "start", float, True, None, None),
+        ("--to", "stop", float, True, None, None),
+        ("--steps", "steps", int, True, None, None),
+        ("--out", "out", str, True, None, None),
+        ("--tw", "tw", float, False, None, "wait time for d1 sweeps (default 0)"),
+    ]),
+    "simulate": ("Monte Carlo estimate vs analytic value", [
+        ("--strategy", "strategy", str, True, None, None),
+        ("--n", "n", int, False, 10**6, None),
+        ("--seed", "seed", int, False, 0, None),
+        JSON_SWITCH,
+    ]),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared after.
+    """The command-line parser of GRAMMAR, built on the first call and shared after.
 
     Reuse is safe while it holds no mutable defaults and no append actions:
     parse_args returns a fresh Namespace each time.  It holds no handler:
     main looks up ``cmd_<subcommand>`` per call.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="walkwait",
         description="Wait-for-the-bus versus walk decision analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="break-even summary and wait/walk verdict")
-    p.add_argument("config")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("optimize", help="stationary waiting times and best policy")
-    p.add_argument("config")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("sweep", help="tabulate a curve to CSV")
-    p.add_argument("config")
-    p.add_argument("--var", choices=["tw", "d1", "pc"], required=True)
-    p.add_argument("--from", dest="start", type=float, required=True)
-    p.add_argument("--to", dest="stop", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--tw", type=float, help="wait time for d1 sweeps (default 0)")
-
-    p = sub.add_parser("simulate", help="Monte Carlo estimate vs analytic value")
-    p.add_argument("config")
-    p.add_argument("--strategy", required=True)
-    p.add_argument("--n", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
+    for command, (summary, options) in GRAMMAR.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("config")
+        for flag, dest, kind, required, default, text in options:
+            by_kind = ({"action": "store_true"} if kind == "switch"
+                       else {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            p.add_argument(flag, dest=dest, required=required, default=default, help=text,
+                           **by_kind)
     return parser
 
 
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for a spelled-out call, or None.
+
+    Spelled out: the subcommand, its config path, then options by exact flag,
+    each value right after its flag and not starting with "-", and every
+    required option given.  Help, abbreviations, ``--flag=value``, negative
+    values, ``--`` and every usage error are left to argparse.
+    """
+    if len(argv) < 2 or argv[0] not in GRAMMAR or argv[1].startswith("-"):
+        return None
+    options = {flag: rest for flag, *rest in GRAMMAR[argv[0]][1]}
+    values = {dest: default for dest, _, _, default, _ in options.values()}
+    tokens = iter(argv[2:])
+    for flag in tokens:
+        if flag not in options:
+            return None
+        dest, kind, *_ = options[flag]
+        if kind == "switch":
+            values[dest] = True
+            continue
+        text = next(tokens, "-")
+        if text.startswith("-") or isinstance(kind, tuple) and text not in kind:
+            return None
+        try:
+            values[dest] = text if isinstance(kind, tuple) else kind(text)
+        except ValueError:
+            return None
+    # a given option's value is never None
+    if any(required and values[dest] is None for dest, _, required, _, _ in options.values()):
+        return None
+    return SimpleNamespace(command=argv[0], config=argv[1], **values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
     # by name, so a wrapper (a profiler, a tracer) that has since replaced a
     # handler is the one called
     handler = globals()["cmd_" + args.command]

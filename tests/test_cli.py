@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +346,143 @@ class TestParserReuse:
         first = (tmp_path / "first.csv").read_bytes()
         assert first == (tmp_path / "again.csv").read_bytes() and first.count(b"\n") == 22
         assert not (tmp_path / "x.csv").exists()
+
+
+# every flag, and values and forms that argparse alone reads or rejects
+VOCABULARY = [
+    *(flag for _, options in cli.GRAMMAR.values() for flag, *_ in options),
+    "-1", "-inf", "nan", "inf", "1e999", "1_000", " 3", "2.5", "0", "", "-", "--", "-h",
+    "--help", "--ste", "--from=0", "--horizon", "tw", "d1", "pc", "speed", "sweep", "c.json",
+]
+
+
+def plain_value(rng: random.Random, kind) -> str:
+    """A value argparse accepts for an option of kind."""
+    if isinstance(kind, tuple):
+        return rng.choice(kind)
+    if kind is str:
+        return rng.choice(["o.csv", "walk_and_wait:1,3,0.5", "", "a b", "sweep"])
+    numbers = [str(rng.randrange(10**6)), "1_000", " 3"]
+    if kind is float:
+        numbers += [repr(rng.uniform(0, 100)), "nan", "inf", "1e999"]
+    return rng.choice(numbers)
+
+
+def plain_call(rng: random.Random) -> list[str]:
+    """A spelled-out call: every required option and about half the others,
+    in any order, after the subcommand and its config path."""
+    command = rng.choice(list(cli.GRAMMAR))
+    options = [[flag] if kind == "switch" else [flag, plain_value(rng, kind)]
+               for flag, _, kind, required, _, _ in cli.GRAMMAR[command][1]
+               if required or rng.random() < 0.5]
+    rng.shuffle(options)
+    return [command, "c.json", *(arg for option in options for arg in option)]
+
+
+def corpus_token(rng: random.Random) -> str:
+    """A word of VOCABULARY or, as often, a number, negative one time in two."""
+    if rng.random() < 0.5:
+        return rng.choice(VOCABULARY)
+    number = rng.choice([str(rng.randrange(10**6)), repr(rng.uniform(0, 100))])
+    return rng.choice(["", "-"]) + number
+
+
+def same_value(a, b) -> bool:
+    """a and b are equal, NaN equal to NaN, and of one type."""
+    return type(a) is type(b) and (a == b or a != a and b != b)
+
+
+def outcome(capsys, argv, out=None):
+    """(exit code, stdout, stderr, bytes of out or None) of one main call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: help or a usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, out.read_bytes() if out and out.exists() else None
+
+
+class TestPlainParse:
+    def test_agrees_with_argparse_on_every_call_it_accepts(self):
+        rng = random.Random(20081)
+        accepted, attempts = set(), 0
+        while len(accepted) < 10**4 and attempts < 10**5:
+            attempts += 1
+            argv = plain_call(rng)
+            for _ in range(rng.randint(0, 2)):
+                edit, at = rng.choice("ird"), rng.randrange(len(argv) + 1)
+                if edit == "i":
+                    argv.insert(at, corpus_token(rng))
+                elif at < len(argv):
+                    argv[at:at + 1] = [corpus_token(rng)] if edit == "r" else []
+            plain = cli._parse_plain(argv)
+            if plain is None or tuple(argv) in accepted:
+                continue
+            accepted.add(tuple(argv))
+            try:
+                reference = vars(build_parser().parse_args(argv))
+            except SystemExit:
+                pytest.fail(f"argparse rejects {argv!r}, which the plain path accepts")
+            assert plain.__dict__.keys() == reference.keys(), argv
+            assert all(same_value(plain.__dict__[k], v) for k, v in reference.items()), argv
+        assert len(accepted) >= 10**4
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"],
+        ["sweep", "-h"],
+        ["sweep", "CFG", "--var", "tw", "--from", "0", "--to", "60", "--ste", "21", "--out", "OUT"],
+        ["sweep", "CFG", "--var", "tw", "--from=0", "--to", "60", "--steps", "21", "--out", "OUT"],
+        ["simulate", "CFG", "--strategy", "wait_forever", "--seed", "-1"],
+        ["sweep", "CFG", "--var", "pc", "--from", "0", "--to", "60", "--steps", "5", "--out", "OUT",
+         "--to", "1", "--steps", "21"],
+        ["analyze", "--json", "CFG"],
+        ["optimize", "CFG", "--horizon", "10"],
+        ["sweep", "CFG", "--var", "speed", "--from", "0", "--to", "1", "--steps", "3",
+         "--out", "OUT"],
+    ], ids=["help", "sweep-help", "abbreviation", "equals", "negative-seed", "repeated",
+            "config-last", "horizon", "unknown-choice"])
+    def test_falls_back_to_argparse_byte_for_byte(self, argv, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out.csv"
+        names = {"CFG": str(CONFIG_DIR / "uniform30.json"), "OUT": str(out)}
+        argv = [names.get(arg, arg) for arg in argv]
+        # only the repeated flags are spelled out: the last one wins on both paths
+        assert (cli._parse_plain(argv) is not None) == (argv.count("--to") == 2)
+        plain = outcome(capsys, argv, out)
+        out.unlink(missing_ok=True)
+        monkeypatch.setattr(cli, "_parse_plain", lambda argv: None)
+        assert outcome(capsys, argv, out) == plain
+
+    def test_repeated_flag_last_wins(self):
+        argv = ["sweep", "c.json", "--var", "pc", "--steps", "5", "--var", "tw",
+                "--from", "0", "--to", "1", "--steps", "21", "--out", "o.csv"]
+        plain = vars(cli._parse_plain(argv))
+        assert plain == vars(build_parser().parse_args(argv))
+        assert (plain["var"], plain["steps"]) == ("tw", 21)
+
+    @pytest.mark.parametrize("argv", [
+        # a value that starts with "-", and a required flag left out
+        ["sweep", "c.json", "--var", "tw", "--from", "-inf", "--to", "1", "--steps", "3",
+         "--out", "o.csv"],
+        ["sweep", "c.json", "--var", "tw", "--from", "0", "--to", "1", "--steps", "3"],
+    ], ids=["dash-value", "required"])
+    def test_leaves_a_usage_error_to_argparse(self, argv, capsys):
+        assert cli._parse_plain(argv) is None
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: walkwait sweep ")
+
+    def test_spelled_out_sweep_never_imports_argparse(self, tmp_path):
+        argv = ["sweep", str(CONFIG_DIR / "uniform30.json"), "--var", "tw", "--from", "0",
+                "--to", "60", "--steps", "61", "--out", str(tmp_path / "tw.csv")]
+        code = (f"import sys; from walkwait.cli import main; code = main({argv!r}); "
+                "sys.exit(code or 'argparse' in sys.modules)")
+        path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "tw.csv").read_bytes().count(b"\n") == 62
 
 
 class TestSimulate:

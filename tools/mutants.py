@@ -1,6 +1,7 @@
 """One-line mutants of ``src/walkwait``, each run against the full test suite.
 
     python tools/mutants.py            # run every mutant, print a table
+    python tools/mutants.py 24 25      # run only mutants 24 and 25
     python tools/mutants.py --check    # only check that each mutant's line is in the code
 
 A mutant is one deliberate one-line change, ``(file, old, new, why)``:
@@ -8,10 +9,11 @@ A mutant is one deliberate one-line change, ``(file, old, new, why)``:
 to one temporary copy of the repository, where ``pytest -x -q`` fails (the
 suite killed the mutant) or passes (it survived); the copy's file is then
 restored.  The run exits 1 when a mutant survives, and ``--check`` when a
-mutant's ``old`` is missing, repeated or unchanged.  Each surviving mutant
-costs a full suite run, so this is no tier-1 step; run it in a change that
-touches a mutated line.  The list only grows: a mutant whose line moves is
-rewritten, not dropped.  Standard library only.
+mutant's ``old`` is missing, repeated or unchanged; an index that names no
+mutant exits 2.  Each surviving mutant costs a full suite run, so this is no
+tier-1 step; run the mutants of the lines a change touches, by index.  The
+list only grows: a mutant whose line moves is rewritten, not dropped.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -138,6 +140,19 @@ MUTANTS = [
      "if True:",
      "a sweep to a non-regular target such as /dev/null is cut to length,"
      " which raises EINVAL"),
+    (CLI,
+     'if text.startswith("-") or isinstance(kind, tuple) and text not in kind:',
+     "if isinstance(kind, tuple) and text not in kind:",
+     "the plain parse takes a value that starts with '-', such as -inf or -h,"
+     " which argparse reads as an option"),
+    (CLI,
+     "if any(required and values[dest] is None",
+     "if any(False and values[dest] is None",
+     "the plain parse accepts a call that leaves out a required option"),
+    (CLI,
+     'if text.startswith("-") or isinstance(kind, tuple) and text not in kind:',
+     'if text.startswith("-"):',
+     "the plain parse accepts a value outside an option's choices"),
 ]
 
 
@@ -177,7 +192,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="only check that each mutant's line occurs once")
+    parser.add_argument("index", nargs="*", type=int,
+                        help="run only the mutants of these indices (default: every mutant)")
     args = parser.parse_args(argv)
+    unknown = [i for i in args.index if not 0 <= i < len(MUTANTS)]
+    if unknown:
+        parser.error(f"no mutant {unknown[0]}: the indices run from 0 to {len(MUTANTS) - 1}")
     problems = check()
     if problems or args.check:
         for problem in problems:
@@ -193,7 +213,8 @@ def main(argv=None) -> int:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", ".bench_out", "__pycache__", "*.egg-info", ".pytest_cache", "BENCH_*.json"))
-        for i, (file, old, new, _) in enumerate(MUTANTS):
+        for i in args.index or range(len(MUTANTS)):
+            file, old, new, _ = MUTANTS[i]
             killed, failed = run(copy, file, old, new)
             survived += not killed
             print(f"| {i} | {Path(file).name} | `{old}` -> `{new}` | "
