@@ -20,13 +20,17 @@ roots).  Every model draws through ``sample(rng, n)``, whose contract
 or a wait.
 
 The base class integrates M1 by adaptive quadrature split at the
-breakpoints.  A model keeps the running sums of its whole pieces, so a call
-integrates only its last, partial piece, with the bits of integrating from
-zero; its density must not change after its first ``partial_mean``.  Every
-attribute of a model, plan or scenario is stored with object.__setattr__, as
-a frozen dataclass's ``__init__`` stores its fields, and read back with
-getattr if built lazily (the M1 sums, the sampler's table); never through
-``__dict__``, whose first read builds the dict and slows every later lookup.
+breakpoints.  On its first call below the support end, a model stores one
+M1 state: its support end, its ``quad_bound()``, the edges of its pieces and
+the running sums of its whole pieces, only floats and tuples, nothing that
+refers back to the model.  So a call integrates only its last, partial
+piece, with the bits of integrating from zero; the density, ``support_end``,
+``quad_bound()`` and ``breakpoints()`` must not change after the first
+``partial_mean``.  Every attribute of a model, plan or scenario is stored
+with object.__setattr__, as a frozen dataclass's ``__init__`` stores its
+fields, and read back with getattr if built lazily (the M1 state, the
+sampler's table); never through ``__dict__``, whose first read builds the
+dict and slows every later lookup.
 
 The model alone picks the route to the sign changes of E'(W) = R(W) -
 t_delta p(W), through ``_sign_changes``: the table solves E', a polynomial
@@ -151,39 +155,52 @@ class ArrivalModel(ABC):
         so a density jump costs no refinement; models with a closed form
         override it.
 
-        The model keeps the running sums of its whole pieces, the pieces
-        between the sorted breakpoints in (0, quad_bound()), each sum the
-        last plus one more piece, as ``integrate_piecewise`` adds them.  A
-        call adds its last, partial piece to the sum below it and integrates
-        a whole piece only the first time a call reaches past it, so every
-        answer has the bits of a fresh model's, and the density must not
-        change after the first call.  The sums are read with getattr and
-        stored with object.__setattr__, as the module states for every
-        stored attribute.
+        The first call below the support end stores the model's one M1
+        state, ``(support_end, quad_bound(), edges, sums)``: edges are 0 and
+        the sorted breakpoints in (0, quad_bound()), the ends of the whole
+        pieces, and sums[j] is the integral over [0, edges[j]], each sum the
+        last plus one more piece, as ``integrate_piecewise`` adds them.  No
+        later call reads ``support_end``, ``quad_bound()`` or
+        ``breakpoints()``, so these, like the density, must not change after
+        that call.  A call adds its last, partial piece to the sum below it
+        and integrates a whole piece only the first time a call reaches past
+        it, so every answer has the bits of a fresh model's; a racing call
+        may store fewer sums, which only repeats work.  A call at or past the
+        support end returns ``mean()``, and on a fresh model stores nothing.
+        The state holds floats and tuples only, no closure or bound method,
+        so nothing refers back to the model, and a model is freed with its
+        last reference, without waiting for the cyclic GC.  It is read with
+        getattr and stored with object.__setattr__, as the module states for
+        every stored attribute.
         """
         t = _check_time(t)
-        if t >= self.support_end:
+        state = getattr(self, "_m1_sums", None)
+        if state is None:
+            support_end = self.support_end
+            if t >= support_end:
+                return self.mean()
+            bound = self.quad_bound()
+            # edges: 0 and the cuts; sums[j]: the integral over [0, edges[j]]
+            edges = (0.0, *sorted(b for b in self.breakpoints() if 0.0 < b < bound))
+            state = (support_end, bound, edges, (0.0,))
+            object.__setattr__(self, "_m1_sums", state)
+        support_end, bound, edges, sums = state
+        if t >= support_end:
             return self.mean()
         at = self._at
 
         def f(tau):
             return tau * at(tau)[0]
 
-        bound = self.quad_bound()
-        end = min(t, bound)
-        # edges: 0 and the cuts; sums[j]: the integral over [0, edges[j]]
-        edges, sums = getattr(self, "_m1_sums", None) or (
-            (0.0, *sorted(b for b in self.breakpoints() if 0.0 < b < bound)),
-            (0.0,),
-        )
+        end = t if t < bound else bound
         j = bisect_left(edges, end, 1) - 1  # the number of cuts below end
         if j >= len(sums):
             grown = list(sums)
             for k in range(len(sums), j + 1):
                 grown.append(grown[-1] + adaptive_simpson(f, edges[k - 1], edges[k]))
-            sums = tuple(grown)
             # a racing call may store fewer sums: it only repeats work
-            object.__setattr__(self, "_m1_sums", (edges, sums))
+            object.__setattr__(self, "_m1_sums", (support_end, bound, edges, tuple(grown)))
+            sums = grown
         return sums[j] + adaptive_simpson(f, edges[j], end)
 
     def breakpoints(self) -> tuple[float, ...]:

@@ -11,6 +11,13 @@ levels toward a density jump that does not change the integral.
 The integrands are nonnegative (tau p(tau), a CDF), so a panel is accepted
 once its error estimate is within QUAD_TOL of its own integral, and the total
 is within QUAD_TOL of the whole integral, relative, at every time scale.
+
+``adaptive_simpson`` refines depth first, the right half of a split panel
+before its left.  It keeps the panel it works on in locals and stacks only
+the left halves of the panels it splits; an accepted panel pops the next.
+So a panel accepted at once costs no push or pop, and the loop reads the
+integrand at the same points, and adds the panels in the same order, as a
+loop that stacks every panel.
 """
 
 from __future__ import annotations
@@ -44,12 +51,13 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
     m = 0.5 * (a + b)
     fa, fm, fb = f(a), f(m), f(math.nextafter(b, a))
     whole = _simpson(fa, fm, fb, b - a)
-    # stack of (a, fa, m, fm, b, fb, whole)
-    stack = [(a, fa, m, fm, b, fb, whole)]
+    # the panel being refined is (a, fa, m, fm, b, fb, whole), in locals; the
+    # stack holds the left halves of the panels split, each waiting for its
+    # right half to be done, as (a, fa, m, fm, b, fb, whole)
+    stack = []
     total = 0.0
     used = 1
-    while stack:
-        a, fa, m, fm, b, fb, whole = stack.pop()
+    while True:
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
         flm, frm = f(lm), f(rm)
@@ -58,13 +66,16 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
         delta = left + right - whole
         if abs(delta) <= 15.0 * QUAD_TOL * abs(left + right):
             total += left + right + delta / 15.0
+            if not stack:
+                return total
+            a, fa, m, fm, b, fb, whole = stack.pop()
             continue
         used += 2
         if used > MAX_INTERVALS:
             raise IntervalCapError("adaptive quadrature exceeded the interval cap")
         stack.append((a, fa, lm, flm, m, fm, left))
-        stack.append((m, fm, rm, frm, b, fb, right))
-    return total
+        # go on with the right half, which the stack would pop next
+        a, fa, m, fm, whole = m, fm, rm, frm, right
 
 
 def integrate_piecewise(

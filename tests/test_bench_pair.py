@@ -150,3 +150,53 @@ class TestVerdicts:
         decide = json.loads(out.read_text())["summary"]["decide"]["latency_p90_ms"]
         # one pair: no IQR, so no gain can be shown; 9.0 -> 9.5 is 5.6% worse
         assert decide["gain_met"] is False and decide["within_bound"] is True
+
+
+class TestResolved:
+    # decide ops_per_s, like curves ops_per_s in an earlier report: the
+    # parent's runs hold tight around 2,470/s, the change's spread by an IQR
+    # of about 850 around 3,200, past the 0.25 bound times the parent's median
+    PARENT_OPS = [2158.0, 2189.0, 2262.0, 2352.0, 2391.0, 2469.0, 2512.0, 2519.0, 2668.0, 2823.0]
+    CHANGE_OPS = [2632.0, 2714.0, 2732.0, 2804.0, 3032.0, 3282.0, 3301.0, 3567.0, 3666.0, 3707.0]
+
+    def test_a_spread_past_the_bound_is_unresolved(self, tmp_path):
+        summary = ten_pairs(tmp_path, [(4.0 + k / 10, 3.2 + k / 10) for k in range(10)],
+                            list(zip(self.PARENT_OPS, self.CHANGE_OPS)))
+        ops = summary["ops_per_s"]
+        assert ops["parent_iqr"] <= 0.25 * ops["parent_median"] < ops["change_iqr"]
+        # the change's slowest run is below the parent's fastest
+        assert ops["change_wins"] == 10 and ops["change_beats_all"] is False
+        assert ops["within_bound"] is True and ops["resolved"] is False
+        # p90's spreads are within 0.25 of its parent median
+        assert summary["latency_p90_ms"]["resolved"] is True
+
+    def test_a_wide_parent_spread_is_unresolved_too(self, tmp_path):
+        ops = ten_pairs(tmp_path, [(4.0, 4.0)] * 10,
+                        list(zip(self.CHANGE_OPS, self.PARENT_OPS)))["ops_per_s"]
+        assert ops["change_iqr"] <= 0.25 * ops["parent_median"] < ops["parent_iqr"]
+        assert ops["resolved"] is False
+
+    def test_every_change_run_beating_every_parent_run_resolves(self, tmp_path):
+        change = [ops + 300.0 for ops in self.CHANGE_OPS]
+        ops = ten_pairs(tmp_path, [(4.0, 4.0)] * 10,
+                        list(zip(self.PARENT_OPS, change)))["ops_per_s"]
+        assert ops["change_iqr"] > 0.25 * ops["parent_median"]
+        assert ops["change_beats_all"] is True and ops["resolved"] is True
+
+    def test_one_pair_resolves_only_by_beating_the_parent(self, runs, tmp_path):
+        out = tmp_path / "BENCH.json"
+        bench_pair.main([str(runs[0]), str(runs[1]), "--out", str(out)])
+        summary = json.loads(out.read_text())["summary"]
+        # decide: one pair, ops_per_s 50 -> 51 won, p90 9.0 -> 9.5 lost
+        assert summary["decide"]["ops_per_s"]["resolved"] is True
+        assert summary["decide"]["latency_p90_ms"]["resolved"] is False
+        # curves p90 is 2.0 -> 1.5 in every pair: no spread, and a clean sweep
+        assert summary["curves"]["latency_p90_ms"]["resolved"] is True
+
+    def test_a_metric_without_a_direction_or_bound_is_neither(self):
+        entry = {"parent_median": 1.0, "parent_iqr": 0.0, "change_iqr": 0.0,
+                 "change_beats_all": False, "better": None}
+        assert bench_pair.resolved(entry, 0.25) is None
+        entry["better"] = "lower"
+        assert bench_pair.resolved(entry, None) is None
+        assert bench_pair.resolved(entry, 0.25) is True

@@ -2,10 +2,12 @@
 fallback that rests on it, and the interval cap."""
 
 import functools
+import gc
 import math
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +15,13 @@ import pytest
 from walkwait import PiecewiseLinearDensity
 from walkwait.arrivals import ArrivalModel, _LinearDensity
 from walkwait import quadrature
-from walkwait.quadrature import QUAD_TOL, adaptive_simpson, integrate_piecewise
+from walkwait.quadrature import (
+    QUAD_TOL,
+    IntervalCapError,
+    _simpson,
+    adaptive_simpson,
+    integrate_piecewise,
+)
 
 from _models import (
     FallbackPiecewise,
@@ -222,3 +230,147 @@ def test_interval_cap_raises(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_INTERVALS", 1000)
     with pytest.raises(RuntimeError, match="interval cap"):
         adaptive_simpson(wild, 0.0, 1.0)
+
+
+def stack_only_simpson(f, a, b):
+    """The reference: adaptive_simpson as a loop that stacks every panel,
+    the split panel's left half and then its right, and pops the next."""
+    if b <= a:
+        return 0.0
+    m = 0.5 * (a + b)
+    fa, fm, fb = f(a), f(m), f(math.nextafter(b, a))
+    whole = _simpson(fa, fm, fb, b - a)
+    # stack of (a, fa, m, fm, b, fb, whole)
+    stack = [(a, fa, m, fm, b, fb, whole)]
+    total = 0.0
+    used = 1
+    while stack:
+        a, fa, m, fm, b, fb, whole = stack.pop()
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm, frm = f(lm), f(rm)
+        left = _simpson(fa, flm, fm, m - a)
+        right = _simpson(fm, frm, fb, b - m)
+        delta = left + right - whole
+        if abs(delta) <= 15.0 * QUAD_TOL * abs(left + right):
+            total += left + right + delta / 15.0
+            continue
+        used += 2
+        if used > quadrature.MAX_INTERVALS:
+            raise IntervalCapError("adaptive quadrature exceeded the interval cap")
+        stack.append((a, fa, lm, flm, m, fm, left))
+        stack.append((m, fm, rm, frm, b, fb, right))
+    return total
+
+
+def step(x):
+    return 1.0 if x < 0.7 else 3.0
+
+
+def spike(x):
+    return 1e-3 + math.exp(-(((x - 0.53) / 2e-2) ** 2))
+
+
+def scaled(f, a, b):
+    """f over [0, 1] moved onto [a, b]."""
+    return lambda x: f((x - a) / (b - a))
+
+
+# (integrand, a, b): the first three are accepted at the first level, where
+# Simpson's rule is exact; the rest refine
+INTEGRANDS = [
+    pytest.param(lambda x: 2.0, 0.0, 1.0, id="constant"),
+    pytest.param(lambda x: 1.0 + x * (2.0 - x), 0.5, 2.0, id="quadratic"),
+    pytest.param(lambda x: x * x * x, 1.0, 3.0, id="cubic"),
+    pytest.param(math.sin, 0.0, 40.0, id="sin"),
+    pytest.param(step, 0.0, 2.0, id="step"),
+    pytest.param(spike, 0.0, 1.0, id="spike"),
+    pytest.param(math.exp, -1.0, 2.5, id="exp"),
+    *(pytest.param(scaled(f, a, a + w), a, a + w, id=f"{f.__name__}-{a}+{w}")
+      for f in (math.exp, step, spike)
+      for a, w in ((0.0, 1e-9), (7.0, 1e-9), (3.0, 1e-6), (0.25, 1e-3), (1.0, 0.3), (2.0, 3.0))),
+]
+
+
+class TestOneLoopAgainstTheStackOnlyLoop:
+    @pytest.mark.parametrize("f, a, b", INTEGRANDS)
+    def test_same_bits_from_the_same_points_in_the_same_order(self, f, a, b):
+        g, calls = counted(f)
+        h, want = counted(f)
+        assert adaptive_simpson(g, a, b).hex() == stack_only_simpson(h, a, b).hex()
+        assert calls == want
+
+    def test_the_integrands_cover_both_kinds_of_panel(self):
+        points = []
+        for f, a, b in (param.values for param in INTEGRANDS):
+            g, calls = counted(f)
+            adaptive_simpson(g, a, b)
+            points.append(len(calls))
+        assert points[:3] == [5, 5, 5]
+        assert min(points[3:]) > 5 and max(points) > 5000
+
+    @pytest.mark.parametrize("cap", [3, 5])
+    @pytest.mark.parametrize("f, a, b", [(math.sin, 0.0, 40.0), (step, 0.0, 2.0), (spike, 0.0, 1.0)])
+    def test_the_cap_raises_at_the_same_split(self, monkeypatch, cap, f, a, b):
+        monkeypatch.setattr(quadrature, "MAX_INTERVALS", cap)
+        g, calls = counted(f)
+        h, want = counted(f)
+        with pytest.raises(IntervalCapError):
+            adaptive_simpson(g, a, b)
+        with pytest.raises(IntervalCapError):
+            stack_only_simpson(h, a, b)
+        assert calls == want
+
+
+class CountingState(PiecewiseLinearDensity):
+    """The piecewise model on the quadrature fallback, counting the calls
+    of what partial_mean reads once."""
+
+    partial_mean = ArrivalModel.partial_mean
+
+    def __init__(self, knots):
+        super().__init__(knots)
+        self.calls = {"breakpoints": 0, "quad_bound": 0}
+
+    def breakpoints(self):
+        self.calls["breakpoints"] += 1
+        return super().breakpoints()
+
+    def quad_bound(self):
+        self.calls["quad_bound"] += 1
+        return super().quad_bound()
+
+
+class TestPartialMeanState:
+    KNOTS = [[0.0, 1.0], [30.0, 0.5]]  # two knots: no interior cut
+
+    def test_a_sweep_reads_the_breakpoints_and_the_bound_once(self):
+        model = CountingState(self.KNOTS)
+        got = [model.partial_mean(30.0 * k / 61) for k in range(61)]
+        assert model.calls == {"breakpoints": 1, "quad_bound": 1}
+        fresh = [CountingState(self.KNOTS).partial_mean(30.0 * k / 61) for k in range(61)]
+        assert [x.hex() for x in got] == [x.hex() for x in fresh]
+
+    def test_a_call_at_or_past_the_support_end_reads_neither(self):
+        model = CountingState(self.KNOTS)
+        assert model.partial_mean(30.0) == model.partial_mean(math.inf) == model.mean()
+        assert model.calls == {"breakpoints": 0, "quad_bound": 0}
+        model.partial_mean(10.0)
+        assert model.partial_mean(45.0) == model.mean()
+        assert model.calls == {"breakpoints": 1, "quad_bound": 1}
+
+    @pytest.mark.parametrize("knots", [KNOTS, [[0, 1], [4, 1], [4, .01], [100, .01]]])
+    def test_nothing_stored_keeps_the_model_alive(self, knots):
+        # with no cyclic GC, the model goes as soon as its last reference does
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            model = CountingState(knots)
+            model.partial_mean(0.5 * model.support_end)
+            assert getattr(model, "_m1_sums", None) is not None
+            ref = weakref.ref(model)
+            del model
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()

@@ -9,11 +9,16 @@ workload, seed and trace flag.  The output lists every pair's end-to-end
 metrics, the seeds per workload, the machine of each run, the runs that found
 no partner, and per workload and metric the two medians, the two
 interquartile ranges (null with fewer than two pairs), the number of
-pairs the change won and two verdicts.  ``gain_met``: the change won at
+pairs the change won, whether every change run beat every parent run
+(``change_beats_all``) and three verdicts.  ``gain_met``: the change won at
 least 9 of 10 pairs and its median is better than the parent's by more than
 the parent's interquartile range.  ``within_bound``: the change's median is
 worse than the parent's by no more than the metric's bound, relative to the
-parent's median.  Each metric's direction and bound come from the
+parent's median.  ``resolved``: the runs can tell a move of the bound's size
+at all, that is, each side's interquartile range is within the bound times
+the parent's median, or every change run beat every parent run; a metric
+that is not resolved is unresolved, not unchanged, whatever its
+``within_bound``.  Each metric's direction and bound come from the
 repository's BENCHMARK.json, which is only read; a metric it does not list
 has null verdicts.  Standard library only.
 """
@@ -71,6 +76,19 @@ def verdicts(entry: dict, bound: float | None) -> dict:
     }
 
 
+def resolved(entry: dict, bound: float | None) -> bool | None:
+    """Whether the runs of one summary entry resolve a move of the bound's
+    size: each side's interquartile range is at most bound times the
+    parent's median, or every change run beat every parent run.  Null where
+    the metric has no direction or no bound; with fewer than two pairs there
+    is no spread to judge, so only a clean sweep resolves it."""
+    if entry["better"] not in ("higher", "lower") or bound is None:
+        return None
+    width = bound * abs(entry["parent_median"])
+    spreads = (entry["parent_iqr"], entry["change_iqr"])
+    return entry["change_beats_all"] or all(s is not None and s <= width for s in spreads)
+
+
 def pair(parent: dict, change: dict, better: dict, bounds: dict) -> dict:
     """The paired report of two {(workload, seed, trace): result} maps."""
     keys = sorted(parent.keys() & change.keys())
@@ -93,6 +111,10 @@ def pair(parent: dict, change: dict, better: dict, bounds: dict) -> dict:
             entry["change_wins"] += sign * (after - before) > 0.0
     for metrics in summary.values():
         for name, entry in metrics.items():
+            sign = {"higher": 1.0, "lower": -1.0}.get(better.get(name), 0.0)
+            # in the metric's direction, the change's worst run and the parent's best
+            worst = min(sign * after for after in entry["change"])
+            best = max(sign * before for before in entry["parent"])
             metrics[name] = {
                 "pairs": len(entry["parent"]),
                 "parent_median": statistics.median(entry["parent"]),
@@ -100,9 +122,11 @@ def pair(parent: dict, change: dict, better: dict, bounds: dict) -> dict:
                 "parent_iqr": iqr(entry["parent"]),
                 "change_iqr": iqr(entry["change"]),
                 "change_wins": entry["change_wins"],
+                "change_beats_all": sign != 0.0 and worst > best,
                 "better": better.get(name),
             }
             metrics[name].update(verdicts(metrics[name], bounds.get(name)))
+            metrics[name]["resolved"] = resolved(metrics[name], bounds.get(name))
     machines = []
     for result in [*parent.values(), *change.values()]:
         machine = result.get("detail", {}).get("machine")

@@ -33,6 +33,7 @@ EXPECTATION = "src/walkwait/expectation.py"
 INTERMEDIATE = "src/walkwait/intermediate.py"
 MCSIM = "src/walkwait/mcsim.py"
 OPTIMIZER = "src/walkwait/optimizer.py"
+QUADRATURE = "src/walkwait/quadrature.py"
 
 MUTANTS = [
     (EXPECTATION,
@@ -153,6 +154,20 @@ MUTANTS = [
      'if text.startswith("-") or isinstance(kind, tuple) and text not in kind:',
      'if text.startswith("-"):',
      "the plain parse accepts a value outside an option's choices"),
+    (QUADRATURE,
+     "a, fa, m, fm, whole = m, fm, rm, frm, right",
+     "stack[-1] = (m, fm, rm, frm, b, fb, right); m, fm, b, fb, whole = lm, flm, m, fm, left",
+     "a split panel goes on with its left half and stacks its right, which"
+     " reads the integrand and adds the panels in another order"),
+    (QUADRATURE,
+     "total += left + right + delta / 15.0",
+     "total += left + right",
+     "an accepted panel drops its Richardson term delta / 15"),
+    (ARRIVALS,
+     "object.__setattr__(self, \"_m1_sums\", state)",
+     "pass",
+     "the M1 state is built on every call below the support end until a"
+     " whole piece is integrated, and forever on a model with no interior cut"),
 ]
 
 
