@@ -199,7 +199,11 @@ def cmd_simulate(args) -> int:
         _named(name, rule, getattr(args, name))
     # n and seed passed: only the journeys can fail, where they overflow
     result = _named("model", estimate, scenario, model, plan, args.n, args.seed)
-    z = (result.mean - analytic) / result.stderr if result.stderr > 0 else 0.0
+    # a sample with no spread has a z only where it is the price exactly
+    if result.stderr > 0.0:
+        z = (result.mean - analytic) / result.stderr
+    else:
+        z = 0.0 if result.mean == analytic else None
     if args.json:
         print(json.dumps({**dataclasses.asdict(result), "analytic": analytic, "z": z}, indent=2))
         return 0
@@ -207,7 +211,10 @@ def cmd_simulate(args) -> int:
     print(f"stderr:   {result.stderr:.12g} min")
     print(f"n:        {result.n}")
     print(f"analytic: {analytic:.12g} min")
-    print(f"z-score:  {z:.6g}")
+    if z is None:
+        print("z-score:  none (every journey took the mean, which is not the analytic value)")
+    else:
+        print(f"z-score:  {z:.6g}")
     return 0
 
 

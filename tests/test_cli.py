@@ -485,6 +485,33 @@ class TestPlainParse:
         assert (tmp_path / "tw.csv").read_bytes().count(b"\n") == 62
 
 
+class TestModuleEntryPoint:
+    """``python -m walkwait.cli`` in development mode, warnings as errors: a
+    resource leak or a deprecation on the command's path fails, and what is
+    left gives the exit code and the bytes of an in-process ``main`` call."""
+
+    @pytest.mark.parametrize("code, argv", [
+        (0, ["simulate", "CFG", "--strategy", "walk_and_wait:1,3,0.5", "--n", "100000", "--json"]),
+        (0, ["sweep", "CFG", "--var", "d1", "--tw", "4", "--from", "0", "--to", "3",
+             "--steps", "21", "--out", "OUT"]),
+        (2, ["analyze", "MISSING"]),
+    ], ids=["simulate", "sweep", "missing-config"])
+    def test_same_exit_code_and_bytes_as_main(self, code, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        names = {"CFG": str(CONFIG_DIR / "piecewise.json"), "OUT": str(out),
+                 "MISSING": str(tmp_path / "missing.json")}
+        argv = [names.get(arg, arg) for arg in argv]
+        in_process = outcome(capsys, argv, out)
+        out.unlink(missing_ok=True)
+        path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "walkwait.cli",
+                               *argv], env=env, capture_output=True, text=True, check=False)
+        csv = out.read_bytes() if out.exists() else None
+        assert in_process[0] == code
+        assert (proc.returncode, proc.stdout, proc.stderr, csv) == in_process
+
+
 class TestSimulate:
     def test_wait_forever_z_score(self, config, capsys):
         code, out = run(
@@ -555,6 +582,47 @@ class TestSimulate:
         assert code == 0
         payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in {out}"))
         assert 0.0 < payload["stderr"] < math.inf and abs(payload["z"]) < 3.5
+
+    # 1.1 km at 7 and 31 km/h: walking takes 66/7 min
+    NO_SPREAD_JOURNEY = {"distance_km": 1.1, "walk_speed_kmh": 7, "bus_speed_kmh": 31}
+    # a bus that almost never comes in time: at 1,000 journeys none boards
+    RARE_BUS = ({"kind": "uniform", "headway": 56912.8}, "walk_and_wait:0.0613,0.870,0.211")
+
+    @pytest.mark.parametrize("n", ["1000", "1000003"])
+    def test_no_spread_at_the_price_has_z_0(self, config, capsys, n):
+        path = config({"kind": "uniform", "headway": 30}, **self.NO_SPREAD_JOURNEY)
+        code, out = run(capsys, "simulate", path, "--strategy", "walk_now", "--n", n, "--json")
+        assert code == 0
+        assert json.loads(out) == {"mean": 9.428571428571429, "stderr": 0.0, "n": int(n),
+                                   "analytic": 9.428571428571429, "z": 0.0}
+
+    def test_no_spread_off_the_price_has_no_z(self, config, capsys):
+        model, strategy = self.RARE_BUS
+        argv = ["simulate", config(model, **self.NO_SPREAD_JOURNEY), "--strategy", strategy,
+                "--n", "1000"]
+        code, out = run(capsys, *argv, "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["stderr"] == 0.0
+        assert payload["mean"] != payload["analytic"] and payload["z"] is None
+        code, out = run(capsys, *argv)
+        assert code == 0 and out.splitlines()[-1] == (
+            "z-score:  none (every journey took the mean, which is not the analytic value)")
+
+    def test_a_bus_that_comes_once_in_a_while_has_a_z(self, config, capsys):
+        model, strategy = self.RARE_BUS
+        code, out = run(capsys, "simulate", config(model, **self.NO_SPREAD_JOURNEY),
+                        "--strategy", strategy, "--n", "1000003", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["stderr"] > 0.0 and abs(payload["z"]) < 5.0
+
+    def test_a_wait_past_rate_times_t_overflow_is_priced(self, config, capsys):
+        # rate * t passes the largest float: the partial mean was inf * 0,
+        # and simulate printed a NaN analytic
+        code, out = run(capsys, "simulate", config({"kind": "exponential", "rate": 10}),
+                        "--strategy", "wait_then_walk:1.7e308", "--n", "1000", "--json")
+        assert code == 0
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in {out}"))
+        assert abs(payload["z"]) < 5.0
 
     def test_walk_and_wait_strategy_string(self, config, capsys):
         code, out = run(

@@ -197,6 +197,58 @@ class TestEstimate:
         assert abs(result.mean - 23.6) < 3.0 * result.stderr
 
 
+# 1.1 km at 7 and 31 km/h: a walk of 66/7 min, which a mean of equal
+# journeys, pairwise summed, misses by an ulp
+S_NO_SPREAD = Scenario(d=1.1, v_w=7.0 / 60.0, v_b=31.0 / 60.0)
+# a bus that almost never comes in time: at 1,000 journeys none boards
+RARE_BUS = (Uniform(56912.8), WalkAndWaitPlan(0.0613, 0.870, 0.211))
+
+
+class OneUlpDraws(Uniform):
+    """Buses at 0 and at one ulp of the ride time, alternately: waiting for
+    them gives journeys one ulp apart."""
+
+    def sample(self, rng, n):
+        return np.resize([0.0, math.ulp(S0.bus_time)], n)
+
+
+class TestNoSpread:
+    """A sample of equal journeys is that journey with no spread, exactly;
+    one with any spread keeps its bits."""
+
+    @pytest.mark.parametrize("count", [0, None], ids=["no-helpers", "helpers"])
+    @pytest.mark.parametrize("n", [1000, 10**6 + 3], ids=["one-chunk", "16-chunks"])
+    def test_walk_now_is_the_walk_time(self, n, count, helpers):
+        if count is not None:
+            helpers(count)
+        result = estimate(S_NO_SPREAD, Uniform(30.0), WalkNow(), n, 0)
+        assert result == mcsim.SimEstimate(mean=S_NO_SPREAD.walk_time, stderr=0.0, n=n)
+
+    @pytest.mark.parametrize("count", [0, None], ids=["no-helpers", "helpers"])
+    def test_a_bus_that_never_comes_in_time(self, count, helpers):
+        if count is not None:
+            helpers(count)
+        model, plan = RARE_BUS
+        result = estimate(S_NO_SPREAD, model, plan, 1000, 0)
+        assert result == mcsim.SimEstimate(S_NO_SPREAD.walk_time + 0.870, 0.0, 1000)
+
+    def test_a_bus_that_comes_in_time_once_in_a_while(self, helpers):
+        model, plan = RARE_BUS
+        result = estimate(S_NO_SPREAD, model, plan, 10**6 + 3, 0)
+        helpers(0)
+        assert estimate(S_NO_SPREAD, model, plan, 10**6 + 3, 0) == result
+        assert result.stderr > 0.0
+        assert abs(result.mean - expected_tt_plan(S_NO_SPREAD, model, plan)) < 5 * result.stderr
+
+    @pytest.mark.parametrize("n", [1000, 3 * CHUNK])
+    def test_a_spread_of_one_ulp_is_kept(self, n):
+        ulp = math.ulp(S0.bus_time)
+        result = estimate(S0, OneUlpDraws(30.0), WaitForever(), n, 0)
+        assert S0.bus_time <= result.mean <= S0.bus_time + ulp
+        # half an ulp of spread, or more as the mean rounds to an end
+        assert ulp / 2.0 <= result.stderr * math.sqrt(n) <= ulp
+
+
 class TestAnalyticExpectation:
     def test_matches_simulation_for_random_strategies(self):
         rng = np.random.default_rng(100)
